@@ -70,6 +70,15 @@ def _check_size(n: int, limit: int, what: str = "n") -> None:
                          f"(raise it with --limit or NCLAB_LIMIT)")
 
 
+def _read_blocks(text: str, limit: int, make):
+    """Parse block text, bound its largest label by the size limit, then
+    build the object with `make`: construction allocates the whole ground
+    set, so the bound must come first."""
+    n, blocks = partitions.parse_blocks_text(text)
+    _check_size(n, limit)
+    return make(n, blocks)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nclab",
@@ -151,8 +160,7 @@ def _cmd_map(args, limit: int) -> int:
     if args.direction == "to-pair":
         if len(args.objects) != 1:
             raise UsageError("to-pair takes exactly one linked partition")
-        p = linked.LinkedPartition.from_text(args.objects[0])
-        _check_size(p.n, limit)
+        p = _read_blocks(args.objects[0], limit, linked.make_linked)
         beta = linked.generated_partition(p)
         perm = partitions.block_cycles(beta)
         unlinking = linked.unlink(p)
@@ -178,9 +186,7 @@ def _cmd_map(args, limit: int) -> int:
 
     if len(args.objects) != 2:
         raise UsageError("from-pair takes exactly two partitions: alpha beta")
-    a = partitions.Partition.from_text(args.objects[0])
-    b = partitions.Partition.from_text(args.objects[1])
-    _check_size(max(a.n, b.n), limit)
+    a, b = (_read_blocks(text, limit, partitions.make_partition) for text in args.objects)
     p = linked.from_pair(a, b)
     if args.json:
         record = {}
@@ -216,8 +222,7 @@ def _cmd_count(args, limit: int) -> int:
         else:
             value = linked.coloured_count(n)
     else:
-        p = partitions.Partition.from_text(args.argument)
-        _check_size(p.n, limit)
+        p = _read_blocks(args.argument, limit, partitions.make_partition)
         if args.kind == "below-ll":
             value = partitions.count_endpoint_refinements(p)
         else:

@@ -30,14 +30,15 @@ from .partitions import (
     Partition,
     _blocks_cross,
     _fmt_block,
+    _not_covered,
     _parse_blocks_json,
-    _parse_blocks_text,
     act,
     block_cycles,
     catalan,
     endpoint_refinements,
     endpoint_refines,
     enumerate_nc,
+    parse_blocks_text,
     refines,
 )
 
@@ -116,7 +117,7 @@ class LinkedPartition:
 
     @classmethod
     def from_text(cls, text: str) -> LinkedPartition:
-        return make_linked(*_parse_blocks_text(text))
+        return make_linked(*parse_blocks_text(text))
 
     def to_json_dict(self) -> dict:
         if not self.is_standard:
@@ -146,7 +147,6 @@ def make_linked(n: int, raw_blocks: Iterable[Iterable[int]]) -> LinkedPartition:
     """
     if n < 1:
         raise InvalidLinkedPartitionError("ground-set size must be at least 1")
-    ground = tuple(range(1, n + 1))
     blocks: list[tuple[int, ...]] = []
     for raw in raw_blocks:
         blk = sorted(raw)
@@ -164,13 +164,14 @@ def make_linked(n: int, raw_blocks: Iterable[Iterable[int]]) -> LinkedPartition:
                 )
         blocks.append(tuple(blk))
 
-    count = {x: 0 for x in ground}
+    count: dict[int, int] = {}
     for blk in blocks:
         for x in blk:
-            count[x] += 1
-    for x, c in count.items():
-        if c > 2:
-            raise InvalidLinkedPartitionError(f"element {x} covered by {c} blocks")
+            count[x] = count.get(x, 0) + 1
+    over = [x for x, c in count.items() if c > 2]
+    if over:
+        x = min(over)
+        raise InvalidLinkedPartitionError(f"element {x} covered by {count[x]} blocks")
 
     for a, b in combinations(blocks, 2):
         inter = set(a) & set(b)
@@ -202,12 +203,11 @@ def make_linked(n: int, raw_blocks: Iterable[Iterable[int]]) -> LinkedPartition:
                 f"blocks {_fmt_block(a)} and {_fmt_block(b)} cross"
             )
 
-    uncovered = sorted(x for x, c in count.items() if c == 0)
-    if uncovered:
-        raise InvalidLinkedPartitionError(f"elements {uncovered} not covered")
+    if len(count) != n:
+        raise InvalidLinkedPartitionError(_not_covered(n, count))
 
     blocks.sort(key=lambda blk: blk[0])
-    return LinkedPartition(ground, tuple(blocks))
+    return LinkedPartition(tuple(range(1, n + 1)), tuple(blocks))
 
 
 @dataclass(frozen=True)
@@ -279,21 +279,23 @@ def generated_partition(p: LinkedPartition) -> Partition:
         groups.setdefault(find(i), set()).update(blk)
     out = sorted((tuple(sorted(g)) for g in groups.values()), key=lambda blk: blk[0])
     result = Partition(p.ground, tuple(out))
-    assert result._noncrossing, f"generated partition of {p} is crossing"
+    # a theorem for valid input; an unchecked constructor call can break it
+    if not result._noncrossing:
+        raise InvalidLinkedPartitionError(f"generated partition of {p} is crossing")
     return result
 
 
 def unlink(p: LinkedPartition) -> Partition:
     """The plain partition obtained by dropping each doubly-covered block
-    minimum from the block it is minimal in."""
+    minimum from the block it is minimal in.  A doubly-covered element is
+    the minimum of exactly one of its two blocks (checked by `make_linked`),
+    so every element ends up in exactly one block."""
     count = p._cover_count
     out = []
     for blk in p.blocks:
         out.append(blk[1:] if count[blk[0]] == 2 else blk)
     out.sort(key=lambda blk: blk[0])
-    result = Partition(p.ground, tuple(out))
-    assert sum(len(b) for b in out) == len(p.ground)
-    return result
+    return Partition(p.ground, tuple(out))
 
 
 def cycled_unlink(p: LinkedPartition) -> Partition:

@@ -23,7 +23,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
-from typing import Iterable, Iterator
+from typing import Collection, Iterable, Iterator
 
 
 class InvalidPartitionError(ValueError):
@@ -179,7 +179,7 @@ class Partition:
 
     @classmethod
     def from_text(cls, text: str) -> Partition:
-        return make_partition(*_parse_blocks_text(text))
+        return make_partition(*parse_blocks_text(text))
 
     def to_json_dict(self) -> dict:
         if not self.is_standard:
@@ -198,7 +198,10 @@ class Partition:
         return f"Partition({self.to_text()!r})"
 
 
-def _parse_blocks_text(text: str) -> tuple[int, list[list[int]]]:
+def parse_blocks_text(text: str) -> tuple[int, list[list[int]]]:
+    """Read block text such as ``{1,2,4}{3}`` into its largest label and
+    its raw blocks, unvalidated.  Callers can bound the label before
+    `make_partition` or `make_linked` builds anything of that size."""
     if not _TEXT_RE.fullmatch(text):
         raise ParseError(f"cannot parse partition text {text!r}")
     blocks = [[int(x) for x in grp.split(",")] for grp in _BLOCK_RE.findall(text)]
@@ -217,6 +220,23 @@ def _parse_blocks_json(data: dict) -> tuple[int, list[list[int]]]:
     if not all(isinstance(b, list) and all(isinstance(x, int) for x in b) for b in blocks):
         raise ParseError("malformed partition JSON")
     return n, blocks
+
+
+_MAX_LISTED = 10
+
+
+def _not_covered(n: int, covered: Collection[int]) -> str:
+    """The diagnostic for the elements of {1..n} missing from ``covered``
+    (a subset of {1..n}).  It lists at most _MAX_LISTED of them, so neither
+    its length nor the work to build it grows with n."""
+    missing = []
+    for x in range(1, n + 1):
+        if x not in covered:
+            missing.append(x)
+            if len(missing) > _MAX_LISTED:
+                more = n - len(covered) - _MAX_LISTED
+                return f"elements {missing[:_MAX_LISTED]} and {more} more not covered"
+    return f"elements {missing} not covered"
 
 
 def make_partition(n: int, raw_blocks: Iterable[Iterable[int]]) -> Partition:
@@ -243,8 +263,7 @@ def make_partition(n: int, raw_blocks: Iterable[Iterable[int]]) -> Partition:
             seen.add(x)
         blocks.append(tuple(blk))
     if len(seen) != n:
-        missing = sorted(set(range(1, n + 1)) - seen)
-        raise InvalidPartitionError(f"elements {missing} not covered")
+        raise InvalidPartitionError(_not_covered(n, seen))
     blocks.sort(key=lambda b: b[0])
     return Partition(tuple(range(1, n + 1)), tuple(blocks))
 

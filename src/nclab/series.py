@@ -7,12 +7,18 @@ error rather than a silent zero.
 
 The moment calculus assumes the standing normalization: the first moment
 is 1.  Inputs violating it raise `NormalizationError`.
+
+The conversions between moment, t- and cumulant sequences solve their
+functional equations by Lagrange inversion, in O(n^3) exact operations at
+depth n.  Each keeps its defining sum over non-crossing partitions as a
+``*_by_enumeration`` oracle, which costs Catalan time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Sequence
 
 from .partitions import enumerate_nc
@@ -108,22 +114,15 @@ class TruncatedSeries:
     def comp_inverse(self) -> TruncatedSeries:
         """Compositional inverse g with self(g(z)) = z up to the order.
 
-        Needs zero constant term and nonzero linear coefficient; solved
-        coefficient by coefficient, exactly.
+        Needs zero constant term and nonzero linear coefficient; Lagrange
+        inversion on h = z/self(z), exactly, in O(order^3) operations.
         """
         f = self.coeffs
         if f[0] != 0:
             raise ValueError("compositional inverse needs zero constant term")
         if self.order < 1 or f[1] == 0:
             raise ValueError("compositional inverse needs a nonzero linear coefficient")
-        n = self.order
-        g = [Fraction(0)] * (n + 1)
-        g[1] = 1 / f[1]
-        for k in range(2, n + 1):
-            # with g_k still 0, the z^k coefficient of f(g) is off by f_1 * g_k
-            h = _compose_coeffs(f[: k + 1], tuple(g[: k + 1]), k)
-            g[k] = -h[k] / f[1]
-        return TruncatedSeries(tuple(g))
+        return _lagrange(TruncatedSeries(f[1:]).reciprocal(), self.order)
 
     def __str__(self) -> str:
         return ", ".join(str(c) for c in self.coeffs)
@@ -133,6 +132,34 @@ class TruncatedSeries:
 
     def to_json_dict(self) -> dict:
         return {"order": self.order, "coeffs": [str(c) for c in self.coeffs]}
+
+
+def _lagrange(h: TruncatedSeries, n: int) -> TruncatedSeries:
+    """The series g = z*h(g) at order n, i.e. the compositional inverse of
+    z/h(z); h needs a nonzero constant term and order at least n - 1.
+
+    Lagrange inversion: [z^k] g = [w^(k-1)] h^k / k, with the powers of h
+    built one after another -- n products of order n - 1, O(n^3) in all.
+    The powers are kept as integer numerators over d^k, d the common
+    denominator of h, so the products need no gcd per operation.
+    """
+    coeffs = h.truncate(n - 1).coeffs
+    d = lcm(*(c.denominator for c in coeffs))
+    power = [c.numerator * (d // c.denominator) for c in coeffs]  # h^k = power / d^k
+    base = [(j, b) for j, b in enumerate(power) if b]
+    g = [Fraction(0)] * (n + 1)
+    for k in range(1, n + 1):
+        g[k] = Fraction(power[k - 1], k * d**k)
+        if k < n:
+            nxt = [0] * n
+            for i, a in enumerate(power):
+                if a:
+                    for j, b in base:
+                        if i + j >= n:
+                            break
+                        nxt[i + j] += a * b
+            power = nxt
+    return TruncatedSeries(tuple(g))
 
 
 def _compose_coeffs(
@@ -209,13 +236,7 @@ def t_transform(m: MomentSequence) -> TruncatedSeries:
     return s_transform(m).reciprocal()
 
 
-def moments_from_t(t: Sequence, n_max: int) -> MomentSequence:
-    """Recover moments 1..n_max from reciprocal-s coefficients t_0..t_{n_max-1}.
-
-    m_n sums, over the non-crossing partitions of {1..n}, the product of
-    t_{|U|-1} over outer blocks U and (t_{|V|-1} + t_{|V|}) over inner
-    blocks V.  Inverse of `t_transform`.
-    """
+def _t_coeffs(t: Sequence, n_max: int) -> list[Fraction]:
     ts = [_frac(x) for x in t]
     if not ts or ts[0] != 1:
         raise NormalizationError("t_0 must be 1")
@@ -223,6 +244,89 @@ def moments_from_t(t: Sequence, n_max: int) -> MomentSequence:
         raise ValueError("n_max must be at least 1")
     if len(ts) < n_max:
         raise ValueError(f"need coefficients t_0..t_{n_max - 1}, got {len(ts)}")
+    return ts
+
+
+def _cumulant_coeffs(kappa: Sequence, n_max: int) -> list[Fraction]:
+    ks = [_frac(x) for x in kappa]
+    if n_max < 1:
+        raise ValueError("n_max must be at least 1")
+    if len(ks) < n_max:
+        raise ValueError(f"need cumulants 1..{n_max}, got {len(ks)}")
+    return ks
+
+
+def moments_from_t(t: Sequence, n_max: int) -> MomentSequence:
+    """Recover moments 1..n_max from reciprocal-s coefficients t_0..t_{n_max-1}.
+
+    Inverse of `t_transform`: M^{<-1>}(z) = z/(1+z) * 1/T(z), so the moment
+    series is the compositional inverse of z/((1+z)T(z)), found by Lagrange
+    inversion on h = (1+z)T(z).  `moments_from_t_by_enumeration` is the
+    defining sum over non-crossing partitions.
+    """
+    ts = _t_coeffs(t, n_max)
+    h = (ts[0],) + tuple(ts[k] + ts[k - 1] for k in range(1, n_max))
+    return MomentSequence(_lagrange(TruncatedSeries(h), n_max).coeffs[1:])
+
+
+def moments_from_cumulants(kappa: Sequence, n_max: int) -> MomentSequence:
+    """Moments 1..n_max from free cumulants 1..n_max.
+
+    M(z) = C(zM(z)) with C(w) = 1 + sum kappa_n w^n, so zM(z) is the
+    compositional inverse of w/C(w), found by Lagrange inversion on h = C.
+    `moments_from_cumulants_by_enumeration` is the defining sum over
+    non-crossing partitions.
+    """
+    ks = _cumulant_coeffs(kappa, n_max)
+    c = TruncatedSeries((Fraction(1),) + tuple(ks[:n_max]))
+    return MomentSequence(_lagrange(c, n_max + 1).coeffs[2:])
+
+
+def cumulants_from_moments(m: MomentSequence) -> tuple[Fraction, ...]:
+    """Free cumulants 1..depth: C(w) = w / P^{<-1>}(w) with P(z) = zM(z),
+    from M(z) = C(zM(z)).  Two-sided inverse of `moments_from_cumulants`;
+    `cumulants_from_moments_by_enumeration` is the defining recursion."""
+    p_inv = TruncatedSeries((Fraction(0), Fraction(1)) + m.values).comp_inverse()
+    return TruncatedSeries(p_inv.coeffs[1:]).reciprocal().coeffs[1:]
+
+
+def cumulants_from_t(t: Sequence, n_max: int) -> tuple[Fraction, ...]:
+    """Free cumulants straight from reciprocal-s coefficients.
+
+    The cumulant series K(z) = sum kappa_n z^n satisfies K^{<-1>}(z) =
+    z S(z) = z/T(z), found by Lagrange inversion on h = T; the first
+    cumulant is 1.  Agrees with `cumulants_from_moments` composed with
+    `moments_from_t`; `cumulants_from_t_by_enumeration` is the sum over
+    non-crossing partitions.
+    """
+    ts = _t_coeffs(t, n_max)
+    return _lagrange(TruncatedSeries(tuple(ts[:n_max])), n_max).coeffs[1:]
+
+
+# The defining sums over non-crossing partitions.  They cost Catalan time
+# and stay as the oracles that the tests and `verify` check the routes
+# above against.
+
+
+def _nc_block_sum(n: int, weights: Sequence[Fraction]) -> Fraction:
+    """Sum over the non-crossing partitions of {1..n} of the product of
+    weights[|V| - 1] over their blocks V."""
+    total = Fraction(0)
+    for beta in enumerate_nc(n):
+        term = Fraction(1)
+        for w in beta.blocks:
+            term *= weights[len(w) - 1]
+            if term == 0:
+                break
+        total += term
+    return total
+
+
+def moments_from_t_by_enumeration(t: Sequence, n_max: int) -> MomentSequence:
+    """`moments_from_t` by its definition: m_n sums, over the non-crossing
+    partitions of {1..n}, the product of t_{|U|-1} over outer blocks U and
+    (t_{|V|-1} + t_{|V|}) over inner blocks V."""
+    ts = _t_coeffs(t, n_max)
     vals = []
     for n in range(1, n_max + 1):
         total = Fraction(0)
@@ -239,69 +343,27 @@ def moments_from_t(t: Sequence, n_max: int) -> MomentSequence:
     return MomentSequence(tuple(vals))
 
 
-def moments_from_cumulants(kappa: Sequence, n_max: int) -> MomentSequence:
-    """m_n as the sum over non-crossing partitions of the per-block
-    cumulant products."""
-    ks = [_frac(x) for x in kappa]
-    if n_max < 1:
-        raise ValueError("n_max must be at least 1")
-    if len(ks) < n_max:
-        raise ValueError(f"need cumulants 1..{n_max}, got {len(ks)}")
-    vals = []
-    for n in range(1, n_max + 1):
-        total = Fraction(0)
-        for beta in enumerate_nc(n):
-            term = Fraction(1)
-            for w in beta.blocks:
-                term *= ks[len(w) - 1]
-                if term == 0:
-                    break
-            total += term
-        vals.append(total)
-    return MomentSequence(tuple(vals))
+def moments_from_cumulants_by_enumeration(kappa: Sequence, n_max: int) -> MomentSequence:
+    """`moments_from_cumulants` by its definition: m_n as the sum over
+    non-crossing partitions of the per-block cumulant products."""
+    ks = _cumulant_coeffs(kappa, n_max)
+    return MomentSequence(tuple(_nc_block_sum(n, ks) for n in range(1, n_max + 1)))
 
 
-def cumulants_from_moments(m: MomentSequence) -> tuple[Fraction, ...]:
-    """Free cumulants 1..depth, solved recursively: the n-th cumulant is
-    the n-th moment minus the contributions of all non-full partitions.
-    Two-sided inverse of `moments_from_cumulants`."""
+def cumulants_from_moments_by_enumeration(m: MomentSequence) -> tuple[Fraction, ...]:
+    """`cumulants_from_moments` by its definition, solved recursively: the
+    n-th cumulant is the n-th moment minus the contributions of all
+    non-full non-crossing partitions."""
     kappa: list[Fraction] = []
     for n in range(1, m.depth + 1):
-        rest = Fraction(0)
-        for beta in enumerate_nc(n):
-            if len(beta.blocks) == 1:
-                continue
-            term = Fraction(1)
-            for w in beta.blocks:
-                term *= kappa[len(w) - 1]
-                if term == 0:
-                    break
-            rest += term
-        kappa.append(m.moment(n) - rest)
+        kappa.append(Fraction(0))  # the full partition's term, kappa_n, left out
+        kappa[-1] = m.moment(n) - _nc_block_sum(n, kappa)
     return tuple(kappa)
 
 
-def cumulants_from_t(t: Sequence, n_max: int) -> tuple[Fraction, ...]:
-    """Free cumulants straight from reciprocal-s coefficients: the n-th
-    cumulant sums the products of t_{|V|} over the non-crossing partitions
-    of {1..n-1}; the first cumulant is 1.  Agrees with
-    `cumulants_from_moments` composed with `moments_from_t`."""
-    ts = [_frac(x) for x in t]
-    if not ts or ts[0] != 1:
-        raise NormalizationError("t_0 must be 1")
-    if n_max < 1:
-        raise ValueError("n_max must be at least 1")
-    if len(ts) < n_max:
-        raise ValueError(f"need coefficients t_0..t_{n_max - 1}, got {len(ts)}")
-    kappa = [Fraction(1)]
-    for n in range(2, n_max + 1):
-        total = Fraction(0)
-        for gamma in enumerate_nc(n - 1):
-            term = Fraction(1)
-            for v in gamma.blocks:
-                term *= ts[len(v)]
-                if term == 0:
-                    break
-            total += term
-        kappa.append(total)
-    return tuple(kappa)
+def cumulants_from_t_by_enumeration(t: Sequence, n_max: int) -> tuple[Fraction, ...]:
+    """`cumulants_from_t` by its definition: the n-th cumulant sums the
+    products of t_{|V|} over the non-crossing partitions of {1..n-1}; the
+    first cumulant is 1."""
+    ts = _t_coeffs(t, n_max)
+    return (Fraction(1),) + tuple(_nc_block_sum(n - 1, ts[1:]) for n in range(2, n_max + 1))

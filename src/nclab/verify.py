@@ -3,8 +3,9 @@
 Each check pits an implementation against an independent route: the
 pair-based linked-partition generator against the direct backtracking one,
 closed-form counts against filtered enumeration, the four moment-polynomial
-routes against each other, and the transform round trips against seeded
-random rational data.  Everything is exact; a check either holds or fails.
+routes against each other, and the transform round trips, on seeded random
+rational data, through both the functional-equation routes and their
+enumeration oracles.  Everything is exact; a check either holds or fails.
 """
 
 from __future__ import annotations
@@ -196,8 +197,16 @@ def verify_moments(n_max: int) -> list[CheckResult]:
             res.fail(f"S*(1/S) != 1 for {m}")
         if series.moments_from_t(t.coeffs, depth) != m:
             res.fail(f"moments_from_t(t_transform) != id for {m}")
-        if series.cumulants_from_t(t.coeffs, depth) != series.cumulants_from_moments(m):
+        if series.moments_from_t_by_enumeration(t.coeffs, depth) != m:
+            res.fail(f"moments_from_t_by_enumeration(t_transform) != id for {m}")
+        kappa = series.cumulants_from_moments(m)
+        if series.cumulants_from_t(t.coeffs, depth) != kappa:
             res.fail(f"cumulant routes disagree for {m}")
+        if (series.cumulants_from_t_by_enumeration(t.coeffs, depth) != kappa
+                or series.cumulants_from_moments_by_enumeration(m) != kappa):
+            res.fail(f"cumulant oracles disagree with the fast routes for {m}")
+        if series.moments_from_cumulants(kappa, depth) != m:
+            res.fail(f"moments_from_cumulants(cumulants_from_moments) != id for {m}")
     out.append(res)
 
     res = CheckResult("moments", "special-cases", "depth=8", 0, True)

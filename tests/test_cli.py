@@ -2,6 +2,7 @@ import json
 import subprocess
 import sys
 
+import pytest
 
 from nclab import cli, linked, ncl_count
 
@@ -177,6 +178,22 @@ class TestCount:
     def test_json(self, capsys):
         code, out, _ = run_cli(capsys, "count", "ncl", "5", "--json")
         assert json.loads(out) == {"count": 90}
+
+
+class TestOversizedLabels:
+    # the label is bounded by the size limit before anything of its size
+    # is built, so the reject is a short usage error
+    @pytest.mark.parametrize("argv", [
+        ("count", "below-ll", "{1,10000000}"),
+        ("map", "to-pair", "{1,2}{2,10000000}"),
+        ("map", "from-pair", "{1}{2}", "{1,10000000}"),
+    ])
+    def test_rejected_before_construction(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "exceeds the size limit" in err
+        assert len(err.encode()) < 1024
 
 
 class TestMoments:

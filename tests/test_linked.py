@@ -94,6 +94,13 @@ class TestMakeLinked:
         with pytest.raises(InvalidLinkedPartitionError, match=r"elements \[3\]"):
             make_linked(3, [[1, 2]])
 
+    def test_gap_diagnostic_is_bounded(self):
+        with pytest.raises(InvalidLinkedPartitionError) as exc:
+            make_linked(10_000_000, [[1, 2], [2, 10_000_000]])
+        assert str(exc.value) == (
+            "elements [3, 4, 5, 6, 7, 8, 9, 10, 11, 12] and 9999987 more not covered"
+        )
+
     def test_out_of_range_and_empty(self):
         with pytest.raises(InvalidLinkedPartitionError, match="out of range"):
             make_linked(2, [[1, 2, 3]])
@@ -137,6 +144,12 @@ class TestCoverMap:
 class TestGenerated:
     def test_worked_example(self):
         assert generated_partition(PI_11) == BETA_11
+
+    def test_crossing_input_raises(self):
+        # the unchecked constructor can hold what make_linked rejects
+        crossing = LinkedPartition((1, 2, 3, 4), ((1, 3), (2, 4)))
+        with pytest.raises(InvalidLinkedPartitionError, match="is crossing"):
+            generated_partition(crossing)
 
     def test_plain_fixed(self):
         for p in nc(5):

@@ -53,6 +53,13 @@ class TestMakePartition:
         with pytest.raises(InvalidPartitionError, match=r"elements \[3\] not covered"):
             make_partition(3, [[1, 2]])
 
+    def test_gap_diagnostic_is_bounded(self):
+        with pytest.raises(InvalidPartitionError) as exc:
+            make_partition(10_000_000, [[1, 10_000_000]])
+        assert str(exc.value) == (
+            "elements [2, 3, 4, 5, 6, 7, 8, 9, 10, 11] and 9999988 more not covered"
+        )
+
     def test_out_of_range_rejected(self):
         with pytest.raises(InvalidPartitionError, match="element 5 out of range"):
             make_partition(4, [[1, 2, 3, 4, 5]])

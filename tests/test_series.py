@@ -2,17 +2,24 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import nclab.series
 from nclab import (
     MomentSequence,
     NormalizationError,
     TruncatedSeries,
     catalan,
     cumulants_from_moments,
+    cumulants_from_moments_by_enumeration,
     cumulants_from_t,
+    cumulants_from_t_by_enumeration,
     moment_series,
     moments_from_cumulants,
+    moments_from_cumulants_by_enumeration,
     moments_from_t,
+    moments_from_t_by_enumeration,
     s_transform,
     t_transform,
 )
@@ -29,6 +36,16 @@ def random_t(rng, length):
     return [Fraction(1)] + [
         Fraction(rng.randint(-40, 40), rng.randint(1, 15)) for _ in range(length - 1)
     ]
+
+
+def sparse_coeffs(rng, depth):
+    """1 followed by depth - 1 rationals, about a third of them zero, then
+    a zero-padded tail of 0..2 entries, the way the CLI pads short lists."""
+    return [Fraction(1)] + [
+        Fraction(0) if rng.random() < 0.35
+        else Fraction(rng.randint(-30, 30), rng.randint(1, 12))
+        for _ in range(depth - 1)
+    ] + [Fraction(0)] * rng.randint(0, 2)
 
 
 class TestArithmetic:
@@ -115,6 +132,16 @@ class TestComposeInverse:
             g = f.comp_inverse()
             assert f.compose(g) == z
             assert g.compose(f) == z
+
+    def test_round_trip_random_order40(self):
+        rng = random.Random(7)
+        z = TruncatedSeries.of(*([0, 1] + [0] * 39))
+        for _ in range(3):
+            f = TruncatedSeries.of(
+                *[0, Fraction(rng.randint(1, 9), rng.randint(1, 9))]
+                + [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(39)]
+            )
+            assert f.compose(f.comp_inverse()) == z
 
     def test_preconditions_distinct(self):
         with pytest.raises(ValueError, match="zero constant term"):
@@ -281,6 +308,79 @@ class TestCumulantsFromT:
     def test_t0_must_be_one(self):
         with pytest.raises(NormalizationError):
             cumulants_from_t([Fraction(1, 2), 1], 2)
+
+
+FAST_AND_ORACLE = [
+    (moments_from_t, moments_from_t_by_enumeration),
+    (moments_from_cumulants, moments_from_cumulants_by_enumeration),
+    (cumulants_from_t, cumulants_from_t_by_enumeration),
+]
+
+
+class TestEnumerationOracles:
+    @pytest.mark.parametrize("fast, oracle", FAST_AND_ORACLE)
+    def test_sequence_routes_match_depth_1_to_8(self, fast, oracle):
+        rng = random.Random(47)
+        for depth in range(1, 9):
+            for _ in range(4):
+                coeffs = sparse_coeffs(rng, depth)
+                assert fast(coeffs, depth) == oracle(coeffs, depth)
+
+    def test_cumulants_from_moments_matches_depth_1_to_8(self):
+        rng = random.Random(53)
+        for depth in range(1, 9):
+            for _ in range(4):
+                m = MomentSequence.of(sparse_coeffs(rng, depth)[:depth])
+                assert cumulants_from_moments(m) == cumulants_from_moments_by_enumeration(m)
+
+    @pytest.mark.parametrize("fast, oracle", FAST_AND_ORACLE)
+    @pytest.mark.parametrize("coeffs, n_max", [
+        ([2, 1, 0], 3),       # t_0 (or the first cumulant) is not 1
+        ([], 2),              # nothing at all
+        ([1, 1], 4),          # too short
+        ([1, 1], 0),          # no moments asked for
+    ])
+    def test_errors_match(self, fast, oracle, coeffs, n_max):
+        with pytest.raises(ValueError) as want:
+            oracle(coeffs, n_max)
+        with pytest.raises(ValueError) as got:
+            fast(coeffs, n_max)
+        assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
+
+    def test_first_cumulant_normalization(self):
+        with pytest.raises(NormalizationError, match="first moment must be 1, got 2"):
+            moments_from_cumulants([2, 1, 0], 3)
+        with pytest.raises(NormalizationError, match="first moment must be 1, got 2"):
+            moments_from_cumulants_by_enumeration([2, 1, 0], 3)
+
+    def test_fast_routes_never_enumerate(self, monkeypatch):
+        def refuse(n):
+            raise AssertionError(f"enumerate_nc({n}) called by a fast route")
+
+        monkeypatch.setattr(nclab.series, "enumerate_nc", refuse)
+        coeffs = sparse_coeffs(random.Random(59), 12)
+        m = moments_from_t(coeffs, 12)
+        moments_from_cumulants(coeffs, 12)
+        cumulants_from_t(coeffs, 12)
+        cumulants_from_moments(m)
+        t_transform(m)
+        with pytest.raises(AssertionError, match="enumerate_nc"):
+            moments_from_t_by_enumeration(coeffs, 12)
+
+
+rational = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(tail=st.lists(rational, max_size=6), kappa_tail=st.lists(rational, max_size=6))
+def test_property_fast_routes_equal_oracles(tail, kappa_tail):
+    t = [Fraction(1)] + tail
+    kappa = [Fraction(1)] + kappa_tail
+    assert moments_from_t(t, len(t)) == moments_from_t_by_enumeration(t, len(t))
+    assert cumulants_from_t(t, len(t)) == cumulants_from_t_by_enumeration(t, len(t))
+    m = moments_from_cumulants(kappa, len(kappa))
+    assert m == moments_from_cumulants_by_enumeration(kappa, len(kappa))
+    assert cumulants_from_moments(m) == cumulants_from_moments_by_enumeration(m) == tuple(kappa)
 
 
 class TestComposedIdentity:
