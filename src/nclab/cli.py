@@ -39,7 +39,14 @@ class UsageError(Exception):
 def _parse_rational(text: str) -> Fraction:
     if not _RATIONAL_RE.fullmatch(text):
         raise UsageError(f"cannot parse rational {text!r} (use p or p/q, no decimals)")
-    return Fraction(text)
+    longest = max(len(part) for part in text.lstrip("+-").split("/"))
+    if longest > partitions.MAX_DIGITS:
+        raise UsageError(f"a rational has {longest} digits in one part, "
+                         f"more than {partitions.MAX_DIGITS}")
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise UsageError(f"rational {text!r} has a zero denominator") from None
 
 
 def _parse_rational_list(text: str) -> list[Fraction]:

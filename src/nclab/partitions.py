@@ -36,6 +36,11 @@ class ParseError(ValueError):
 
 _TEXT_RE = re.compile(r"(?:\{\d+(?:,\d+)*\})+\Z")
 _BLOCK_RE = re.compile(r"\{(\d+(?:,\d+)*)\}")
+_DIGITS_RE = re.compile(r"\d+")
+
+# Integers read from text are bounded by their digit count before any
+# conversion: 4300 is CPython's default limit for int <-> str conversion.
+MAX_DIGITS = 4300
 
 
 def _fmt_block(block: Iterable[int]) -> str:
@@ -204,6 +209,9 @@ def parse_blocks_text(text: str) -> tuple[int, list[list[int]]]:
     `make_partition` or `make_linked` builds anything of that size."""
     if not _TEXT_RE.fullmatch(text):
         raise ParseError(f"cannot parse partition text {text!r}")
+    longest = max(len(run) for run in _DIGITS_RE.findall(text))
+    if longest > MAX_DIGITS:
+        raise ParseError(f"a label has {longest} digits, more than {MAX_DIGITS}")
     blocks = [[int(x) for x in grp.split(",")] for grp in _BLOCK_RE.findall(text)]
     n = max(max(b) for b in blocks)
     return n, blocks

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -194,6 +195,36 @@ class TestOversizedLabels:
         assert out == ""
         assert "exceeds the size limit" in err
         assert len(err.encode()) < 1024
+
+
+LONG = "9" * 5000  # past CPython's 4300-digit limit on int <-> str conversion
+
+
+class TestRejectedNumbers:
+    # zero denominators and over-long numbers are usage errors, caught
+    # before any conversion, with a short one-line message
+    @pytest.mark.parametrize("argv, message", [
+        (("moments", "--t", "1,1/0", "--n", "2"), "zero denominator"),
+        (("transform", "--moments", "1,2/0", "--to", "s"), "zero denominator"),
+        (("count", "below-ll", "{1," + LONG + "}"), "5000 digits"),
+        (("map", "to-pair", "{1,2}{2," + LONG + "}"), "5000 digits"),
+        (("moments", "--t", "1," + LONG, "--n", "2"), "5000 digits"),
+        (("moments", "--t", "1,1/" + LONG, "--n", "2"), "5000 digits"),
+        (("transform", "--moments", "1,-" + LONG, "--to", "t"), "5000 digits"),
+    ])
+    def test_usage_error(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert message in err
+        assert "Traceback" not in err
+        assert err.count("\n") == 1
+        assert len(err.encode()) < 1024
+
+    def test_longest_accepted_rational(self, capsys):
+        code, out, _ = run_cli(capsys, "moments", "--t", "1,1/" + "1" * 4300, "--n", "2")
+        assert code == 0
+        assert out == "1, " + str(1 + Fraction(1, int("1" * 4300))) + "\n"
 
 
 class TestMoments:

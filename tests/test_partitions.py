@@ -86,6 +86,10 @@ class TestTextJson:
             with pytest.raises(ParseError):
                 Partition.from_text(bad)
 
+    def test_text_bounds_label_digits_before_conversion(self):
+        with pytest.raises(ParseError, match="a label has 4301 digits, more than 4300"):
+            Partition.from_text("{1," + "9" * 4301 + "}")
+
     def test_json_round_trip(self):
         d = ALPHA_11.to_json_dict()
         assert d == {"n": 11, "blocks": [[1, 3, 7], [2], [4, 5], [6], [8, 10, 11], [9]]}

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,7 @@ from nclab import (
     cumulants_from_moments_by_enumeration,
     cumulants_from_t,
     cumulants_from_t_by_enumeration,
+    enumerate_nc,
     moment_series,
     moments_from_cumulants,
     moments_from_cumulants_by_enumeration,
@@ -357,6 +359,8 @@ class TestEnumerationOracles:
         def refuse(n):
             raise AssertionError(f"enumerate_nc({n}) called by a fast route")
 
+        # an oracle call in an earlier test may have tallied NC(12) already
+        nclab.series._nc_block_types.cache_clear()
         monkeypatch.setattr(nclab.series, "enumerate_nc", refuse)
         coeffs = sparse_coeffs(random.Random(59), 12)
         m = moments_from_t(coeffs, 12)
@@ -366,6 +370,82 @@ class TestEnumerationOracles:
         t_transform(m)
         with pytest.raises(AssertionError, match="enumerate_nc"):
             moments_from_t_by_enumeration(coeffs, 12)
+
+
+def per_partition_sum(n, weight):
+    """The plain sum over NC(n) of the product of weight(|V|, V is inner)."""
+    total = Fraction(0)
+    for alpha in enumerate_nc(n):
+        term = Fraction(1)
+        for i, block in enumerate(alpha.blocks):
+            term *= weight(len(block), i in alpha.inner_indices)
+        total += term
+    return total
+
+
+class TestBlockTypeTally:
+    def test_multiplicities_sum_to_catalan(self):
+        for n in range(1, 11):
+            types = nclab.series._nc_block_types(n)
+            assert sum(count for _, count in types) == catalan(n)
+            assert len({blocks for blocks, _ in types}) == len(types)
+
+    def test_moments_from_t_oracle_is_the_per_partition_sum(self):
+        rng = random.Random(61)
+        for n_max in range(1, 8):
+            t = sparse_coeffs(rng, n_max)
+
+            def weight(size, inner):
+                return t[size - 1] + t[size] if inner else t[size - 1]
+
+            want = [per_partition_sum(n, weight) for n in range(1, n_max + 1)]
+            assert list(moments_from_t_by_enumeration(t, n_max).values) == want
+
+    def test_moments_from_cumulants_oracle_is_the_per_partition_sum(self):
+        rng = random.Random(67)
+        for n_max in range(1, 8):
+            kappa = sparse_coeffs(rng, n_max)
+            want = [per_partition_sum(n, lambda size, inner: kappa[size - 1])
+                    for n in range(1, n_max + 1)]
+            assert list(moments_from_cumulants_by_enumeration(kappa, n_max).values) == want
+
+    def test_cumulants_from_t_oracle_is_the_per_partition_sum(self):
+        rng = random.Random(71)
+        for n_max in range(1, 8):
+            t = sparse_coeffs(rng, n_max)
+            want = [Fraction(1)] + [per_partition_sum(n - 1, lambda size, inner: t[size])
+                                    for n in range(2, n_max + 1)]
+            assert list(cumulants_from_t_by_enumeration(t, n_max)) == want
+
+    def test_cumulants_from_moments_oracle_is_the_per_partition_sum(self):
+        rng = random.Random(73)
+        for depth in range(1, 8):
+            m = MomentSequence.of(sparse_coeffs(rng, depth)[:depth])
+            kappa = []
+            for n in range(1, depth + 1):
+                kappa.append(Fraction(0))  # the full partition left out
+                kappa[-1] = m.moment(n) - per_partition_sum(
+                    n, lambda size, inner: kappa[size - 1])
+            assert cumulants_from_moments_by_enumeration(m) == tuple(kappa)
+
+    def test_each_nc_k_enumerated_at_most_once(self, monkeypatch):
+        calls = Counter()
+
+        def counting(n):
+            calls[n] += 1
+            return enumerate_nc(n)
+
+        nclab.series._nc_block_types.cache_clear()
+        monkeypatch.setattr(nclab.series, "enumerate_nc", counting)
+        rng = random.Random(79)
+        for _ in range(50):
+            coeffs = sparse_coeffs(rng, 8)
+            moments_from_t_by_enumeration(coeffs, 8)
+            moments_from_cumulants_by_enumeration(coeffs, 8)
+            cumulants_from_t_by_enumeration(coeffs, 8)
+            cumulants_from_moments_by_enumeration(MomentSequence.of(coeffs[:8]))
+        assert set(calls) == set(range(1, 9))
+        assert max(calls.values()) == 1
 
 
 rational = st.fractions(min_value=-20, max_value=20, max_denominator=12)
