@@ -38,7 +38,8 @@ class UsageError(Exception):
 
 def _parse_rational(text: str) -> Fraction:
     if not _RATIONAL_RE.fullmatch(text):
-        raise UsageError(f"cannot parse rational {text!r} (use p or p/q, no decimals)")
+        raise UsageError(f"cannot parse rational {partitions._quoted(text)} "
+                         "(use p or p/q, no decimals)")
     longest = max(len(part) for part in text.lstrip("+-").split("/"))
     if longest > partitions.MAX_DIGITS:
         raise UsageError(f"a rational has {longest} digits in one part, "
@@ -46,7 +47,7 @@ def _parse_rational(text: str) -> Fraction:
     try:
         return Fraction(text)
     except ZeroDivisionError:
-        raise UsageError(f"rational {text!r} has a zero denominator") from None
+        raise UsageError(f"rational {partitions._quoted(text)} has a zero denominator") from None
 
 
 def _parse_rational_list(text: str) -> list[Fraction]:
@@ -65,7 +66,7 @@ def _resolve_limit(flag_value: int | None) -> int:
         try:
             return int(env)
         except ValueError:
-            raise UsageError(f"NCLAB_LIMIT={env!r} is not an integer") from None
+            raise UsageError(f"NCLAB_LIMIT={partitions._quoted(env)} is not an integer") from None
     return DEFAULT_LIMIT
 
 
@@ -168,49 +169,32 @@ def _cmd_map(args, limit: int) -> int:
         if len(args.objects) != 1:
             raise UsageError("to-pair takes exactly one linked partition")
         p = _read_blocks(args.objects[0], limit, linked.make_linked)
-        beta = linked.generated_partition(p)
-        perm = partitions.block_cycles(beta)
-        unlinking = linked.unlink(p)
-        alpha = partitions.act(perm.inverse(), unlinking)
-        if args.json:
-            record = {}
-            if args.details:
-                record["unlinking"] = unlinking.to_json_dict()
-                record["permutation"] = perm.to_json_dict()
-            record["alpha"] = alpha.to_json_dict()
-            record["beta"] = beta.to_json_dict()
-            _emit_json(record)
-        else:
-            if args.details:
-                print(f"unlinking: {unlinking.to_text()}")
-                print(f"permutation: {perm.to_cycle_text()}")
-                print(f"alpha: {alpha.to_text()}")
-                print(f"beta: {beta.to_text()}")
-            else:
-                print(alpha.to_text())
-                print(beta.to_text())
-        return EXIT_OK
-
-    if len(args.objects) != 2:
-        raise UsageError("from-pair takes exactly two partitions: alpha beta")
-    a, b = (_read_blocks(text, limit, partitions.make_partition) for text in args.objects)
-    p = linked.from_pair(a, b)
+        alpha, beta = linked.to_pair(p)
+        fields = [("alpha", alpha), ("beta", beta)]
+        if args.details:
+            fields[:0] = [("unlinking", linked.unlink(p)),
+                          ("permutation", partitions.block_cycles(beta))]
+    else:
+        if len(args.objects) != 2:
+            raise UsageError("from-pair takes exactly two partitions: alpha beta")
+        a, b = (_read_blocks(text, limit, partitions.make_partition) for text in args.objects)
+        p = linked.from_pair(a, b)
+        fields = [("linked", p)]
+        if args.details:
+            fields[:0] = [("permutation", partitions.block_cycles(b)),
+                          ("unlinking", linked.unlink(p))]
     if args.json:
         record = {}
-        if args.details:
-            perm = partitions.block_cycles(b)
-            record["permutation"] = perm.to_json_dict()
-            record["unlinking"] = linked.unlink(p).to_json_dict()
-        record.update(p.to_json_dict())
+        for label, obj in fields:
+            # a linked partition's own JSON form carries "linked": true
+            if label == "linked":
+                record.update(obj.to_json_dict())
+            else:
+                record[label] = obj.to_json_dict()
         _emit_json(record)
     else:
-        if args.details:
-            perm = partitions.block_cycles(b)
-            print(f"permutation: {perm.to_cycle_text()}")
-            print(f"unlinking: {linked.unlink(p).to_text()}")
-            print(f"linked: {p.to_text()}")
-        else:
-            print(p.to_text())
+        for label, obj in fields:
+            print(f"{label}: {obj}" if args.details else obj)
     return EXIT_OK
 
 
@@ -220,7 +204,7 @@ def _cmd_count(args, limit: int) -> int:
             n = int(args.argument)
         except ValueError:
             raise UsageError(f"{args.kind} needs an integer size, "
-                             f"got {args.argument!r}") from None
+                             f"got {partitions._quoted(args.argument)}") from None
         _check_size(n, limit)
         if args.kind == "nc":
             value = partitions.catalan(n)
@@ -258,13 +242,11 @@ def _cmd_moments(args, limit: int) -> int:
     if args.n_max is None:
         raise UsageError("--n is required with --t/--cumulants")
     _check_size(args.n_max, limit)
+    coeffs = _parse_rational_list(sources[0])
+    coeffs += [Fraction(0)] * (args.n_max - len(coeffs))
     if args.t_coeffs is not None:
-        coeffs = _parse_rational_list(args.t_coeffs)
-        coeffs += [Fraction(0)] * (args.n_max - len(coeffs))
         m = series.moments_from_t(coeffs, args.n_max)
     else:
-        coeffs = _parse_rational_list(args.cumulants)
-        coeffs += [Fraction(0)] * (args.n_max - len(coeffs))
         m = series.moments_from_cumulants(coeffs, args.n_max)
     if args.json:
         _emit_json({"moments": [str(v) for v in m.values]})
@@ -355,10 +337,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         limit = _resolve_limit(args.limit)
         return _DISPATCH[args.command](args, limit)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except partitions.ParseError as exc:
+    except (UsageError, partitions.ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except series.NormalizationError as exc:

@@ -27,11 +27,13 @@ from itertools import combinations
 from typing import Iterable, Iterator
 
 from .partitions import (
+    BlockFamily,
     Partition,
     _blocks_cross,
     _fmt_block,
     _not_covered,
     _parse_blocks_json,
+    _read_raw_blocks,
     act,
     block_cycles,
     catalan,
@@ -47,8 +49,7 @@ class InvalidLinkedPartitionError(ValueError):
     """A block family does not form a valid non-crossing linked partition."""
 
 
-@dataclass(frozen=True, repr=False)
-class LinkedPartition:
+class LinkedPartition(BlockFamily):
     """A non-crossing linked partition of a finite ground set.
 
     Instances are assumed canonical: blocks sorted by least element (block
@@ -56,18 +57,6 @@ class LinkedPartition:
     Build them via `make_linked`, `from_text`, `from_json_dict`,
     `from_pair` or the enumerators.
     """
-
-    ground: tuple[int, ...]
-    blocks: tuple[tuple[int, ...], ...]
-
-    @property
-    def n(self) -> int:
-        return len(self.ground)
-
-    @property
-    def is_standard(self) -> bool:
-        g = self.ground
-        return g == tuple(range(1, len(g) + 1))
 
     @cached_property
     def _cover_count(self) -> dict[int, int]:
@@ -81,39 +70,6 @@ class LinkedPartition:
     def is_plain(self) -> bool:
         """True when no element is doubly covered (an ordinary partition)."""
         return all(c == 1 for c in self._cover_count.values())
-
-    def restrict(self, elements: Iterable[int]) -> LinkedPartition:
-        """Restrict to a saturated subset of the ground set, keeping labels."""
-        e = tuple(sorted(set(elements)))
-        if not e:
-            raise ValueError("restriction set is empty")
-        gset = set(self.ground)
-        for x in e:
-            if x not in gset:
-                raise ValueError(f"element {x} is not in the ground set")
-        eset = set(e)
-        kept = []
-        for blk in self.blocks:
-            hits = sum(1 for x in blk if x in eset)
-            if hits == 0:
-                continue
-            if hits != len(blk):
-                raise ValueError(
-                    f"block {_fmt_block(blk)} is not contained in the restriction set"
-                )
-            kept.append(blk)
-        return LinkedPartition(e, tuple(kept))
-
-    def relabel(self) -> LinkedPartition:
-        """Order-isomorphic copy on the standard ground set {1..n}."""
-        pos = {x: i + 1 for i, x in enumerate(self.ground)}
-        return LinkedPartition(
-            tuple(range(1, len(self.ground) + 1)),
-            tuple(tuple(pos[x] for x in blk) for blk in self.blocks),
-        )
-
-    def to_text(self) -> str:
-        return "".join(_fmt_block(b) for b in self.blocks)
 
     @classmethod
     def from_text(cls, text: str) -> LinkedPartition:
@@ -129,12 +85,6 @@ class LinkedPartition:
         n, blocks = _parse_blocks_json(data)
         return make_linked(n, blocks)
 
-    def __str__(self) -> str:
-        return self.to_text()
-
-    def __repr__(self) -> str:
-        return f"LinkedPartition({self.to_text()!r})"
-
 
 def make_linked(n: int, raw_blocks: Iterable[Iterable[int]]) -> LinkedPartition:
     """Validate and canonicalize a linked-partition block family on {1..n}.
@@ -145,24 +95,14 @@ def make_linked(n: int, raw_blocks: Iterable[Iterable[int]]) -> LinkedPartition:
     minima of overlapping blocks, overlap involving a singleton, crossing
     blocks, and coverage gaps.
     """
-    if n < 1:
-        raise InvalidLinkedPartitionError("ground-set size must be at least 1")
     blocks: list[tuple[int, ...]] = []
-    for raw in raw_blocks:
-        blk = sorted(raw)
-        if not blk:
-            raise InvalidLinkedPartitionError("empty block")
-        for x in blk:
-            if not isinstance(x, int):
-                raise InvalidLinkedPartitionError(f"element {x!r} is not an integer")
-            if not 1 <= x <= n:
-                raise InvalidLinkedPartitionError(f"element {x} out of range 1..{n}")
+    for blk in _read_raw_blocks(n, raw_blocks, InvalidLinkedPartitionError):
         for u, v in zip(blk, blk[1:]):
             if u == v:
                 raise InvalidLinkedPartitionError(
                     f"element {u} repeated inside block {_fmt_block(set(blk))}"
                 )
-        blocks.append(tuple(blk))
+        blocks.append(blk)
 
     count: dict[int, int] = {}
     for blk in blocks:
@@ -296,17 +236,6 @@ def unlink(p: LinkedPartition) -> Partition:
         out.append(blk[1:] if count[blk[0]] == 2 else blk)
     out.sort(key=lambda blk: blk[0])
     return Partition(p.ground, tuple(out))
-
-
-def cycled_unlink(p: LinkedPartition) -> Partition:
-    """Pull the unlinking back through the inverse of the block-cycle
-    permutation of the generated partition.
-
-    The result is non-crossing and endpoint-refines the generated
-    partition; together they form `to_pair`.
-    """
-    alpha, _ = to_pair(p)
-    return alpha
 
 
 def to_pair(p: LinkedPartition) -> tuple[Partition, Partition]:

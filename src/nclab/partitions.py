@@ -23,7 +23,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
-from typing import Collection, Iterable, Iterator
+from typing import Collection, Iterable, Iterator, TypeVar
 
 
 class InvalidPartitionError(ValueError):
@@ -41,6 +41,18 @@ _DIGITS_RE = re.compile(r"\d+")
 # Integers read from text are bounded by their digit count before any
 # conversion: 4300 is CPython's default limit for int <-> str conversion.
 MAX_DIGITS = 4300
+
+
+_MAX_QUOTED = 60
+
+
+def _quoted(text: str) -> str:
+    """``repr(text)`` for a diagnostic; text longer than _MAX_QUOTED
+    characters is quoted by its first _MAX_QUOTED and its length, so the
+    message does not grow with the rejected input."""
+    if len(text) <= _MAX_QUOTED:
+        return repr(text)
+    return f"{text[:_MAX_QUOTED]!r}... ({len(text)} characters)"
 
 
 def _fmt_block(block: Iterable[int]) -> str:
@@ -66,15 +78,19 @@ def _interleaves(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
     return False
 
 
-@dataclass(frozen=True, repr=False)
-class Partition:
-    """A set partition of a finite ground set of positive integers.
+_Family = TypeVar("_Family", bound="BlockFamily")
 
-    Instances are assumed canonical (see `make_partition`); build them via
-    `make_partition`, `from_text`, `from_json_dict` or the enumerators
-    rather than calling the constructor with untrusted data.  The ground
-    set is ``{1..n}`` for everything except restriction results, which keep
-    their original labels.
+
+@dataclass(frozen=True, repr=False)
+class BlockFamily:
+    """A canonical family of blocks on a finite ground set of positive
+    integers: blocks sorted by least element, elements increasing inside
+    each block.  The ground set is ``{1..n}`` for everything except
+    restriction results, which keep their original labels.
+
+    `Partition` and `LinkedPartition` share this code.  Equality compares
+    the class as well, so a partition never equals a linked partition with
+    the same blocks.
     """
 
     ground: tuple[int, ...]
@@ -90,6 +106,58 @@ class Partition:
         """True when the ground set is {1..n}."""
         g = self.ground
         return g == tuple(range(1, len(g) + 1))
+
+    def restrict(self: _Family, elements: Iterable[int]) -> _Family:
+        """Restrict to a saturated subset of the ground set, keeping labels.
+
+        ``elements`` is saturated when every block meeting it is contained
+        in it; otherwise a ValueError names the offending block.
+        """
+        e = tuple(sorted(set(elements)))
+        if not e:
+            raise ValueError("restriction set is empty")
+        gset = set(self.ground)
+        for x in e:
+            if x not in gset:
+                raise ValueError(f"element {x} is not in the ground set")
+        eset = set(e)
+        kept = []
+        for blk in self.blocks:
+            hits = sum(1 for x in blk if x in eset)
+            if hits == 0:
+                continue
+            if hits != len(blk):
+                raise ValueError(
+                    f"block {_fmt_block(blk)} is not contained in the restriction set"
+                )
+            kept.append(blk)
+        return type(self)(e, tuple(kept))
+
+    def relabel(self: _Family) -> _Family:
+        """Order-isomorphic copy on the standard ground set {1..n}."""
+        pos = {x: i + 1 for i, x in enumerate(self.ground)}
+        return type(self)(
+            tuple(range(1, len(self.ground) + 1)),
+            tuple(tuple(pos[x] for x in blk) for blk in self.blocks),
+        )
+
+    def to_text(self) -> str:
+        return "".join(_fmt_block(b) for b in self.blocks)
+
+    def __str__(self) -> str:
+        return self.to_text()
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self.to_text()!r})"
+
+
+class Partition(BlockFamily):
+    """A set partition of a finite ground set of positive integers.
+
+    Instances are assumed canonical (see `make_partition`); build them via
+    `make_partition`, `from_text`, `from_json_dict` or the enumerators
+    rather than calling the constructor with untrusted data.
+    """
 
     @property
     def block_sizes(self) -> tuple[int, ...]:
@@ -135,40 +203,6 @@ class Partition:
     def outer_indices(self) -> frozenset[int]:
         return frozenset(range(len(self.blocks))) - self.inner_indices
 
-    def restrict(self, elements: Iterable[int]) -> Partition:
-        """Restrict to a saturated subset of the ground set, keeping labels.
-
-        ``elements`` is saturated when every block meeting it is contained
-        in it; otherwise a ValueError names the offending block.
-        """
-        e = tuple(sorted(set(elements)))
-        if not e:
-            raise ValueError("restriction set is empty")
-        gset = set(self.ground)
-        for x in e:
-            if x not in gset:
-                raise ValueError(f"element {x} is not in the ground set")
-        eset = set(e)
-        kept = []
-        for blk in self.blocks:
-            hits = sum(1 for x in blk if x in eset)
-            if hits == 0:
-                continue
-            if hits != len(blk):
-                raise ValueError(
-                    f"block {_fmt_block(blk)} is not contained in the restriction set"
-                )
-            kept.append(blk)
-        return Partition(e, tuple(kept))
-
-    def relabel(self) -> Partition:
-        """Order-isomorphic copy on the standard ground set {1..n}."""
-        pos = {x: i + 1 for i, x in enumerate(self.ground)}
-        return Partition(
-            tuple(range(1, len(self.ground) + 1)),
-            tuple(tuple(pos[x] for x in blk) for blk in self.blocks),
-        )
-
     @classmethod
     def discrete(cls, n: int) -> Partition:
         """The partition of {1..n} into n singletons."""
@@ -178,9 +212,6 @@ class Partition:
     def full(cls, n: int) -> Partition:
         """The partition of {1..n} into a single block."""
         return make_partition(n, [list(range(1, n + 1))])
-
-    def to_text(self) -> str:
-        return "".join(_fmt_block(b) for b in self.blocks)
 
     @classmethod
     def from_text(cls, text: str) -> Partition:
@@ -196,19 +227,13 @@ class Partition:
         n, blocks = _parse_blocks_json(data)
         return make_partition(n, blocks)
 
-    def __str__(self) -> str:
-        return self.to_text()
-
-    def __repr__(self) -> str:
-        return f"Partition({self.to_text()!r})"
-
 
 def parse_blocks_text(text: str) -> tuple[int, list[list[int]]]:
     """Read block text such as ``{1,2,4}{3}`` into its largest label and
     its raw blocks, unvalidated.  Callers can bound the label before
     `make_partition` or `make_linked` builds anything of that size."""
     if not _TEXT_RE.fullmatch(text):
-        raise ParseError(f"cannot parse partition text {text!r}")
+        raise ParseError(f"cannot parse partition text {_quoted(text)}")
     longest = max(len(run) for run in _DIGITS_RE.findall(text))
     if longest > MAX_DIGITS:
         raise ParseError(f"a label has {longest} digits, more than {MAX_DIGITS}")
@@ -247,29 +272,41 @@ def _not_covered(n: int, covered: Collection[int]) -> str:
     return f"elements {missing} not covered"
 
 
+def _read_raw_blocks(
+    n: int, raw_blocks: Iterable[Iterable[int]], error: type[ValueError]
+) -> Iterator[tuple[int, ...]]:
+    """Yield the blocks of a raw block family on {1..n} one by one, each
+    sorted, raising ``error`` for n < 1, an empty block, a non-integer or
+    an element outside 1..n.  Overlap, crossing and coverage are left to
+    the caller."""
+    if n < 1:
+        raise error("ground-set size must be at least 1")
+    for raw in raw_blocks:
+        blk = sorted(raw)
+        if not blk:
+            raise error("empty block")
+        for x in blk:
+            if not isinstance(x, int):
+                raise error(f"element {x!r} is not an integer")
+            if not 1 <= x <= n:
+                raise error(f"element {x} out of range 1..{n}")
+        yield tuple(blk)
+
+
 def make_partition(n: int, raw_blocks: Iterable[Iterable[int]]) -> Partition:
     """Validate and canonicalize a block family covering {1..n} exactly once.
 
     Idempotent on canonical input.  Overlaps, gaps, out-of-range elements
     and empty blocks are rejected with distinct diagnostics.
     """
-    if n < 1:
-        raise InvalidPartitionError("ground-set size must be at least 1")
     seen: set[int] = set()
     blocks: list[tuple[int, ...]] = []
-    for raw in raw_blocks:
-        blk = sorted(raw)
-        if not blk:
-            raise InvalidPartitionError("empty block")
+    for blk in _read_raw_blocks(n, raw_blocks, InvalidPartitionError):
         for x in blk:
-            if not isinstance(x, int):
-                raise InvalidPartitionError(f"element {x!r} is not an integer")
-            if not 1 <= x <= n:
-                raise InvalidPartitionError(f"element {x} out of range 1..{n}")
             if x in seen:
                 raise InvalidPartitionError(f"element {x} repeated")
             seen.add(x)
-        blocks.append(tuple(blk))
+        blocks.append(blk)
     if len(seen) != n:
         raise InvalidPartitionError(_not_covered(n, seen))
     blocks.sort(key=lambda b: b[0])

@@ -15,6 +15,7 @@ polynomials.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -199,16 +200,29 @@ class Polynomial:
         return f"Polynomial({self.to_text()!r})"
 
 
+def _tally(monomials: Iterable[Monomial]) -> Polynomial:
+    """The sum of the given monomials, each with coefficient 1."""
+    return Polynomial._from_dict(Counter(monomials))
+
+
+def _pair_monomial(a: Partition, b: Partition) -> Monomial:
+    """The monomial of an endpoint-refinement pair: t_{|U|-1} over the
+    blocks U of ``a`` special for ``b``, t_{|V|} over the other blocks."""
+    special = classify_blocks(a, b).special
+    return _mono_from_sizes(
+        len(blk) - 1 if i in special else len(blk)
+        for i, blk in enumerate(a.blocks)
+    )
+
+
 def moment_poly_linked(n: int) -> Polynomial:
     """Moment polynomial as the sum over non-crossing linked partitions of
     the products t_{|A|-1} over blocks A."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    acc: dict[Monomial, int] = {}
-    for p in enumerate_ncl(n):
-        mono = _mono_from_sizes(len(a) - 1 for a in p.blocks)
-        acc[mono] = acc.get(mono, 0) + 1
-    return Polynomial._from_dict(acc)
+    return _tally(
+        _mono_from_sizes(len(a) - 1 for a in p.blocks) for p in enumerate_ncl(n)
+    )
 
 
 def moment_poly_pairs(n: int) -> Polynomial:
@@ -216,16 +230,9 @@ def moment_poly_pairs(n: int) -> Polynomial:
     t_{|U|-1} over special blocks U times t_{|V|} over the rest."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    acc: dict[Monomial, int] = {}
-    for b in enumerate_nc(n):
-        for a in endpoint_refinements(b):
-            special = classify_blocks(a, b).special
-            mono = _mono_from_sizes(
-                len(blk) - 1 if i in special else len(blk)
-                for i, blk in enumerate(a.blocks)
-            )
-            acc[mono] = acc.get(mono, 0) + 1
-    return Polynomial._from_dict(acc)
+    return _tally(
+        _pair_monomial(a, b) for b in enumerate_nc(n) for a in endpoint_refinements(b)
+    )
 
 
 def moment_poly_inner_outer(n: int) -> Polynomial:
@@ -264,11 +271,9 @@ def cumulant_poly(n: int) -> Polynomial:
         raise ValueError("n must be at least 1")
     if n == 1:
         return Polynomial.one()
-    acc: dict[Monomial, int] = {}
-    for gamma in enumerate_nc(n - 1):
-        mono = _mono_from_sizes(len(v) for v in gamma.blocks)
-        acc[mono] = acc.get(mono, 0) + 1
-    return Polynomial._from_dict(acc)
+    return _tally(
+        _mono_from_sizes(len(v) for v in gamma.blocks) for gamma in enumerate_nc(n - 1)
+    )
 
 
 def moment_poly_cumulants(n: int) -> Polynomial:
@@ -294,12 +299,4 @@ def cumulant_product_identity(b: Partition) -> bool:
     lhs = Polynomial.one()
     for w in b.blocks:
         lhs = lhs * cumulant_poly(len(w))
-    acc: dict[Monomial, int] = {}
-    for a in endpoint_refinements(b):
-        special = classify_blocks(a, b).special
-        mono = _mono_from_sizes(
-            len(blk) - 1 if i in special else len(blk)
-            for i, blk in enumerate(a.blocks)
-        )
-        acc[mono] = acc.get(mono, 0) + 1
-    return lhs == Polynomial._from_dict(acc)
+    return lhs == _tally(_pair_monomial(a, b) for a in endpoint_refinements(b))

@@ -111,7 +111,11 @@ class TruncatedSeries:
         if inner.coeffs[0] != 0:
             raise ValueError("composition needs an inner series with zero constant term")
         n = min(self.order, inner.order)
-        return TruncatedSeries(tuple(_compose_coeffs(self.coeffs, inner.coeffs, n)))
+        zeros = (Fraction(0),) * n
+        result = TruncatedSeries((self.coeffs[n],) + zeros)
+        for c in reversed(self.coeffs[:n]):  # Horner: result * inner + c
+            result = result * inner + TruncatedSeries((c,) + zeros)
+        return result
 
     def comp_inverse(self) -> TruncatedSeries:
         """Compositional inverse g with self(g(z)) = z up to the order.
@@ -162,26 +166,6 @@ def _lagrange(h: TruncatedSeries, n: int) -> TruncatedSeries:
                         nxt[i + j] += a * b
             power = nxt
     return TruncatedSeries(tuple(g))
-
-
-def _compose_coeffs(
-    outer: Sequence[Fraction], inner: Sequence[Fraction], n: int
-) -> list[Fraction]:
-    """Coefficients 0..n of outer(inner(z)), inner constant term zero."""
-    res = [Fraction(0)] * (n + 1)
-    res[0] = outer[n] if n < len(outer) else Fraction(0)
-    for k in range(n - 1, -1, -1):
-        # res <- res * inner + outer[k], truncated at n
-        new = [Fraction(0)] * (n + 1)
-        for i, a in enumerate(res):
-            if a == 0:
-                continue
-            for j in range(n + 1 - i):
-                if inner[j] != 0:
-                    new[i + j] += a * inner[j]
-        new[0] += outer[k] if k < len(outer) else Fraction(0)
-        res = new
-    return res
 
 
 @dataclass(frozen=True, repr=False)

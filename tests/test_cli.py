@@ -142,6 +142,28 @@ class TestMap:
         assert record["permutation"]["image"][:3] == [2, 3, 4]
         assert record["unlinking"]["blocks"][0] == [1, 2, 4]
 
+    def test_to_pair_details_json_bytes(self, capsys):
+        code, out, _ = run_cli(capsys, "map", "to-pair", PI_TEXT, "--details", "--json")
+        assert code == 0
+        assert out == (
+            '{"unlinking":{"n":11,"blocks":[[1,2,4],[3],[5,6],[7],[8,9,11],[10]]},'
+            '"permutation":{"n":11,"image":[2,3,4,5,6,7,1,9,10,11,8]},'
+            '"alpha":{"n":11,"blocks":[[1,3,7],[2],[4,5],[6],[8,10,11],[9]]},'
+            '"beta":{"n":11,"blocks":[[1,2,3,4,5,6,7],[8,9,10,11]]}}\n'
+        )
+
+    def test_from_pair_details_json_bytes(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "map", "from-pair", ALPHA_TEXT, BETA_TEXT, "--details", "--json"
+        )
+        assert code == 0
+        assert out == (
+            '{"permutation":{"n":11,"image":[2,3,4,5,6,7,1,9,10,11,8]},'
+            '"unlinking":{"n":11,"blocks":[[1,2,4],[3],[5,6],[7],[8,9,11],[10]]},'
+            '"n":11,"blocks":[[1,2,4],[2,3],[4,5,6],[6,7],[8,9,11],[9,10]],'
+            '"linked":true}\n'
+        )
+
 
 class TestCount:
     def test_ncl_5(self, capsys):
@@ -225,6 +247,40 @@ class TestRejectedNumbers:
         code, out, _ = run_cli(capsys, "moments", "--t", "1,1/" + "1" * 4300, "--n", "2")
         assert code == 0
         assert out == "1, " + str(1 + Fraction(1, int("1" * 4300))) + "\n"
+
+
+class TestBoundedEcho:
+    # a rejected argument is quoted by a bounded prefix and its length, so
+    # stderr does not grow with the input
+    @pytest.mark.parametrize("argv, message", [
+        (("count", "below-ll", "{1,2" * 20000), "cannot parse partition text"),
+        (("map", "from-pair", "{1}", "{1" * 30000), "cannot parse partition text"),
+        (("moments", "--t", "1," + "1.1" * 15000, "--n", "2"), "cannot parse rational"),
+        (("transform", "--moments", "1," + "x" * 80000, "--to", "s"),
+         "cannot parse rational"),
+        (("count", "nc", "x" * 50000), "nc needs an integer size"),
+        (("count", "coloured", "9" * 40000), "coloured needs an integer size"),
+    ])
+    def test_long_argument(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert message in err
+        assert "characters)" in err
+        assert err.count("\n") == 1
+        assert len(err.encode()) < 1024
+
+    @pytest.mark.parametrize("argv, err_line", [
+        (("count", "below-ll", "{1,2"), "error: cannot parse partition text '{1,2'"),
+        (("moments", "--t", "1,1.5", "--n", "2"),
+         "error: cannot parse rational '1.5' (use p or p/q, no decimals)"),
+        (("count", "nc", "x"), "error: nc needs an integer size, got 'x'"),
+    ])
+    def test_short_argument_quoted_whole(self, capsys, argv, err_line):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err == err_line + "\n"
 
 
 class TestMoments:

@@ -9,7 +9,6 @@ from nclab import (
     catalan,
     coloured_count,
     cover_map,
-    cycled_unlink,
     endpoint_refinements,
     endpoint_refines,
     enumerate_ncl,
@@ -117,6 +116,28 @@ class TestTextJson:
         d = PI_11.to_json_dict()
         assert d["linked"] is True and d["n"] == 11
         assert LinkedPartition.from_json_dict(json.loads(json.dumps(d))) == PI_11
+
+
+class TestSharedBlockFamily:
+    # Partition and LinkedPartition share one base; each keeps its own class
+    def test_same_blocks_never_equal(self):
+        a = make_partition(3, [[1, 2], [3]])
+        b = make_linked(3, [[1, 2], [3]])
+        assert a.blocks == b.blocks and a.ground == b.ground
+        assert a != b and b != a
+        assert len({a, b}) == 2
+
+    def test_restrict_relabel_keep_class(self):
+        r = PI_11.restrict(range(8, 12))
+        assert type(r) is LinkedPartition
+        assert type(r.relabel()) is LinkedPartition
+        q = make_partition(4, [[1, 2], [3, 4]]).restrict([3, 4])
+        assert type(q) is Partition
+        assert type(q.relabel()) is Partition
+
+    def test_repr_names_class(self):
+        assert repr(make_linked(3, [[1, 2], [2, 3]])) == "LinkedPartition('{1,2}{2,3}')"
+        assert repr(make_partition(3, [[1, 3], [2]])) == "Partition('{1,3}{2}')"
 
 
 class TestCoverMap:
@@ -245,21 +266,21 @@ class TestRestrict:
 
 class TestCycledUnlink:
     def test_worked_example(self):
-        assert cycled_unlink(PI_11) == ALPHA_11
+        assert to_pair(PI_11)[0] == ALPHA_11
 
     def test_discrete_fixed(self):
         d = make_linked(3, [[1], [2], [3]])
-        assert cycled_unlink(d) == Partition.discrete(3)
+        assert to_pair(d)[0] == Partition.discrete(3)
 
     def test_simple_link(self):
-        assert cycled_unlink(make_linked(3, [[1, 2], [2, 3]])) == make_partition(
+        assert to_pair(make_linked(3, [[1, 2], [2, 3]]))[0] == make_partition(
             3, [[1, 3], [2]]
         )
 
     def test_always_endpoint_refines_generated(self):
         for n in range(1, 9):
             for p in ncl_direct(n):
-                alpha = cycled_unlink(p)
+                alpha = to_pair(p)[0]
                 assert is_noncrossing(alpha)
                 assert endpoint_refines(alpha, generated_partition(p))
 

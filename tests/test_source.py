@@ -1,0 +1,18 @@
+"""Checks on the library source itself."""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "nclab"
+
+
+def test_no_assert_statements():
+    # invariants need real checks: `python -O` strips assert statements
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert sorted(SRC.glob("*.py")), f"no modules under {SRC}"
+    assert found == []
