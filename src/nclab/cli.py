@@ -54,8 +54,13 @@ def _parse_rational_list(text: str) -> list[Fraction]:
     return [_parse_rational(part) for part in text.split(",")]
 
 
+# one encoder for every JSON line; what it encodes is built here and holds
+# no cycles, so the circular-reference check is skipped
+_JSON = json.JSONEncoder(separators=(",", ":"), check_circular=False)
+
+
 def _emit_json(obj) -> None:
-    print(json.dumps(obj, separators=(",", ":")))
+    print(_JSON.encode(obj))
 
 
 def _resolve_limit(flag_value: int | None) -> int:
@@ -87,8 +92,22 @@ def _read_blocks(text: str, limit: int, make):
     return make(n, blocks)
 
 
+_MAX_MESSAGE = 200
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    """argparse quotes a rejected argument whole; a message longer than
+    _MAX_MESSAGE characters is cut to that prefix plus its length, so that
+    stderr does not grow with the input.  Subparsers use the same class."""
+
+    def error(self, message: str):
+        if len(message) > _MAX_MESSAGE:
+            message = f"{message[:_MAX_MESSAGE]}... ({len(message)} characters)"
+        super().error(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="nclab",
         description="Non-crossing (linked) partition combinatorics and the "
         "exact moment-transform calculus built on them.",
@@ -146,21 +165,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_CHUNK_LINES = 1024
+
+
 def _cmd_enumerate(args, limit: int) -> int:
     _check_size(args.n, limit)
     gen = partitions.enumerate_nc(args.n) if args.kind == "nc" \
         else linked.enumerate_ncl(args.n)
+    # written in bounded chunks: one write per line is slow, and one for the
+    # whole output would hold all of it in memory
     count = 0
+    chunk: list[str] = []
     for obj in gen:
-        count += 1
-        if args.json:
-            _emit_json(obj.to_json_dict())
-        else:
-            print(obj.to_text())
-    if args.json:
-        _emit_json({"count": count})
-    else:
-        print(f"count={count}")
+        chunk.append(_JSON.encode(obj.to_json_dict()) if args.json else obj.to_text())
+        if len(chunk) == _CHUNK_LINES:
+            count += len(chunk)
+            sys.stdout.write("\n".join(chunk) + "\n")
+            chunk.clear()
+    count += len(chunk)
+    chunk.append(_JSON.encode({"count": count}) if args.json else f"count={count}")
+    sys.stdout.write("\n".join(chunk) + "\n")
     return EXIT_OK
 
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .partitions import (
     BlockFamily,
@@ -252,10 +252,10 @@ def from_pair(a: Partition, b: Partition) -> LinkedPartition:
     """Reconstruct the unique linked partition mapping to (a, b) under
     `to_pair`; requires ``endpoint_refines(a, b)``.
 
-    Construction: push ``a`` forward through the block-cycle permutation of
-    ``b`` (giving the unlinking), then re-link each block whose minimum is
-    not its host-block minimum by prepending the host element immediately
-    preceding it.
+    Construction (`_link`): push ``a`` forward through the block-cycle
+    permutation of ``b`` (giving the unlinking), then re-link each block
+    whose minimum is not its host-block minimum by prepending the host
+    element immediately preceding it.
     """
     if not a.is_standard or not b.is_standard:
         raise ValueError("from_pair needs partitions of {1..n}")
@@ -269,18 +269,7 @@ def from_pair(a: Partition, b: Partition) -> LinkedPartition:
                     )
         raise ValueError(f"{a} does not endpoint-refine {b}")
 
-    unlinking = act(block_cycles(b), a)
-    bo = b._block_of
-    out = []
-    for v in unlinking.blocks:
-        w = b.blocks[bo[v[0]]]
-        if v[0] == w[0]:
-            out.append(v)
-        else:
-            pos = w.index(v[0])
-            out.append((w[pos - 1],) + v)
-    out.sort(key=lambda blk: blk[0])
-    result = LinkedPartition(a.ground, tuple(out))
+    result = _link(a, b.blocks, block_cycles(b).image, b._block_of)
     try:
         make_linked(result.n, result.blocks)
     except InvalidLinkedPartitionError as exc:  # pragma: no cover - defect guard
@@ -288,17 +277,43 @@ def from_pair(a: Partition, b: Partition) -> LinkedPartition:
     return result
 
 
+def _link(
+    a: Partition,
+    b_blocks: tuple[tuple[int, ...], ...],
+    cycle: tuple[int, ...],
+    host: dict[int, int],
+) -> LinkedPartition:
+    """The construction of `from_pair`, unchecked: ``a`` must
+    endpoint-refine the standard partition b with blocks ``b_blocks``,
+    ``cycle`` is the image sequence of ``block_cycles(b)`` and ``host`` is
+    ``b._block_of``."""
+    out = []
+    for blk in a.blocks:
+        v = sorted([cycle[x - 1] for x in blk])
+        w = b_blocks[host[v[0]]]
+        if v[0] != w[0]:
+            v.insert(0, w[w.index(v[0]) - 1])
+        out.append(tuple(v))
+    out.sort()
+    return LinkedPartition(a.ground, tuple(out))
+
+
 def enumerate_ncl(n: int) -> Iterator[LinkedPartition]:
     """Yield every non-crossing linked partition of {1..n} exactly once.
 
-    Primary generator: `from_pair` applied to every endpoint-refinement
-    pair, outer loop over coarse partitions in `enumerate_nc` order, inner
-    loop in `endpoint_refinements` order.  The count is `ncl_count(n)`,
-    the (n-1)-th large Schroeder number.
+    Primary generator: the construction of `from_pair` applied to every
+    endpoint-refinement pair, outer loop over coarse partitions in
+    `enumerate_nc` order, inner loop in `endpoint_refinements` order.  The
+    pairs are valid by construction, so the output is not re-checked here:
+    `verify bijection` runs the validating `from_pair` over the same pairs,
+    and Tier-1 checks the output against `make_linked` and
+    `enumerate_ncl_direct`.  The count is `ncl_count(n)`, the (n-1)-th
+    large Schroeder number.
     """
     for beta in enumerate_nc(n):
+        b_blocks, cycle, host = beta.blocks, block_cycles(beta).image, beta._block_of
         for alpha in endpoint_refinements(beta):
-            yield from_pair(alpha, beta)
+            yield _link(alpha, b_blocks, cycle, host)
 
 
 def enumerate_ncl_direct(n: int) -> Iterator[LinkedPartition]:
@@ -352,32 +367,55 @@ def enumerate_ncl_direct(n: int) -> Iterator[LinkedPartition]:
     yield from rec(1)
 
 
-# `ncl_count` and `coloured_count` are block-type sums over NC(n) as well,
-# but they keep their own single pass: tallying NC(n) by block type (as the
-# series oracles do) costs more than that pass -- about 2.0 s against 0.72 s
-# for `ncl_count` at n = 12 -- and a `count` command sums only once.
+def _nc_weight_sum(n: int, weight: Callable[[int, bool], int]) -> int:
+    """The sum over NC(n) of the product over blocks V of
+    ``weight(|V|, V is inner)``, in O(n^3) integer operations.
+
+    Split by the block V of element 1, |V| = k: each of its k - 1 gaps
+    holds a non-crossing partition whose blocks are all inner, and the
+    stretch after max(V) stays at the outer level.  ``inner[m]`` is the
+    sum over NC(m) with every block weighted as inner, ``gaps[k][m]`` the
+    sum over the ways to fill k consecutive gaps with m elements in all,
+    and ``outer[m]`` the sum over NC(m) itself.
+    """
+    w_in = [0] + [weight(k, True) for k in range(1, n + 1)]
+    w_out = [0] + [weight(k, False) for k in range(1, n + 1)]
+    inner = [1] + [0] * n
+    gaps = [[1] + [0] * n] + [[0] * (n + 1) for _ in range(n)]
+    for m in range(n + 1):
+        if m:
+            # the block of the first element has k elements and k - 1 gaps
+            # inside; the stretch after it is inner too
+            inner[m] = sum(w_in[k] * gaps[k][m - k] for k in range(1, m + 1))
+        for k in range(1, n + 1):
+            prev = gaps[k - 1]
+            gaps[k][m] = sum(inner[i] * prev[m - i] for i in range(m + 1))
+    outer = [1] + [0] * n
+    for m in range(1, n + 1):
+        outer[m] = sum(
+            w_out[k] * gaps[k - 1][j] * outer[m - k - j]
+            for k in range(1, m + 1)
+            for j in range(m - k + 1)
+        )
+    return outer[n]
+
+
 def ncl_count(n: int) -> int:
-    """Number of non-crossing linked partitions of {1..n}, computed as the
-    sum over non-crossing partitions of the per-block Catalan products
-    (without enumerating the linked partitions themselves)."""
+    """Number of non-crossing linked partitions of {1..n}: the sum over
+    non-crossing partitions of the per-block Catalan products C(|W| - 1),
+    one term per endpoint-refinement pair, computed in polynomial time."""
     if n < 1:
         raise ValueError("ground-set size must be at least 1")
-    total = 0
-    for beta in enumerate_nc(n):
-        term = 1
-        for w in beta.blocks:
-            term *= catalan(len(w) - 1)
-        total += term
-    return total
+    return _nc_weight_sum(n, lambda k, inner: catalan(k - 1))
 
 
 def coloured_count(n: int) -> int:
     """Number of red/blue colourings of non-crossing partitions of {1..n}
-    with all outer blocks red: the sum of 2**(inner blocks).  Equals
-    `ncl_count(n)`."""
+    with all outer blocks red: the sum of 2**(inner blocks), computed in
+    polynomial time.  Equals `ncl_count(n)`."""
     if n < 1:
         raise ValueError("ground-set size must be at least 1")
-    return sum(1 << len(a.inner_indices) for a in enumerate_nc(n))
+    return _nc_weight_sum(n, lambda k, inner: 2 if inner else 1)
 
 
 def schroder(k: int) -> int:

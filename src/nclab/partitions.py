@@ -21,7 +21,7 @@ import math
 import re
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import product
 from typing import Collection, Iterable, Iterator, TypeVar
 
@@ -57,6 +57,15 @@ def _quoted(text: str) -> str:
 
 def _fmt_block(block: Iterable[int]) -> str:
     return "{" + ",".join(str(x) for x in block) + "}"
+
+
+# One entry per distinct block: at most 2**n - 1 for objects on {1..n}.
+_block_text = lru_cache(maxsize=1 << 16)(_fmt_block)
+
+
+def _is_int(x: object) -> bool:
+    """True for integers other than ``bool``: JSON ``true`` is not 1."""
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def _blocks_cross(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
@@ -142,7 +151,7 @@ class BlockFamily:
         )
 
     def to_text(self) -> str:
-        return "".join(_fmt_block(b) for b in self.blocks)
+        return "".join(map(_block_text, self.blocks))
 
     def __str__(self) -> str:
         return self.to_text()
@@ -248,9 +257,9 @@ def _parse_blocks_json(data: dict) -> tuple[int, list[list[int]]]:
         blocks = data["blocks"]
     except (TypeError, KeyError) as exc:
         raise ParseError("partition JSON needs 'n' and 'blocks'") from exc
-    if not isinstance(n, int) or not isinstance(blocks, list):
+    if not _is_int(n) or not isinstance(blocks, list):
         raise ParseError("malformed partition JSON")
-    if not all(isinstance(b, list) and all(isinstance(x, int) for x in b) for b in blocks):
+    if not all(isinstance(b, list) and all(_is_int(x) for x in b) for b in blocks):
         raise ParseError("malformed partition JSON")
     return n, blocks
 
@@ -276,18 +285,24 @@ def _read_raw_blocks(
     n: int, raw_blocks: Iterable[Iterable[int]], error: type[ValueError]
 ) -> Iterator[tuple[int, ...]]:
     """Yield the blocks of a raw block family on {1..n} one by one, each
-    sorted, raising ``error`` for n < 1, an empty block, a non-integer or
-    an element outside 1..n.  Overlap, crossing and coverage are left to
-    the caller."""
+    sorted, raising ``error`` for a size that is not an integer or is below
+    1, an empty block, a non-integer element or an element outside 1..n.
+    ``bool`` is not an integer here.  Elements are type-checked before a
+    block is sorted, so values that cannot be ordered against integers are
+    rejected too.  Overlap, crossing and coverage are left to the caller."""
+    if not _is_int(n):
+        raise error(f"ground-set size {n!r} is not an integer")
     if n < 1:
         raise error("ground-set size must be at least 1")
     for raw in raw_blocks:
-        blk = sorted(raw)
+        blk = list(raw)
+        for x in blk:
+            if not _is_int(x):
+                raise error(f"element {x!r} is not an integer")
         if not blk:
             raise error("empty block")
+        blk.sort()
         for x in blk:
-            if not isinstance(x, int):
-                raise error(f"element {x!r} is not an integer")
             if not 1 <= x <= n:
                 raise error(f"element {x} out of range 1..{n}")
         yield tuple(blk)
@@ -423,14 +438,14 @@ def enumerate_nc(n: int) -> Iterator[Partition]:
     if n < 1:
         raise ValueError("ground-set size must be at least 1")
     ground = tuple(range(1, n + 1))
-    blocks: list[list[int]] = []
+    blocks: list[tuple[int, ...]] = []
     open_idx: list[int] = []
 
     def rec(k: int) -> Iterator[Partition]:
         if k > n:
-            yield Partition(ground, tuple(tuple(b) for b in blocks))
+            yield Partition(ground, tuple(blocks))
             return
-        blocks.append([k])
+        blocks.append((k,))
         open_idx.append(len(blocks) - 1)
         yield from rec(k + 1)
         open_idx.pop()
@@ -439,12 +454,27 @@ def enumerate_nc(n: int) -> Iterator[Partition]:
             saved = open_idx[depth + 1:]
             del open_idx[depth + 1:]
             target = open_idx[depth]
-            blocks[target].append(k)
+            old = blocks[target]
+            blocks[target] = old + (k,)
             yield from rec(k + 1)
-            blocks[target].pop()
+            blocks[target] = old
             open_idx.extend(saved)
 
     yield from rec(1)
+
+
+@lru_cache(maxsize=32)
+def _block_shapes(m: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """The ways to partition a block of m elements so that the result
+    endpoint-refines the block, as 0-based positions: NC(m - 1) in
+    `enumerate_nc` order, with position m - 1 adjoined to the first block."""
+    if m == 1:
+        return (((0,),),)
+    return tuple(
+        ((*(x - 1 for x in g.blocks[0]), m - 1),)
+        + tuple(tuple(x - 1 for x in blk) for blk in g.blocks[1:])
+        for g in enumerate_nc(m - 1)
+    )
 
 
 def _sub_choices(w: tuple[int, ...]) -> list[tuple[tuple[int, ...], ...]]:
@@ -454,21 +484,10 @@ def _sub_choices(w: tuple[int, ...]) -> list[tuple[tuple[int, ...], ...]]:
     Realized through the standard identification with the non-crossing
     partitions of the first |w| - 1 elements: relabel a non-crossing
     partition onto them, then adjoin max(w) to the block containing min(w).
+    The shapes are enumerated once per block size (`_block_shapes`).
     """
-    m = len(w)
-    if m == 1:
-        return [(w,)]
-    head, last = w[:-1], w[-1]
-    choices = []
-    for g in enumerate_nc(m - 1):
-        sub = []
-        for i, blk in enumerate(g.blocks):
-            lab = tuple(head[x - 1] for x in blk)
-            if i == 0:  # canonical first block holds min(w)
-                lab = lab + (last,)
-            sub.append(lab)
-        choices.append(tuple(sub))
-    return choices
+    return [tuple(tuple(w[i] for i in blk) for blk in shape)
+            for shape in _block_shapes(len(w))]
 
 
 def endpoint_refinements(b: Partition) -> Iterator[Partition]:
@@ -604,7 +623,7 @@ class Permutation:
             n, image = data["n"], data["image"]
         except (TypeError, KeyError) as exc:
             raise ParseError("permutation JSON needs 'n' and 'image'") from exc
-        if not isinstance(n, int) or not isinstance(image, list):
+        if not _is_int(n) or not isinstance(image, list):
             raise ParseError("malformed permutation JSON")
         return make_permutation(n, image)
 

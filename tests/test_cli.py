@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -247,6 +248,62 @@ class TestRejectedNumbers:
         code, out, _ = run_cli(capsys, "moments", "--t", "1,1/" + "1" * 4300, "--n", "2")
         assert code == 0
         assert out == "1, " + str(1 + Fraction(1, int("1" * 4300))) + "\n"
+
+
+class TestEnumerateDigests:
+    # sha256 of the whole stdout, pinned from the line-by-line writer that
+    # the chunked one replaced; `enumerate nc 9` (4863 lines) spans chunks
+    @pytest.mark.parametrize("argv, digest", [
+        (("enumerate", "nc", "9"),
+         "8236d715e28a4fe1f335dbb61c5e631f2b5b5738120222b707223ab6379edc33"),
+        (("enumerate", "nc", "8", "--json"),
+         "af577966adcfce041d501d76a3df129ef5b6b975babde8e8ba9fe2577fa1ac1b"),
+        (("enumerate", "ncl", "6"),
+         "21e06156517bee4cda3d11f63ee2183313149461da909cf560d469f9fa8a581c"),
+        (("enumerate", "ncl", "6", "--json"),
+         "99d7a7ddc7827c31e8ba0aaa1fca64520036bc3039b71d529bb85bfb10a6caf6"),
+    ])
+    def test_stdout_digest(self, capsys, argv, digest):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0
+        assert err == ""
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+class TestBoundedArgparseEcho:
+    # argparse quotes a rejected argument whole; the message is clipped
+    @pytest.mark.parametrize("argv, message", [
+        (("enumerate", "nc", "x" * 50000), "argument n: invalid int value: 'xxx"),
+        (("enumerate", "n" * 40000, "3"), "argument kind: invalid choice: 'nnn"),
+        (("count", "nc", "3", "--" + "y" * 80000), "unrecognized arguments: --yyy"),
+    ])
+    def test_long_argument(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(list(argv))
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert captured.out == ""
+        assert message in captured.err
+        assert "characters)" in captured.err
+        assert len(captured.err.encode()) < 1024
+
+    @pytest.mark.parametrize("argv, last_line", [
+        (("enumerate", "nc", "x"),
+         "nclab enumerate: error: argument n: invalid int value: 'x'"),
+        (("enumerate", "foo", "3"),
+         "nclab enumerate: error: argument kind: invalid choice: 'foo' "
+         "(choose from 'nc', 'ncl')"),
+        (("enumerate", "nc", "3", "--bogus"),
+         "nclab: error: unrecognized arguments: --bogus"),
+    ])
+    def test_short_message_unchanged(self, capsys, argv, last_line):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(list(argv))
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("usage: nclab")
+        assert captured.err.endswith("\n" + last_line + "\n")
 
 
 class TestBoundedEcho:

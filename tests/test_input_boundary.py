@@ -1,17 +1,22 @@
 """Property tests over the input boundary: block text and raw block lists
 go into `parse_blocks_text`, `make_partition` and `make_linked`.  Every
 rejection is a library error with a short message, and every accepted
-object round-trips through its text and JSON forms."""
+object round-trips through its text and JSON forms.  Raw blocks and sizes
+also draw values that are not integers: ``bool``, strings and ``None``."""
 
 import json
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nclab import (
     InvalidLinkedPartitionError,
     InvalidPartitionError,
+    LinkedPartition,
     ParseError,
+    Partition,
+    Permutation,
     make_linked,
     make_partition,
 )
@@ -20,7 +25,10 @@ from helpers import nc, ncl_direct
 
 MAKERS = ((make_partition, InvalidPartitionError), (make_linked, InvalidLinkedPartitionError))
 
-raw_lists = st.lists(st.lists(st.integers(-2, 9), max_size=5), max_size=5)
+not_integers = st.one_of(st.booleans(), st.text(max_size=3), st.none())
+elements = st.one_of(st.integers(-2, 9), st.integers(-2, 9), not_integers)
+raw_lists = st.lists(st.lists(elements, max_size=5), max_size=5)
+sizes = st.one_of(st.integers(-1, 9), st.integers(-1, 9), not_integers)
 
 
 @st.composite
@@ -42,7 +50,7 @@ texts = st.one_of(
     raw_lists.map(block_text),
     shuffled_valid().map(lambda nr: block_text(nr[1])),
 )
-raw_inputs = st.one_of(st.tuples(st.integers(-1, 9), raw_lists), shuffled_valid())
+raw_inputs = st.one_of(st.tuples(sizes, raw_lists), shuffled_valid())
 
 
 def check_make(n, raw):
@@ -72,3 +80,49 @@ def test_block_text(text):
 @given(nr=raw_inputs)
 def test_raw_blocks(nr):
     check_make(*nr)
+
+
+@settings(max_examples=150, deadline=None)
+@given(nr=raw_inputs)
+def test_raw_blocks_as_json(nr):
+    n, raw = nr
+    data = json.loads(json.dumps({"n": n, "blocks": raw}))
+    for cls, error in ((Partition, InvalidPartitionError),
+                       (LinkedPartition, InvalidLinkedPartitionError)):
+        try:
+            obj = cls.from_json_dict(data)
+        except (ParseError, error) as exc:
+            assert len(str(exc).encode()) < 1024
+            continue
+        assert cls.from_text(obj.to_text()) == obj
+
+
+@pytest.mark.parametrize("data", [
+    {"n": 1, "blocks": [[True]]},
+    {"n": 2, "blocks": [[1], [False, 2]]},
+    {"n": True, "blocks": [[1]]},
+])
+def test_json_bool_is_not_an_integer(data):
+    for cls in (Partition, LinkedPartition):
+        with pytest.raises(ParseError, match="malformed partition JSON"):
+            cls.from_json_dict(data)
+
+
+def test_permutation_json_bool_size():
+    with pytest.raises(ParseError, match="malformed permutation JSON"):
+        Permutation.from_json_dict({"n": True, "image": [1]})
+
+
+@pytest.mark.parametrize("n, raw, message", [
+    (2, [[1, "a"]], "element 'a' is not an integer"),
+    (2, [["a", 1]], "element 'a' is not an integer"),
+    (2, [[2, None], [1]], "element None is not an integer"),
+    (1, [[True]], "element True is not an integer"),
+    (True, [[1]], "ground-set size True is not an integer"),
+    ("2", [[1, 2]], "ground-set size '2' is not an integer"),
+])
+def test_rejected_before_sorting(n, raw, message):
+    for make, error in MAKERS:
+        with pytest.raises(error) as exc:
+            make(n, raw)
+        assert str(exc.value) == message

@@ -1,7 +1,10 @@
 import json
+from collections import Counter
 
 import pytest
 
+import nclab.linked
+import nclab.partitions
 from nclab import (
     InvalidLinkedPartitionError,
     LinkedPartition,
@@ -316,6 +319,14 @@ class TestPairBijection:
         with pytest.raises(ValueError, match="does not endpoint-refine"):
             from_pair(a, b)
 
+    def test_public_entry_point_still_validates(self):
+        # the enumerator's unchecked core is not reachable through from_pair
+        a = make_partition(4, [[1, 2], [3, 4]])
+        b = make_partition(4, [[1, 2, 3], [4]])
+        with pytest.raises(ValueError) as exc:
+            from_pair(a, b)
+        assert str(exc.value) == "{1,2}{3,4} does not endpoint-refine {1,2,3}{4}"
+
     def test_round_trip_from_to(self):
         # from_pair(to_pair(p)) = p over every object from the direct oracle
         for n in range(1, 9):
@@ -429,6 +440,44 @@ class TestEnumeration:
         for n in range(1, 8):
             assert len(set(ncl(n))) == len(ncl(n))
 
+    def test_never_revalidates(self, monkeypatch):
+        calls = Counter()
+
+        def counting(module, name):
+            original = getattr(module, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return original(*args)
+            monkeypatch.setattr(module, name, wrapper)
+
+        for module in (nclab.linked, nclab.partitions):
+            counting(module, "endpoint_refines")
+        counting(nclab.linked, "make_linked")
+        for n in range(1, 8):
+            assert sum(1 for _ in enumerate_ncl(n)) == COUNTS[n - 1]
+        assert calls == Counter()
+
+    def test_every_object_passes_make_linked(self):
+        for n in range(1, 8):
+            for p in enumerate_ncl(n):
+                assert make_linked(n, p.blocks) == p
+
+    def test_block_shapes_enumerated_once_per_size(self, monkeypatch):
+        calls = Counter()
+        original = nclab.partitions.enumerate_nc
+
+        def counting(m):
+            calls[m] += 1
+            return original(m)
+
+        nclab.partitions._block_shapes.cache_clear()
+        monkeypatch.setattr(nclab.partitions, "enumerate_nc", counting)
+        for _ in range(50):
+            assert sum(1 for _ in enumerate_ncl(7)) == COUNTS[6]
+        assert set(calls) <= set(range(1, 7))
+        assert max(calls.values()) == 1
+
 
 class TestCounts:
     def test_sequence(self):
@@ -452,6 +501,23 @@ class TestCounts:
     def test_coloured_small(self):
         assert coloured_count(1) == 1
         assert coloured_count(3) == 6
+
+    def test_counts_equal_per_partition_sums(self):
+        for n in range(1, 10):
+            by_pairs = 0
+            by_colourings = 0
+            for b in nc(n):
+                term = 1
+                for w in b.blocks:
+                    term *= catalan(len(w) - 1)
+                by_pairs += term
+                by_colourings += 2 ** len(b.inner_indices)
+            assert ncl_count(n) == by_pairs
+            assert coloured_count(n) == by_colourings
+
+    def test_counts_equal_schroder_to_n60(self):
+        for n in range(1, 61):
+            assert ncl_count(n) == coloured_count(n) == schroder(n - 1)
 
     def test_coloured_equals_formula_to_n10(self):
         for n in range(1, 11):

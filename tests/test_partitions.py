@@ -247,6 +247,27 @@ class TestEnumerateNC:
         texts = [p.to_text() for p in enumerate_nc(3)]
         assert texts == ["{1}{2}{3}", "{1,3}{2}", "{1}{2,3}", "{1,2}{3}", "{1,2,3}"]
 
+    def test_documented_order_ascending_choice_codes(self):
+        def choice_codes(p):
+            # 0 opens a block; d >= 1 joins the d-th open block from the
+            # outside and closes every block opened inside it
+            codes, open_mins = [], []
+            for k in p.ground:
+                lo = p.block_of(k)[0]
+                if lo == k:
+                    codes.append(0)
+                    open_mins.append(k)
+                else:
+                    depth = open_mins.index(lo)
+                    codes.append(depth + 1)
+                    del open_mins[depth + 1:]
+            return codes
+
+        for n in range(1, 9):
+            codes = [choice_codes(p) for p in enumerate_nc(n)]
+            assert codes == sorted(codes)
+            assert len(codes) == len(set(map(tuple, codes))) == catalan(n)
+
     def test_counts_are_catalan(self):
         for n in range(1, 9):
             assert len(nc(n)) == catalan(n)
