@@ -3,7 +3,8 @@
     python3 benchmarks/pair_compare.py --parent DIR --change DIR --label pr5 \\
         [--requests bijection:1:3] [--steady bijection:1-10] [--steady oracles:1-3]
 
-Writes BENCH_<label>.json in the current directory.  Nothing is installed;
+Writes BENCH_<label>.json in the current directory, with the sha256 and
+the line count of each side's `src/nclab/*.py`.  Nothing is installed;
 the checkouts get only what running them leaves behind (`.nclbench_out/`,
 `__pycache__/`).
 
@@ -52,12 +53,21 @@ with open(sys.argv[1], "w") as fh:
 """
 
 
+def sources(checkout: Path) -> list[Path]:
+    return sorted((checkout / "src" / "nclab").glob("*.py"))
+
+
 def source_digest(checkout: Path) -> str:
     """sha256 over the library's source files, naming what was measured."""
     digest = hashlib.sha256()
-    for path in sorted((checkout / "src" / "nclab").glob("*.py")):
+    for path in sources(checkout):
         digest.update(path.name.encode() + b"\0" + path.read_bytes())
     return digest.hexdigest()
+
+
+def source_lines(checkout: Path) -> int:
+    """Lines in the library's source files, as `wc -l src/nclab/*.py` counts."""
+    return sum(path.read_bytes().count(b"\n") for path in sources(checkout))
 
 
 def launch(checkout: Path, args: tuple[str, ...], report: Path) -> dict:
@@ -149,6 +159,7 @@ def main() -> int:
     entry = {"label": args.label, "python": platform.python_version(),
              "nproc": os.cpu_count(),
              "source_sha256": {side: source_digest(path) for side, path in sides.items()},
+             "source_lines": {side: source_lines(path) for side, path in sides.items()},
              "requests": [], "end_to_end": []}
     for spec in args.requests:
         workload, seed, reps = spec.split(":")

@@ -46,13 +46,16 @@ MAX_DIGITS = 4300
 _MAX_QUOTED = 60
 
 
-def _quoted(text: str) -> str:
-    """``repr(text)`` for a diagnostic; text longer than _MAX_QUOTED
-    characters is quoted by its first _MAX_QUOTED and its length, so the
-    message does not grow with the rejected input."""
+def _quoted(value: object) -> str:
+    """``repr(value)`` for a diagnostic; a string longer than _MAX_QUOTED
+    characters is quoted by its first _MAX_QUOTED and its length, and a
+    longer repr of any other value is cut the same way, so the message
+    does not grow with the rejected input."""
+    text = value if isinstance(value, str) else repr(value)
     if len(text) <= _MAX_QUOTED:
-        return repr(text)
-    return f"{text[:_MAX_QUOTED]!r}... ({len(text)} characters)"
+        return repr(value)
+    head = repr(text[:_MAX_QUOTED]) if isinstance(value, str) else text[:_MAX_QUOTED]
+    return f"{head}... ({len(text)} characters)"
 
 
 def _fmt_block(block: Iterable[int]) -> str:
@@ -87,6 +90,10 @@ def _interleaves(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
     return False
 
 
+# The ground set {1..n}, built once per n rather than on every comparison.
+_standard_ground = lru_cache(maxsize=32)(lambda n: tuple(range(1, n + 1)))
+
+
 _Family = TypeVar("_Family", bound="BlockFamily")
 
 
@@ -113,8 +120,7 @@ class BlockFamily:
     @property
     def is_standard(self) -> bool:
         """True when the ground set is {1..n}."""
-        g = self.ground
-        return g == tuple(range(1, len(g) + 1))
+        return self.ground == _standard_ground(len(self.ground))
 
     def restrict(self: _Family, elements: Iterable[int]) -> _Family:
         """Restrict to a saturated subset of the ground set, keeping labels.
@@ -281,24 +287,32 @@ def _not_covered(n: int, covered: Collection[int]) -> str:
     return f"elements {missing} not covered"
 
 
+def _iterate(items: object, role: str, error: type[ValueError]) -> Iterator:
+    try:
+        return iter(items)
+    except TypeError:
+        raise error(f"{role} {_quoted(items)} is not iterable") from None
+
+
 def _read_raw_blocks(
     n: int, raw_blocks: Iterable[Iterable[int]], error: type[ValueError]
 ) -> Iterator[tuple[int, ...]]:
     """Yield the blocks of a raw block family on {1..n} one by one, each
     sorted, raising ``error`` for a size that is not an integer or is below
-    1, an empty block, a non-integer element or an element outside 1..n.
-    ``bool`` is not an integer here.  Elements are type-checked before a
-    block is sorted, so values that cannot be ordered against integers are
-    rejected too.  Overlap, crossing and coverage are left to the caller."""
+    1, a family or block that is not iterable, an empty block, a non-integer
+    element or an element outside 1..n.  ``bool`` is not an integer here.
+    Elements are type-checked before a block is sorted, so values that
+    cannot be ordered against integers are rejected too.  Overlap, crossing
+    and coverage are left to the caller."""
     if not _is_int(n):
-        raise error(f"ground-set size {n!r} is not an integer")
+        raise error(f"ground-set size {_quoted(n)} is not an integer")
     if n < 1:
         raise error("ground-set size must be at least 1")
-    for raw in raw_blocks:
-        blk = list(raw)
+    for raw in _iterate(raw_blocks, "block family", error):
+        blk = list(_iterate(raw, "block", error))
         for x in blk:
             if not _is_int(x):
-                raise error(f"element {x!r} is not an integer")
+                raise error(f"element {_quoted(x)} is not an integer")
         if not blk:
             raise error("empty block")
         blk.sort()

@@ -7,10 +7,10 @@ conventional way these moment polynomials are written, e.g.
 
     t3 + 3*t2*t1 + t1^3 + 4*t2 + 6*t1^2 + 6*t1 + 1
 
-The same moment polynomial is computed by four routes that must agree:
-a sum over linked partitions, a sum over endpoint-refinement pairs, a
-factored sum over single partitions, and substitution of the cumulant
-polynomials.
+The same moment polynomial is computed by four routes that must agree.
+The sums over linked partitions and over endpoint-refinement pairs are
+separate enumerations; the inner-outer and cumulant routes are sums over
+NC(n) by block type, on the tally the transform oracles in `series` use.
 """
 
 from __future__ import annotations
@@ -19,17 +19,11 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .linked import enumerate_ncl
-from .partitions import (
-    Partition,
-    classify_blocks,
-    endpoint_refinements,
-    enumerate_nc,
-    is_noncrossing,
-)
-from .series import _frac
+from .partitions import Partition, endpoint_refinements, enumerate_nc, is_noncrossing
+from .series import _frac, _nc_block_types
 
 
 @dataclass(frozen=True, repr=False)
@@ -131,24 +125,17 @@ class Polynomial:
         return 0
 
     def __add__(self, other: Polynomial) -> Polynomial:
-        d = dict(self.terms)
-        for m, c in other.terms:
-            d[m] = d.get(m, 0) + c
+        d = Counter(dict(self.terms))
+        d.update(dict(other.terms))
         return Polynomial._from_dict(d)
 
     def __sub__(self, other: Polynomial) -> Polynomial:
-        d = dict(self.terms)
-        for m, c in other.terms:
-            d[m] = d.get(m, 0) - c
+        d = Counter(dict(self.terms))
+        d.subtract(dict(other.terms))
         return Polynomial._from_dict(d)
 
     def __mul__(self, other: Polynomial) -> Polynomial:
-        d: dict[Monomial, int] = {}
-        for m1, c1 in self.terms:
-            for m2, c2 in other.terms:
-                m = m1 * m2
-                d[m] = d.get(m, 0) + c1 * c2
-        return Polynomial._from_dict(d)
+        return Polynomial._from_dict(_expand(dict(self.terms), other.terms))
 
     def evaluate(self, t: Sequence) -> Fraction:
         """Substitute t[i] for ti (t[0] is unused; indices must exist)."""
@@ -200,6 +187,15 @@ class Polynomial:
         return f"Polynomial({self.to_text()!r})"
 
 
+def _expand(d: Mapping[Monomial, int], terms: Iterable[tuple[Monomial, int]]) -> Counter:
+    """The product of two polynomials given by their terms, unsorted."""
+    out: Counter = Counter()
+    for m1, c1 in d.items():
+        for m2, c2 in terms:
+            out[m1 * m2] += c1 * c2
+    return out
+
+
 def _tally(monomials: Iterable[Monomial]) -> Polynomial:
     """The sum of the given monomials, each with coefficient 1."""
     return Polynomial._from_dict(Counter(monomials))
@@ -207,12 +203,32 @@ def _tally(monomials: Iterable[Monomial]) -> Polynomial:
 
 def _pair_monomial(a: Partition, b: Partition) -> Monomial:
     """The monomial of an endpoint-refinement pair: t_{|U|-1} over the
-    blocks U of ``a`` special for ``b``, t_{|V|} over the other blocks."""
-    special = classify_blocks(a, b).special
+    blocks U of ``a`` special for ``b`` (holding the minimum of a block of
+    ``b``), t_{|V|} over the others.  The pair is not re-checked: both
+    callers take ``a`` from `endpoint_refinements(b)`."""
+    ao = a._block_of
+    special = {ao[w[0]] for w in b.blocks}
     return _mono_from_sizes(
         len(blk) - 1 if i in special else len(blk)
         for i, blk in enumerate(a.blocks)
     )
+
+
+def _nc_block_poly(n: int, weight: Callable[[int, bool], Polynomial]) -> Polynomial:
+    """Sum over the non-crossing partitions of {1..n} of the product of
+    weight(|V|, V is inner) over their blocks V, taken type by type from
+    `series._nc_block_types` and sorted once."""
+    types = _nc_block_types(n)
+    keys = {(size, inner) for blocks, _ in types for size, inner, _ in blocks}
+    weights = {key: weight(*key).terms for key in keys}
+    total: Counter = Counter()
+    for blocks, count in types:
+        term = {_MONO_ONE: count}
+        for size, inner, mult in blocks:
+            for _ in range(mult):
+                term = _expand(term, weights[size, inner])
+        total.update(term)
+    return Polynomial._from_dict(total)
 
 
 def moment_poly_linked(n: int) -> Polynomial:
@@ -241,25 +257,8 @@ def moment_poly_inner_outer(n: int) -> Polynomial:
     expanded."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    acc: dict[Monomial, int] = {}
-    for a in enumerate_nc(n):
-        inner = a.inner_indices
-        expansion: dict[Monomial, int] = {_MONO_ONE: 1}
-        for i, blk in enumerate(a.blocks):
-            s = len(blk)
-            if i in inner:
-                factors = [_mono_from_sizes([s - 1]), _mono_from_sizes([s])]
-            else:
-                factors = [_mono_from_sizes([s - 1])]
-            new: dict[Monomial, int] = {}
-            for m, c in expansion.items():
-                for f in factors:
-                    mf = m * f
-                    new[mf] = new.get(mf, 0) + c
-            expansion = new
-        for m, c in expansion.items():
-            acc[m] = acc.get(m, 0) + c
-    return Polynomial._from_dict(acc)
+    t = Polynomial.variable
+    return _nc_block_poly(n, lambda s, inner: t(s - 1) + t(s) if inner else t(s - 1))
 
 
 @lru_cache(maxsize=None)
@@ -271,9 +270,7 @@ def cumulant_poly(n: int) -> Polynomial:
         raise ValueError("n must be at least 1")
     if n == 1:
         return Polynomial.one()
-    return _tally(
-        _mono_from_sizes(len(v) for v in gamma.blocks) for gamma in enumerate_nc(n - 1)
-    )
+    return _nc_block_poly(n - 1, lambda size, inner: Polynomial.variable(size))
 
 
 def moment_poly_cumulants(n: int) -> Polynomial:
@@ -281,13 +278,7 @@ def moment_poly_cumulants(n: int) -> Polynomial:
     the products of per-block cumulant polynomials, expanded."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    total = Polynomial.zero()
-    for beta in enumerate_nc(n):
-        term = Polynomial.one()
-        for w in beta.blocks:
-            term = term * cumulant_poly(len(w))
-        total = total + term
-    return total
+    return _nc_block_poly(n, lambda size, inner: cumulant_poly(size))
 
 
 def cumulant_product_identity(b: Partition) -> bool:

@@ -71,16 +71,11 @@ class TruncatedSeries:
         return TruncatedSeries(self.coeffs[: order + 1])
 
     def __add__(self, other: TruncatedSeries) -> TruncatedSeries:
-        n = min(self.order, other.order)
-        return TruncatedSeries(
-            tuple(a + b for a, b in zip(self.coeffs, other.coeffs))[: n + 1]
-        )
+        # zip stops at the shorter series: the lower truncation order
+        return TruncatedSeries(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
 
     def __sub__(self, other: TruncatedSeries) -> TruncatedSeries:
-        n = min(self.order, other.order)
-        return TruncatedSeries(
-            tuple(a - b for a, b in zip(self.coeffs, other.coeffs))[: n + 1]
-        )
+        return TruncatedSeries(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
 
     def __mul__(self, other: TruncatedSeries) -> TruncatedSeries:
         n = min(self.order, other.order)
@@ -304,7 +299,9 @@ def _nc_block_types(n: int) -> tuple[tuple[_BlockType, int], ...]:
     A partition's type is the multiset of (|V|, V is inner) over its blocks
     V, given as sorted (size, inner, multiplicity) triples.  The tally is
     taken by enumerating NC(n) once per n and process: NC(8) has 1430
-    partitions but 119 types.
+    partitions but 119 types.  Its users are the four oracles below,
+    through `_nc_block_sum`, and the inner-outer and cumulant moment
+    polynomials, through `polynomials._nc_block_poly`.
     """
     tally: Counter = Counter()
     for alpha in enumerate_nc(n):

@@ -48,10 +48,6 @@ class CheckResult:
             self.failures.append(message)
 
 
-def _nc_list(n: int) -> list[partitions.Partition]:
-    return list(partitions.enumerate_nc(n))
-
-
 def verify_bijection(n_max: int) -> list[CheckResult]:
     """Round trips of to_pair / from_pair over every object, both ways."""
     out = []
@@ -118,7 +114,7 @@ def verify_counts(n_max: int) -> list[CheckResult]:
     cap = min(n_max, 7)
     res = CheckResult("counts", "interval-products", f"n<={cap}", 0, True)
     for n in range(1, cap + 1):
-        ncn = _nc_list(n)
+        ncn = list(partitions.enumerate_nc(n))
         for b in ncn:
             res.checked += 1
             filtered = sum(1 for a in ncn if partitions.endpoint_refines(a, b))
@@ -131,7 +127,7 @@ def verify_counts(n_max: int) -> list[CheckResult]:
 
     res = CheckResult("counts", "boolean-coarsenings", f"n<={cap}", 0, True)
     for n in range(1, cap + 1):
-        ncn = _nc_list(n)
+        ncn = list(partitions.enumerate_nc(n))
         for a in ncn:
             res.checked += 1
             filtered = {b for b in ncn if partitions.endpoint_refines(a, b)}

@@ -270,6 +270,39 @@ class TestEnumerateDigests:
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+class TestSymbolicDigests:
+    # sha256 of the whole stdout, pinned from the per-partition expansion
+    # that the sum over NC(n) by block type replaced
+    @pytest.mark.parametrize("n, as_json, digest", [
+        (1, False, "4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9ee954a27460dd865"),
+        (1, True, "717b8852c2466d83577bd28848d72e7da3e1816240f8e8b518e3cd2dbd3a297f"),
+        (2, False, "9dea9779cacaf7b5abb3563d0770446dbadf9669252fa3b2d38812093f7229eb"),
+        (2, True, "d1a0badfa56e3c7da278ae84ebf4f7bfb2ed7f3e4def60ca637de4da11839299"),
+        (3, False, "b1ff9c82f4fc9d15349edf76ea6b6b4bf479c1b5a5203b2b8e55f34ba9344f19"),
+        (3, True, "afe69cbff3361ee1b9694ad990908d3bece7d0bf49fd6f89663ce24aadc42fbb"),
+        (4, False, "37e3efb1e8d75901637500c2de28fff6700afbdb8d7805b251ef196799bc7b1f"),
+        (4, True, "3fa4fec7ede1355b54cf3c8cdedaabdc57e76edf5c4e3286dbe9272e6777ad51"),
+        (5, False, "a606ccd5314a2907d6cdb83768710de7ffe5a7d7c4b08e056691218d2ae6d824"),
+        (5, True, "ff56adeda2d66d6aa4b8f4822a9ade70710f8390433131a58d93163d37aab538"),
+        (6, False, "92fca38ef785a74fbd0b26c5081560207ea2f53db89c9149c49c4179959fbc19"),
+        (6, True, "9773722bdd2a7ebac44316d5f1afd83aa8c95aaa5d6031a6f0bf94df67d113d8"),
+        (7, False, "92d067bf58b0aac834b261b02450f9c2e735191c233b6e42fa815ebad3f8a256"),
+        (7, True, "3ec0abf22ab33d9b7b2148c06af6d8a70d27796aaa0ef0dcc43d855561002015"),
+        (8, False, "255e7852c7b0e6c4714ef27c3074b75bd97a011d28a144ec62e9ead7cc34abc2"),
+        (8, True, "e0eed4885ec94cad6d5ef064dadf39cdeb4c4b0d23c114879f3e4b9ea91bde26"),
+        (9, False, "4dfcefa8f9c1969a6d173ac7d78116bd59b8231a7d36b45f67ecafb077fe18f7"),
+        (9, True, "61639f7622cf1fe40e8d4ff8fa2c6d8c87d1f8e06356f1132874cea2ae6fea95"),
+        (10, False, "98266dd10e712c3d92dad2d3fa9d5030a5e76acdb7b3f05b70fb598dd0f80b2b"),
+        (10, True, "9271c6ba209565ba463228f6abf177159b20f7f47aba9cd921064315ec23bf65"),
+    ])
+    def test_stdout_digest(self, capsys, n, as_json, digest):
+        argv = ("moments", "--symbolic", str(n)) + (("--json",) if as_json else ())
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0
+        assert err == ""
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 class TestBoundedArgparseEcho:
     # argparse quotes a rejected argument whole; the message is clipped
     @pytest.mark.parametrize("argv, message", [

@@ -126,3 +126,28 @@ def test_rejected_before_sorting(n, raw, message):
         with pytest.raises(error) as exc:
             make(n, raw)
         assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("raw, message", [
+    ([1], "block 1 is not iterable"),
+    ([[1], 2], "block 2 is not iterable"),
+    (None, "block family None is not iterable"),
+    (7, "block family 7 is not iterable"),
+])
+def test_not_iterable(raw, message):
+    for make, error in MAKERS:
+        with pytest.raises(error) as exc:
+            make(2, raw)
+        assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("element, message", [
+    ("a" * 100000, f"element {'a' * 60!r}... (100000 characters) is not an integer"),
+    ([0] * 100000, "element [" + "0, " * 19 + "0,... (300000 characters) is not an integer"),
+], ids=["string", "list"])
+def test_long_element_quoted_bounded(element, message):
+    for make, error in MAKERS:
+        with pytest.raises(error) as exc:
+            make(2, [[1, element]])
+        assert str(exc.value) == message
+        assert len(str(exc.value).encode()) < 1024

@@ -1,10 +1,12 @@
 import json
+import random
 from collections import Counter
 
 import pytest
 
 import nclab.linked
 import nclab.partitions
+import nclab.series
 from nclab import (
     InvalidLinkedPartitionError,
     LinkedPartition,
@@ -141,6 +143,15 @@ class TestSharedBlockFamily:
     def test_repr_names_class(self):
         assert repr(make_linked(3, [[1, 2], [2, 3]])) == "LinkedPartition('{1,2}{2,3}')"
         assert repr(make_partition(3, [[1, 3], [2]])) == "Partition('{1,3}{2}')"
+
+    def test_is_standard(self):
+        q = make_partition(4, [[1, 2], [3, 4]])
+        assert q.is_standard and PI_11.is_standard
+        assert q.restrict([1, 2]).is_standard
+        assert not q.restrict([3, 4]).is_standard
+        assert q.restrict([3, 4]).relabel().is_standard
+        assert PI_11.restrict(range(1, 8)).is_standard
+        assert not PI_11.restrict(range(8, 12)).is_standard
 
 
 class TestCoverMap:
@@ -514,6 +525,21 @@ class TestCounts:
                 by_colourings += 2 ** len(b.inner_indices)
             assert ncl_count(n) == by_pairs
             assert coloured_count(n) == by_colourings
+
+    def test_weight_sum_against_block_type_oracle(self):
+        # the O(n^3) recursion behind both counts, under weights that tell
+        # inner from outer blocks, against the sum over NC(n) by block type
+        rng = random.Random(83)
+        for n in range(1, 11):
+            for _ in range(3):
+                w_in = [rng.randint(-20, 20) for _ in range(n + 1)]
+                w_out = [w + rng.randint(1, 20) for w in w_in]
+
+                def weight(size, inner):
+                    return w_in[size] if inner else w_out[size]
+
+                assert (nclab.linked._nc_weight_sum(n, weight)
+                        == nclab.series._nc_block_sum(n, weight))
 
     def test_counts_equal_schroder_to_n60(self):
         for n in range(1, 61):

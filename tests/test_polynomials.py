@@ -1,8 +1,12 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+import nclab.partitions
+import nclab.polynomials
+import nclab.series
 from nclab import (
     Monomial,
     Partition,
@@ -161,6 +165,39 @@ class TestFourRoutes:
             assert all(
                 isinstance(c, int) and c > 0 for _, c in moment_poly_linked(n).terms
             )
+
+
+class TestBlockTypeRoutes:
+    def test_each_nc_k_enumerated_at_most_once(self, monkeypatch):
+        calls = Counter()
+        original = nclab.series.enumerate_nc
+
+        def counting(n):
+            calls[n] += 1
+            return original(n)
+
+        nclab.series._nc_block_types.cache_clear()
+        cumulant_poly.cache_clear()
+        monkeypatch.setattr(nclab.series, "enumerate_nc", counting)
+        monkeypatch.setattr(nclab.polynomials, "enumerate_nc", counting)
+        for _ in range(20):
+            for n in range(1, 9):
+                moment_poly_inner_outer(n)
+                moment_poly_cumulants(n)
+                cumulant_poly(n)
+        assert set(calls) == set(range(1, 9))
+        assert max(calls.values()) == 1
+
+    def test_pair_monomials_not_revalidated(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("an endpoint-refinement pair was re-checked")
+
+        want = moment_poly_linked(6)
+        for module in (nclab.partitions, nclab.polynomials):
+            for name in ("classify_blocks", "endpoint_refines"):
+                monkeypatch.setattr(module, name, refuse, raising=False)
+        assert moment_poly_pairs(6) == want
+        assert all(cumulant_product_identity(b) for b in nc(5))
 
 
 class TestTermBijection:
