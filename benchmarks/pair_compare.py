@@ -4,9 +4,17 @@
         [--requests bijection:1:3] [--steady bijection:1-10] [--steady oracles:1-3]
 
 Writes BENCH_<label>.json in the current directory, with the sha256 and
-the line count of each side's `src/nclab/*.py`.  Nothing is installed;
+the line count of each side's `src/nclab/*.py`.  A file of that name that
+was written for the same two sources is added to, not replaced, so runs
+in different environments can share one file.  Nothing is installed;
 the checkouts get only what running them leaves behind (`.nclbench_out/`,
 `__pycache__/`).
+
+Every comparison records each side's bytecode state when it began
+(`bytecode`): whether PYTHONDONTWRITEBYTECODE was set, and whether
+`src/nclab/__pycache__` existed.  Start-up is a large share of a light
+request, and compiling the source is a large share of start-up, so only
+comparisons made in the same state are comparable.
 
 --requests WORKLOAD:SEED:REPS sends every request of the seeded deck of a
 nclbench workload to both checkouts, REPS times, alternating which
@@ -70,6 +78,11 @@ def source_lines(checkout: Path) -> int:
     return sum(path.read_bytes().count(b"\n") for path in sources(checkout))
 
 
+def bytecode_state(checkout: Path) -> dict:
+    return {"dont_write_bytecode": bool(os.environ.get("PYTHONDONTWRITEBYTECODE")),
+            "pycache": (checkout / "src" / "nclab" / "__pycache__").is_dir()}
+
+
 def launch(checkout: Path, args: tuple[str, ...], report: Path) -> dict:
     env = {**os.environ, "PYTHONPATH": "src"}
     proc = subprocess.run([sys.executable, "-c", LAUNCHER, str(report), *args],
@@ -81,6 +94,7 @@ def launch(checkout: Path, args: tuple[str, ...], report: Path) -> dict:
 
 def compare_requests(sides: dict[str, Path], workload: str, seed: int, reps: int) -> dict:
     deck = build_deck(workload, seed)
+    bytecode = {side: bytecode_state(path) for side, path in sides.items()}
     tries = {side: [[] for _ in deck] for side in sides}
     mismatches = []
     with tempfile.TemporaryDirectory() as tmp:
@@ -105,7 +119,7 @@ def compare_requests(sides: dict[str, Path], workload: str, seed: int, reps: int
     totals = {side: sum(row[f"{side}_s"] for row in rows) for side in sides}
     return {
         "workload": workload, "seed": seed, "reps": reps, "requests": len(deck),
-        "outputs_identical": not mismatches, "mismatches": mismatches,
+        "bytecode": bytecode, "outputs_identical": not mismatches, "mismatches": mismatches,
         "sum_of_medians_s": totals,
         "req_per_s": {side: len(deck) / total for side, total in totals.items()},
         "per_request": rows,
@@ -123,12 +137,14 @@ def compare_steady(sides: dict[str, Path], workload: str, seeds: list[int]) -> d
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     names = [m["name"] for m in spec["end_to_end"]]
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    bytecode = {side: bytecode_state(path) for side, path in sides.items()}
     results = {side: [] for side in sides}
     for k, seed in enumerate(seeds):
         order = list(sides) if k % 2 == 0 else list(sides)[::-1]
         for side in order:
             results[side].append(run_once(sides[side], workload, seed, spec["run_seconds"]))
-    out = {"workload": workload, "seeds": seeds, "seconds": spec["run_seconds"]}
+    out = {"workload": workload, "seeds": seeds, "seconds": spec["run_seconds"],
+           "bytecode": bytecode}
     for side in sides:
         out[side] = {
             "correct": all(r["correct"] for r in results[side]),
@@ -161,6 +177,11 @@ def main() -> int:
              "source_sha256": {side: source_digest(path) for side, path in sides.items()},
              "source_lines": {side: source_lines(path) for side, path in sides.items()},
              "requests": [], "end_to_end": []}
+    out_path = Path(f"BENCH_{args.label}.json")
+    if out_path.is_file():
+        earlier = json.loads(out_path.read_text())
+        if earlier.get("source_sha256") == entry["source_sha256"]:
+            entry = earlier
     for spec in args.requests:
         workload, seed, reps = spec.split(":")
         entry["requests"].append(compare_requests(sides, workload, int(seed), int(reps)))
@@ -170,7 +191,7 @@ def main() -> int:
         workload, seeds = spec.split(":")
         entry["end_to_end"].append(compare_steady(sides, workload, parse_seeds(seeds)))
         print(json.dumps(entry["end_to_end"][-1]["pairs_change_better"]), flush=True)
-    Path(f"BENCH_{args.label}.json").write_text(json.dumps(entry, indent=1) + "\n")
+    out_path.write_text(json.dumps(entry, indent=1) + "\n")
     return 0
 
 

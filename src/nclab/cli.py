@@ -8,6 +8,11 @@ error, 3 domain precondition failure, 4 normalization failure.
 Sizes are guarded by a limit (default 12) to prevent accidental
 combinatorial explosion; override with ``--limit`` or the NCLAB_LIMIT
 environment variable.
+
+Each command loads only the library modules it uses, inside its handler:
+a request is mostly interpreter start-up and import, so ``moments --t``,
+``moments --cumulants`` and ``transform`` load `series` alone, and
+``enumerate``, ``map`` and ``count`` load `partitions` and `linked`.
 """
 
 from __future__ import annotations
@@ -17,9 +22,8 @@ import json
 import os
 import re
 import sys
-from fractions import Fraction
 
-from . import linked, partitions, polynomials, series, verify
+from ._base import MAX_DIGITS, _quoted
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -38,16 +42,18 @@ class UsageError(Exception):
 
 def _parse_rational(text: str) -> Fraction:
     if not _RATIONAL_RE.fullmatch(text):
-        raise UsageError(f"cannot parse rational {partitions._quoted(text)} "
+        raise UsageError(f"cannot parse rational {_quoted(text)} "
                          "(use p or p/q, no decimals)")
     longest = max(len(part) for part in text.lstrip("+-").split("/"))
-    if longest > partitions.MAX_DIGITS:
+    if longest > MAX_DIGITS:
         raise UsageError(f"a rational has {longest} digits in one part, "
-                         f"more than {partitions.MAX_DIGITS}")
+                         f"more than {MAX_DIGITS}")
+    from fractions import Fraction
+
     try:
         return Fraction(text)
     except ZeroDivisionError:
-        raise UsageError(f"rational {partitions._quoted(text)} has a zero denominator") from None
+        raise UsageError(f"rational {_quoted(text)} has a zero denominator") from None
 
 
 def _parse_rational_list(text: str) -> list[Fraction]:
@@ -71,7 +77,7 @@ def _resolve_limit(flag_value: int | None) -> int:
         try:
             return int(env)
         except ValueError:
-            raise UsageError(f"NCLAB_LIMIT={partitions._quoted(env)} is not an integer") from None
+            raise UsageError(f"NCLAB_LIMIT={_quoted(env)} is not an integer") from None
     return DEFAULT_LIMIT
 
 
@@ -86,8 +92,14 @@ def _check_size(n: int, limit: int, what: str = "n") -> None:
 def _read_blocks(text: str, limit: int, make):
     """Parse block text, bound its largest label by the size limit, then
     build the object with `make`: construction allocates the whole ground
-    set, so the bound must come first."""
-    n, blocks = partitions.parse_blocks_text(text)
+    set, so the bound must come first.  Text that does not parse is a
+    usage error."""
+    from .partitions import ParseError, parse_blocks_text
+
+    try:
+        n, blocks = parse_blocks_text(text)
+    except ParseError as exc:
+        raise UsageError(str(exc)) from None
     _check_size(n, limit)
     return make(n, blocks)
 
@@ -170,8 +182,14 @@ _CHUNK_LINES = 1024
 
 def _cmd_enumerate(args, limit: int) -> int:
     _check_size(args.n, limit)
-    gen = partitions.enumerate_nc(args.n) if args.kind == "nc" \
-        else linked.enumerate_ncl(args.n)
+    if args.kind == "nc":
+        from .partitions import enumerate_nc
+
+        gen = enumerate_nc(args.n)
+    else:
+        from .linked import enumerate_ncl
+
+        gen = enumerate_ncl(args.n)
     # written in bounded chunks: one write per line is slow, and one for the
     # whole output would hold all of it in memory
     count = 0
@@ -189,6 +207,8 @@ def _cmd_enumerate(args, limit: int) -> int:
 
 
 def _cmd_map(args, limit: int) -> int:
+    from . import linked, partitions
+
     if args.direction == "to-pair":
         if len(args.objects) != 1:
             raise UsageError("to-pair takes exactly one linked partition")
@@ -223,19 +243,21 @@ def _cmd_map(args, limit: int) -> int:
 
 
 def _cmd_count(args, limit: int) -> int:
+    from . import partitions
+
     if args.kind in ("nc", "ncl", "coloured"):
         try:
             n = int(args.argument)
         except ValueError:
             raise UsageError(f"{args.kind} needs an integer size, "
-                             f"got {partitions._quoted(args.argument)}") from None
+                             f"got {_quoted(args.argument)}") from None
         _check_size(n, limit)
         if args.kind == "nc":
             value = partitions.catalan(n)
-        elif args.kind == "ncl":
-            value = linked.ncl_count(n)
         else:
-            value = linked.coloured_count(n)
+            from . import linked
+
+            value = linked.ncl_count(n) if args.kind == "ncl" else linked.coloured_count(n)
     else:
         p = _read_blocks(args.argument, limit, partitions.make_partition)
         if args.kind == "below-ll":
@@ -255,7 +277,9 @@ def _cmd_moments(args, limit: int) -> int:
         if sources or args.n_max is not None:
             raise UsageError("--symbolic excludes --t/--cumulants/--n")
         _check_size(args.symbolic, limit)
-        poly = polynomials.moment_poly_inner_outer(args.symbolic)
+        from .polynomials import moment_poly_inner_outer
+
+        poly = moment_poly_inner_outer(args.symbolic)
         if args.json:
             _emit_json(poly.to_json_dict())
         else:
@@ -266,6 +290,10 @@ def _cmd_moments(args, limit: int) -> int:
     if args.n_max is None:
         raise UsageError("--n is required with --t/--cumulants")
     _check_size(args.n_max, limit)
+    from fractions import Fraction
+
+    from . import series
+
     coeffs = _parse_rational_list(sources[0])
     coeffs += [Fraction(0)] * (args.n_max - len(coeffs))
     if args.t_coeffs is not None:
@@ -280,6 +308,8 @@ def _cmd_moments(args, limit: int) -> int:
 
 
 def _cmd_transform(args, limit: int) -> int:
+    from . import series
+
     values = _parse_rational_list(args.moments)
     _check_size(len(values), limit, "depth")
     m = series.MomentSequence.of(values)
@@ -310,7 +340,9 @@ def _cmd_transform(args, limit: int) -> int:
 
 def _cmd_verify(args, limit: int) -> int:
     _check_size(args.n, limit)
-    results = verify.run_suite(args.suite, args.n)
+    from .verify import run_suite
+
+    results = run_suite(args.suite, args.n)
     failed = 0
     for r in results:
         if not r.passed:
@@ -361,14 +393,15 @@ def main(argv: list[str] | None = None) -> int:
     try:
         limit = _resolve_limit(args.limit)
         return _DISPATCH[args.command](args, limit)
-    except (UsageError, partitions.ParseError) as exc:
+    except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except series.NormalizationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NORMALIZATION
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        # a NormalizationError can only come from a loaded `series`
+        series = sys.modules.get(f"{__package__}.series")
+        if series is not None and isinstance(exc, series.NormalizationError):
+            return EXIT_NORMALIZATION
         return EXIT_DOMAIN
 
 

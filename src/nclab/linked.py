@@ -21,11 +21,11 @@ with ``endpoint_refines(a, b)``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 from typing import Callable, Iterable, Iterator
 
+from ._base import Frozen, _int_text, _set_field
 from .partitions import (
     BlockFamily,
     Partition,
@@ -100,7 +100,7 @@ def make_linked(n: int, raw_blocks: Iterable[Iterable[int]]) -> LinkedPartition:
         for u, v in zip(blk, blk[1:]):
             if u == v:
                 raise InvalidLinkedPartitionError(
-                    f"element {u} repeated inside block {_fmt_block(set(blk))}"
+                    f"element {_int_text(u)} repeated inside block {_fmt_block(set(blk))}"
                 )
         blocks.append(blk)
 
@@ -111,7 +111,8 @@ def make_linked(n: int, raw_blocks: Iterable[Iterable[int]]) -> LinkedPartition:
     over = [x for x, c in count.items() if c > 2]
     if over:
         x = min(over)
-        raise InvalidLinkedPartitionError(f"element {x} covered by {count[x]} blocks")
+        raise InvalidLinkedPartitionError(
+            f"element {_int_text(x)} covered by {count[x]} blocks")
 
     for a, b in combinations(blocks, 2):
         inter = set(a) & set(b)
@@ -133,7 +134,7 @@ def make_linked(n: int, raw_blocks: Iterable[Iterable[int]]) -> LinkedPartition:
         m = inter.pop()
         if m != a[0] and m != b[0]:
             raise InvalidLinkedPartitionError(
-                f"shared element {m} is the minimum of neither "
+                f"shared element {_int_text(m)} is the minimum of neither "
                 f"{_fmt_block(a)} nor {_fmt_block(b)}"
             )
 
@@ -150,16 +151,29 @@ def make_linked(n: int, raw_blocks: Iterable[Iterable[int]]) -> LinkedPartition:
     return LinkedPartition(tuple(range(1, n + 1)), tuple(blocks))
 
 
-@dataclass(frozen=True)
-class CoverMap:
+class CoverMap(Frozen):
     """Per-element block incidence of a linked partition.
 
     ``incidence[i]`` lists the 0-based block indices containing
     ``ground[i]``; the list has length 1 or 2.
     """
 
-    ground: tuple[int, ...]
-    incidence: tuple[tuple[int, ...], ...]
+    def __init__(self, ground: tuple[int, ...],
+                 incidence: tuple[tuple[int, ...], ...]) -> None:
+        _set_field(self, "ground", ground)
+        _set_field(self, "incidence", incidence)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.ground, self.incidence) == (other.ground, other.incidence)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.ground, self.incidence))
+
+    def __repr__(self) -> str:
+        return (f"{type(self).__qualname__}(ground={self.ground!r}, "
+                f"incidence={self.incidence!r})")
 
     @cached_property
     def _pos(self) -> dict[int, int]:

@@ -20,10 +20,11 @@ from __future__ import annotations
 import math
 import re
 from bisect import bisect_right
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import product
 from typing import Collection, Iterable, Iterator, TypeVar
+
+from ._base import MAX_DIGITS, Frozen, _int_text, _quoted, _set_field
 
 
 class InvalidPartitionError(ValueError):
@@ -38,32 +39,17 @@ _TEXT_RE = re.compile(r"(?:\{\d+(?:,\d+)*\})+\Z")
 _BLOCK_RE = re.compile(r"\{(\d+(?:,\d+)*)\}")
 _DIGITS_RE = re.compile(r"\d+")
 
-# Integers read from text are bounded by their digit count before any
-# conversion: 4300 is CPython's default limit for int <-> str conversion.
-MAX_DIGITS = 4300
-
-
-_MAX_QUOTED = 60
-
-
-def _quoted(value: object) -> str:
-    """``repr(value)`` for a diagnostic; a string longer than _MAX_QUOTED
-    characters is quoted by its first _MAX_QUOTED and its length, and a
-    longer repr of any other value is cut the same way, so the message
-    does not grow with the rejected input."""
-    text = value if isinstance(value, str) else repr(value)
-    if len(text) <= _MAX_QUOTED:
-        return repr(value)
-    head = repr(text[:_MAX_QUOTED]) if isinstance(value, str) else text[:_MAX_QUOTED]
-    return f"{head}... ({len(text)} characters)"
-
-
 def _fmt_block(block: Iterable[int]) -> str:
-    return "{" + ",".join(str(x) for x in block) + "}"
+    """A block as text for a diagnostic, its elements as `_int_text`
+    gives them."""
+    return "{" + ",".join(map(_int_text, block)) + "}"
 
 
-# One entry per distinct block: at most 2**n - 1 for objects on {1..n}.
-_block_text = lru_cache(maxsize=1 << 16)(_fmt_block)
+# The text form of one block; one cache entry per distinct block: at most
+# 2**n - 1 for objects on {1..n}.
+@lru_cache(maxsize=1 << 16)
+def _block_text(block: tuple[int, ...]) -> str:
+    return "{" + ",".join(map(str, block)) + "}"
 
 
 def _is_int(x: object) -> bool:
@@ -97,8 +83,7 @@ _standard_ground = lru_cache(maxsize=32)(lambda n: tuple(range(1, n + 1)))
 _Family = TypeVar("_Family", bound="BlockFamily")
 
 
-@dataclass(frozen=True, repr=False)
-class BlockFamily:
+class BlockFamily(Frozen):
     """A canonical family of blocks on a finite ground set of positive
     integers: blocks sorted by least element, elements increasing inside
     each block.  The ground set is ``{1..n}`` for everything except
@@ -109,8 +94,17 @@ class BlockFamily:
     the same blocks.
     """
 
-    ground: tuple[int, ...]
-    blocks: tuple[tuple[int, ...], ...]
+    def __init__(self, ground: tuple[int, ...], blocks: tuple[tuple[int, ...], ...]) -> None:
+        _set_field(self, "ground", ground)
+        _set_field(self, "blocks", blocks)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.ground, self.blocks) == (other.ground, other.blocks)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.ground, self.blocks))
 
     @property
     def n(self) -> int:
@@ -283,7 +277,8 @@ def _not_covered(n: int, covered: Collection[int]) -> str:
             missing.append(x)
             if len(missing) > _MAX_LISTED:
                 more = n - len(covered) - _MAX_LISTED
-                return f"elements {missing[:_MAX_LISTED]} and {more} more not covered"
+                return (f"elements {missing[:_MAX_LISTED]} and {_int_text(more)} "
+                        "more not covered")
     return f"elements {missing} not covered"
 
 
@@ -318,7 +313,7 @@ def _read_raw_blocks(
         blk.sort()
         for x in blk:
             if not 1 <= x <= n:
-                raise error(f"element {x} out of range 1..{n}")
+                raise error(f"element {_int_text(x)} out of range 1..{_int_text(n)}")
         yield tuple(blk)
 
 
@@ -333,7 +328,7 @@ def make_partition(n: int, raw_blocks: Iterable[Iterable[int]]) -> Partition:
     for blk in _read_raw_blocks(n, raw_blocks, InvalidPartitionError):
         for x in blk:
             if x in seen:
-                raise InvalidPartitionError(f"element {x} repeated")
+                raise InvalidPartitionError(f"element {_int_text(x)} repeated")
             seen.add(x)
         blocks.append(blk)
     if len(seen) != n:
@@ -387,8 +382,7 @@ def endpoint_refines(a: Partition, b: Partition) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class BlockClassification:
+class BlockClassification(Frozen):
     """Classification of the blocks of a fine partition against a coarse one.
 
     Indices are 0-based positions into the fine partition's block sequence.
@@ -398,9 +392,24 @@ class BlockClassification:
     per coarse block.
     """
 
-    special: frozenset[int]
-    inner: frozenset[int]
-    outer: frozenset[int]
+    def __init__(self, special: frozenset[int], inner: frozenset[int],
+                 outer: frozenset[int]) -> None:
+        _set_field(self, "special", special)
+        _set_field(self, "inner", inner)
+        _set_field(self, "outer", outer)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return ((self.special, self.inner, self.outer)
+                    == (other.special, other.inner, other.outer))
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.special, self.inner, self.outer))
+
+    def __repr__(self) -> str:
+        return (f"{type(self).__qualname__}(special={self.special!r}, "
+                f"inner={self.inner!r}, outer={self.outer!r})")
 
 
 def classify_blocks(a: Partition, b: Partition) -> BlockClassification:
@@ -577,11 +586,19 @@ def count_endpoint_coarsenings(a: Partition) -> int:
     return 1 << len(a.inner_indices)
 
 
-@dataclass(frozen=True, repr=False)
-class Permutation:
+class Permutation(Frozen):
     """A permutation of {1..n}, stored as its image sequence."""
 
-    image: tuple[int, ...]
+    def __init__(self, image: tuple[int, ...]) -> None:
+        _set_field(self, "image", image)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.image,) == (other.image,)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.image,))
 
     @property
     def n(self) -> int:

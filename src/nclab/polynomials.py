@@ -16,25 +16,33 @@ NC(n) by block type, on the tally the transform oracles in `series` use.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Iterable, Mapping, Sequence
 
+from ._base import Frozen, _set_field
 from .linked import enumerate_ncl
 from .partitions import Partition, endpoint_refinements, enumerate_nc, is_noncrossing
 from .series import _frac, _nc_block_types
 
 
-@dataclass(frozen=True, repr=False)
-class Monomial:
+class Monomial(Frozen):
     """A product of powers of t-variables, stored sparsely.
 
     ``exps`` holds (index, exponent) pairs with indices >= 1 ascending and
     exponents positive.
     """
 
-    exps: tuple[tuple[int, int], ...]
+    def __init__(self, exps: tuple[tuple[int, int], ...]) -> None:
+        _set_field(self, "exps", exps)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.exps,) == (other.exps,)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.exps,))
 
     @classmethod
     def of(cls, mapping: Mapping[int, int]) -> Monomial:
@@ -88,11 +96,19 @@ def _mono_from_sizes(indices: Iterable[int]) -> Monomial:
     return Monomial(tuple(sorted(counts.items())))
 
 
-@dataclass(frozen=True, repr=False)
-class Polynomial:
+class Polynomial(Frozen):
     """Integer-coefficient polynomial in t1, t2, ...; terms canonical."""
 
-    terms: tuple[tuple[Monomial, int], ...]
+    def __init__(self, terms: tuple[tuple[Monomial, int], ...]) -> None:
+        _set_field(self, "terms", terms)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.terms,) == (other.terms,)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.terms,))
 
     @classmethod
     def _from_dict(cls, d: Mapping[Monomial, int]) -> Polynomial:

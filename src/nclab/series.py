@@ -17,13 +17,12 @@ depth n.  Each keeps its defining sum over non-crossing partitions as a
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 from typing import Callable, Iterable, Sequence
 
-from .partitions import enumerate_nc
+from ._base import Frozen, _set_field
 
 
 class NormalizationError(ValueError):
@@ -36,15 +35,21 @@ def _frac(x) -> Fraction:
     return Fraction(x)
 
 
-@dataclass(frozen=True, repr=False)
-class TruncatedSeries:
+class TruncatedSeries(Frozen):
     """A power series known exactly up to z**order."""
 
-    coeffs: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        if not self.coeffs:
+    def __init__(self, coeffs: tuple[Fraction, ...]) -> None:
+        if not coeffs:
             raise ValueError("a series needs at least its constant term")
+        _set_field(self, "coeffs", coeffs)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.coeffs,) == (other.coeffs,)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.coeffs,))
 
     @classmethod
     def of(cls, *coeffs) -> TruncatedSeries:
@@ -163,17 +168,23 @@ def _lagrange(h: TruncatedSeries, n: int) -> TruncatedSeries:
     return TruncatedSeries(tuple(g))
 
 
-@dataclass(frozen=True, repr=False)
-class MomentSequence:
+class MomentSequence(Frozen):
     """Moments m_1..m_depth of a normalized variable (m_1 = 1)."""
 
-    values: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        if not self.values:
+    def __init__(self, values: tuple[Fraction, ...]) -> None:
+        if not values:
             raise ValueError("a moment sequence needs depth at least 1")
-        if self.values[0] != 1:
-            raise NormalizationError(f"first moment must be 1, got {self.values[0]}")
+        if values[0] != 1:
+            raise NormalizationError(f"first moment must be 1, got {values[0]}")
+        _set_field(self, "values", values)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.values,) == (other.values,)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.values,))
 
     @classmethod
     def of(cls, values: Iterable) -> MomentSequence:
@@ -303,6 +314,10 @@ def _nc_block_types(n: int) -> tuple[tuple[_BlockType, int], ...]:
     through `_nc_block_sum`, and the inner-outer and cumulant moment
     polynomials, through `polynomials._nc_block_poly`.
     """
+    # imported here, not at the top: the fast routes above never enumerate,
+    # and a transform request need not load `partitions` at all
+    from .partitions import enumerate_nc
+
     tally: Counter = Counter()
     for alpha in enumerate_nc(n):
         inner = alpha.inner_indices

@@ -11,7 +11,6 @@ enumeration oracles.  Everything is exact; a check either holds or fails.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import linked, partitions, polynomials, series
@@ -32,15 +31,37 @@ NCL_COUNT_PREFIX = (1, 2, 6, 22, 90, 394, 1806)
 RANDOM_SEED = 20240911
 
 
-@dataclass
 class CheckResult:
-    suite: str
-    identity: str
-    scope: str
-    checked: int
-    passed: bool
-    detail: str = ""
-    failures: list[str] = field(default_factory=list)
+    """The outcome of one check: what it covered, how many objects it
+    checked, and up to five failure messages.  Mutable while the check
+    runs, so it is not hashable."""
+
+    def __init__(self, suite: str, identity: str, scope: str, checked: int,
+                 passed: bool, detail: str = "", failures: list[str] | None = None) -> None:
+        self.suite = suite
+        self.identity = identity
+        self.scope = scope
+        self.checked = checked
+        self.passed = passed
+        self.detail = detail
+        self.failures = [] if failures is None else failures
+
+    def _fields(self) -> tuple:
+        return (self.suite, self.identity, self.scope, self.checked, self.passed,
+                self.detail, self.failures)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return (f"{type(self).__qualname__}(suite={self.suite!r}, "
+                f"identity={self.identity!r}, scope={self.scope!r}, "
+                f"checked={self.checked!r}, passed={self.passed!r}, "
+                f"detail={self.detail!r}, failures={self.failures!r})")
 
     def fail(self, message: str) -> None:
         self.passed = False

@@ -151,3 +151,45 @@ def test_long_element_quoted_bounded(element, message):
             make(2, [[1, element]])
         assert str(exc.value) == message
         assert len(str(exc.value).encode()) < 1024
+
+
+HUGE = 10**5000  # past CPython's 4300-digit limit for int -> str
+
+
+@pytest.mark.parametrize("n, raw, message", [
+    (2, [[1, HUGE]], "element <16610-bit integer> out of range 1..2"),
+    (3, [[1, -HUGE]], "element -<16610-bit integer> out of range 1..3"),
+    (HUGE, [[0]], "element 0 out of range 1..<16610-bit integer>"),
+    (HUGE, [[1]], "elements [2, 3, 4, 5, 6, 7, 8, 9, 10, 11] and "
+                  "<16610-bit integer> more not covered"),
+], ids=["element", "negative-element", "size", "coverage"])
+def test_huge_integers_bounded(n, raw, message):
+    for make, error in MAKERS:
+        with pytest.raises(error) as exc:
+            make(n, raw)
+        assert str(exc.value) == message
+
+
+def test_huge_repeated_element_bounded():
+    x = HUGE - 1
+    with pytest.raises(InvalidPartitionError) as exc:
+        make_partition(HUGE, [[1, x], [x]])
+    assert str(exc.value) == "element <16610-bit integer> repeated"
+    with pytest.raises(InvalidLinkedPartitionError) as exc:
+        make_linked(HUGE, [[1, x, x]])
+    assert str(exc.value) == ("element <16610-bit integer> repeated inside block "
+                              "{1,<16610-bit integer>}")
+    with pytest.raises(InvalidLinkedPartitionError) as exc:
+        make_linked(HUGE, [[1, x], [2, x], [3, x]])
+    assert str(exc.value) == "element <16610-bit integer> covered by 3 blocks"
+
+
+def test_integers_up_to_sixty_digits_in_full():
+    n = 10**60 - 1
+    for make, error in MAKERS:
+        with pytest.raises(error) as exc:
+            make(n, [[-n]])
+        assert str(exc.value) == f"element {-n} out of range 1..{n}"
+        with pytest.raises(error) as exc:
+            make(n, [[n + 1]])
+        assert str(exc.value) == f"element <200-bit integer> out of range 1..{n}"

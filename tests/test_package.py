@@ -1,0 +1,124 @@
+"""The package surface, and what each kind of CLI request loads.
+
+The start-up checks run real ``python -m nclab`` processes under
+``-X importtime``, which names on stderr every module a process imports,
+and subtract what a bare interpreter imports on its own.
+"""
+
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import nclab
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+EXPORTS = [
+    "BlockClassification", "CoverMap", "InvalidLinkedPartitionError",
+    "InvalidPartitionError", "LinkedPartition", "MomentSequence", "Monomial",
+    "NormalizationError", "ParseError", "Partition", "Permutation", "Polynomial",
+    "TruncatedSeries", "act", "block_cycles", "catalan", "classify_blocks",
+    "coloured_count", "count_endpoint_coarsenings", "count_endpoint_refinements",
+    "cover_map", "cumulant_poly", "cumulant_product_identity",
+    "cumulants_from_moments", "cumulants_from_moments_by_enumeration",
+    "cumulants_from_t", "cumulants_from_t_by_enumeration", "endpoint_coarsenings",
+    "endpoint_floor", "endpoint_refinements", "endpoint_refines", "enumerate_nc",
+    "enumerate_ncl", "enumerate_ncl_direct", "from_pair", "generated_partition",
+    "is_noncrossing", "make_linked", "make_partition", "make_permutation",
+    "moment_poly_cumulants", "moment_poly_inner_outer", "moment_poly_linked",
+    "moment_poly_pairs", "moment_series", "moments_from_cumulants",
+    "moments_from_cumulants_by_enumeration", "moments_from_t",
+    "moments_from_t_by_enumeration", "ncl_count", "refines", "s_transform",
+    "schroder", "t_transform", "to_pair", "unlink",
+]
+
+
+class TestSurface:
+    def test_all_and_version(self):
+        assert nclab.__all__ == EXPORTS
+        assert nclab.__version__ == "0.1.0"
+
+    def test_every_name_resolves_to_its_module(self):
+        for name in EXPORTS:
+            value = getattr(nclab, name)
+            assert value.__name__ == name
+            assert value.__module__.startswith("nclab.")
+
+    def test_star_import_binds_all(self):
+        namespace: dict = {}
+        exec("from nclab import *", namespace)
+        assert set(EXPORTS) <= set(namespace)
+        assert all(namespace[name] is getattr(nclab, name) for name in EXPORTS)
+
+    def test_dir_covers_all(self):
+        assert set(EXPORTS) <= set(dir(nclab))
+
+    def test_unknown_name(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            nclab.no_such_name  # noqa: B018
+        with pytest.raises(ImportError):
+            exec("from nclab import no_such_name", {})
+
+
+def imported(*args: str) -> set[str]:
+    """The modules a ``python -X importtime ARGS...`` process imports."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(SRC)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
+    proc = subprocess.run([sys.executable, "-X", "importtime", *args],
+                          capture_output=True, text=True, env=env)
+    assert "Traceback" not in proc.stderr, proc.stderr
+    return set(re.findall(r"^import time:\s+\d+ \|\s+\d+ \|\s*(\S+)$", proc.stderr, re.M))
+
+
+@pytest.fixture(scope="module")
+def loaded_by():
+    """Command -> the modules its process imports beyond a bare interpreter's."""
+    baseline = imported("-c", "pass")
+    return lambda *argv: imported("-m", "nclab", *argv) - baseline
+
+
+SERIES_COMMANDS = [
+    ("moments", "--t", "1,1/2,3", "--n", "8"),
+    ("moments", "--cumulants", "1,2,-1/3", "--n", "6", "--json"),
+    ("transform", "--moments", "1,2,5,14", "--to", "t"),
+    ("transform", "--moments", "1,2,5,14", "--to", "r", "--json"),
+    ("transform", "--moments", "2,5", "--to", "s"),  # normalization failure
+]
+BLOCK_COMMANDS = [
+    ("enumerate", "nc", "4"),
+    ("enumerate", "ncl", "4", "--json"),
+    ("map", "to-pair", "{1,2}{2,3}", "--details"),
+    ("map", "from-pair", "{1,3}{2}", "{1,2,3}", "--json"),
+    ("count", "ncl", "6"),
+    ("count", "below-ll", "{1,2,3}{4}"),
+    ("count", "above-ll", "{1,3}{2"),  # usage error
+    ("map", "to-pair", "{1,3}{2,4}"),  # domain error
+]
+
+
+@pytest.mark.parametrize("argv", SERIES_COMMANDS, ids=" ".join)
+def test_series_commands_load_series_only(loaded_by, argv):
+    modules = loaded_by(*argv)
+    assert "nclab.series" in modules
+    assert not modules & {"nclab.partitions", "nclab.linked", "nclab.polynomials",
+                          "nclab.verify", "dataclasses"}
+
+
+@pytest.mark.parametrize("argv", BLOCK_COMMANDS, ids=" ".join)
+def test_block_commands_load_no_series(loaded_by, argv):
+    modules = loaded_by(*argv)
+    assert "nclab.partitions" in modules
+    assert not modules & {"nclab.series", "nclab.polynomials", "nclab.verify",
+                          "dataclasses"}
+
+
+def test_bare_import_loads_no_submodule():
+    baseline = imported("-c", "pass")
+    modules = imported("-c", "import nclab") - baseline
+    assert "nclab" in modules
+    assert not {m for m in modules if m.startswith("nclab.")}
+    assert "dataclasses" not in modules

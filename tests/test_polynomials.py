@@ -170,7 +170,7 @@ class TestFourRoutes:
 class TestBlockTypeRoutes:
     def test_each_nc_k_enumerated_at_most_once(self, monkeypatch):
         calls = Counter()
-        original = nclab.series.enumerate_nc
+        original = nclab.partitions.enumerate_nc
 
         def counting(n):
             calls[n] += 1
@@ -178,7 +178,7 @@ class TestBlockTypeRoutes:
 
         nclab.series._nc_block_types.cache_clear()
         cumulant_poly.cache_clear()
-        monkeypatch.setattr(nclab.series, "enumerate_nc", counting)
+        monkeypatch.setattr(nclab.partitions, "enumerate_nc", counting)
         monkeypatch.setattr(nclab.polynomials, "enumerate_nc", counting)
         for _ in range(20):
             for n in range(1, 9):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import nclab.partitions
 import nclab.series
 from nclab import (
     MomentSequence,
@@ -359,9 +360,10 @@ class TestEnumerationOracles:
         def refuse(n):
             raise AssertionError(f"enumerate_nc({n}) called by a fast route")
 
-        # an oracle call in an earlier test may have tallied NC(12) already
+        # an oracle call in an earlier test may have tallied NC(12) already;
+        # the tally imports enumerate_nc from `partitions` when it runs
         nclab.series._nc_block_types.cache_clear()
-        monkeypatch.setattr(nclab.series, "enumerate_nc", refuse)
+        monkeypatch.setattr(nclab.partitions, "enumerate_nc", refuse)
         coeffs = sparse_coeffs(random.Random(59), 12)
         m = moments_from_t(coeffs, 12)
         moments_from_cumulants(coeffs, 12)
@@ -436,7 +438,7 @@ class TestBlockTypeTally:
             return enumerate_nc(n)
 
         nclab.series._nc_block_types.cache_clear()
-        monkeypatch.setattr(nclab.series, "enumerate_nc", counting)
+        monkeypatch.setattr(nclab.partitions, "enumerate_nc", counting)
         rng = random.Random(79)
         for _ in range(50):
             coeffs = sparse_coeffs(rng, 8)

@@ -16,3 +16,20 @@ def test_no_assert_statements():
     ]
     assert sorted(SRC.glob("*.py")), f"no modules under {SRC}"
     assert found == []
+
+
+def test_no_dataclasses_import():
+    # dataclasses loads inspect, ast and dis on import, which slows the
+    # start-up of every CLI request
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "dataclasses" for name in names):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
