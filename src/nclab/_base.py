@@ -1,9 +1,12 @@
 """Pieces shared by modules that must not load one another: the bound on
 integers read from text, the bounded quoting of rejected input for
-diagnostics, and the base of the immutable value classes.  It imports
-nothing, so any module can use it without slowing its own import."""
+diagnostics, and the bases of the record classes.  It imports only
+`operator`, which `re` has already loaded at start-up, so any module can
+use it without slowing its own import."""
 
 from __future__ import annotations
+
+from operator import attrgetter
 
 # Integers read from text are bounded by their digit count before any
 # conversion: 4300 is CPython's default limit for int <-> str conversion.
@@ -14,16 +17,24 @@ _MAX_QUOTED = 60
 _INT_BOUND = 10**_MAX_QUOTED
 
 
-def _quoted(value: object) -> str:
-    """``repr(value)`` for a diagnostic; a string longer than _MAX_QUOTED
-    characters is quoted by its first _MAX_QUOTED and its length, and a
-    longer repr of any other value is cut the same way, so the message
-    does not grow with the rejected input."""
-    text = value if isinstance(value, str) else repr(value)
+def _clipped(value: object) -> str:
+    """``str(value)`` for a diagnostic: whole up to _MAX_QUOTED characters,
+    else its first _MAX_QUOTED and its length, so the message does not grow
+    with the input."""
+    text = str(value)
     if len(text) <= _MAX_QUOTED:
+        return text
+    return f"{text[:_MAX_QUOTED]}... ({len(text)} characters)"
+
+
+def _quoted(value: object) -> str:
+    """``repr(value)`` for a diagnostic, cut as `_clipped` cuts text; a
+    string is cut before it is quoted, so what shows is still quoted."""
+    if not isinstance(value, str):
+        return _clipped(repr(value))
+    if len(value) <= _MAX_QUOTED:
         return repr(value)
-    head = repr(text[:_MAX_QUOTED]) if isinstance(value, str) else text[:_MAX_QUOTED]
-    return f"{head}... ({len(text)} characters)"
+    return f"{value[:_MAX_QUOTED]!r}... ({len(value)} characters)"
 
 
 def _int_text(x: int) -> str:
@@ -42,12 +53,37 @@ def _int_text(x: int) -> str:
 _set_field = object.__setattr__
 
 
-class Frozen:
+class Record:
+    """Base of the record classes, which name their fields in ``_fields``.
+    Records are equal when they have the same exact class and equal fields,
+    so never a tuple or an instance of a subclass; the default repr is
+    ``Name(field=value, ...)``.  Mutable and unhashable unless `Frozen`."""
+
+    _fields: tuple[str, ...]
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        if "_fields" in cls.__dict__:  # one getter per class; a tuple for several fields
+            cls._field_values = attrgetter(*cls._fields)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._field_values(self) == self._field_values(other)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class Frozen(Record):
     """Base of the immutable value classes: assigning or deleting an
-    attribute raises AttributeError.  Subclasses set their fields in
-    ``__init__`` with `_set_field` and define ``__eq__`` (same class,
-    equal fields) and ``__hash__`` over the tuple of their fields;
+    attribute raises AttributeError, and equal values hash equal.
+    Subclasses set their fields in ``__init__`` with `_set_field`;
     `functools.cached_property` still works, as it writes ``__dict__``."""
+
+    def __hash__(self) -> int:
+        return hash(self._field_values(self))
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")

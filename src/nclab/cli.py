@@ -18,10 +18,10 @@ a request is mostly interpreter start-up and import, so ``moments --t``,
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import re
 import sys
+from functools import cache
 
 from ._base import MAX_DIGITS, _quoted
 
@@ -60,13 +60,18 @@ def _parse_rational_list(text: str) -> list[Fraction]:
     return [_parse_rational(part) for part in text.split(",")]
 
 
-# one encoder for every JSON line; what it encodes is built here and holds
-# no cycles, so the circular-reference check is skipped
-_JSON = json.JSONEncoder(separators=(",", ":"), check_circular=False)
+@cache
+def _json_encoder():
+    """The ``encode`` of one encoder for every JSON line, built on first
+    use: only ``--json`` output loads `json`.  What it encodes is built
+    here and holds no cycles, so the circular-reference check is skipped."""
+    import json
+
+    return json.JSONEncoder(separators=(",", ":"), check_circular=False).encode
 
 
 def _emit_json(obj) -> None:
-    print(_JSON.encode(obj))
+    print(_json_encoder()(obj))
 
 
 def _resolve_limit(flag_value: int | None) -> int:
@@ -194,14 +199,15 @@ def _cmd_enumerate(args, limit: int) -> int:
     # whole output would hold all of it in memory
     count = 0
     chunk: list[str] = []
+    encode = _json_encoder() if args.json else None
     for obj in gen:
-        chunk.append(_JSON.encode(obj.to_json_dict()) if args.json else obj.to_text())
+        chunk.append(encode(obj.to_json_dict()) if args.json else obj.to_text())
         if len(chunk) == _CHUNK_LINES:
             count += len(chunk)
             sys.stdout.write("\n".join(chunk) + "\n")
             chunk.clear()
     count += len(chunk)
-    chunk.append(_JSON.encode({"count": count}) if args.json else f"count={count}")
+    chunk.append(encode({"count": count}) if args.json else f"count={count}")
     sys.stdout.write("\n".join(chunk) + "\n")
     return EXIT_OK
 

@@ -25,7 +25,7 @@ from functools import cached_property
 from itertools import combinations
 from typing import Callable, Iterable, Iterator
 
-from ._base import Frozen, _int_text, _set_field
+from ._base import Frozen, _clipped, _int_text, _set_field
 from .partitions import (
     BlockFamily,
     Partition,
@@ -158,22 +158,12 @@ class CoverMap(Frozen):
     ``ground[i]``; the list has length 1 or 2.
     """
 
+    _fields = ("ground", "incidence")
+
     def __init__(self, ground: tuple[int, ...],
                  incidence: tuple[tuple[int, ...], ...]) -> None:
         _set_field(self, "ground", ground)
         _set_field(self, "incidence", incidence)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return (self.ground, self.incidence) == (other.ground, other.incidence)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.ground, self.incidence))
-
-    def __repr__(self) -> str:
-        return (f"{type(self).__qualname__}(ground={self.ground!r}, "
-                f"incidence={self.incidence!r})")
 
     @cached_property
     def _pos(self) -> dict[int, int]:
@@ -235,7 +225,7 @@ def generated_partition(p: LinkedPartition) -> Partition:
     result = Partition(p.ground, tuple(out))
     # a theorem for valid input; an unchecked constructor call can break it
     if not result._noncrossing:
-        raise InvalidLinkedPartitionError(f"generated partition of {p} is crossing")
+        raise InvalidLinkedPartitionError(f"generated partition of {_clipped(p)} is crossing")
     return result
 
 
@@ -281,13 +271,14 @@ def from_pair(a: Partition, b: Partition) -> LinkedPartition:
                     raise ValueError(
                         f"block {_fmt_block(w)}: min/max not together in alpha"
                     )
-        raise ValueError(f"{a} does not endpoint-refine {b}")
+        raise ValueError(f"{_clipped(a)} does not endpoint-refine {_clipped(b)}")
 
     result = _link(a, b.blocks, block_cycles(b).image, b._block_of)
     try:
         make_linked(result.n, result.blocks)
     except InvalidLinkedPartitionError as exc:  # pragma: no cover - defect guard
-        raise AssertionError(f"from_pair({a}, {b}) built an invalid object: {exc}") from exc
+        raise AssertionError(
+            f"from_pair({_clipped(a)}, {_clipped(b)}) built an invalid object: {exc}") from exc
     return result
 
 

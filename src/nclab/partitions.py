@@ -24,7 +24,7 @@ from functools import cached_property, lru_cache
 from itertools import product
 from typing import Collection, Iterable, Iterator, TypeVar
 
-from ._base import MAX_DIGITS, Frozen, _int_text, _quoted, _set_field
+from ._base import MAX_DIGITS, Frozen, _clipped, _int_text, _quoted, _set_field
 
 
 class InvalidPartitionError(ValueError):
@@ -41,8 +41,8 @@ _DIGITS_RE = re.compile(r"\d+")
 
 def _fmt_block(block: Iterable[int]) -> str:
     """A block as text for a diagnostic, its elements as `_int_text`
-    gives them."""
-    return "{" + ",".join(map(_int_text, block)) + "}"
+    gives them, cut by `_clipped`."""
+    return _clipped("{" + ",".join(map(_int_text, block)) + "}")
 
 
 # The text form of one block; one cache entry per distinct block: at most
@@ -94,17 +94,11 @@ class BlockFamily(Frozen):
     the same blocks.
     """
 
+    _fields = ("ground", "blocks")
+
     def __init__(self, ground: tuple[int, ...], blocks: tuple[tuple[int, ...], ...]) -> None:
         _set_field(self, "ground", ground)
         _set_field(self, "blocks", blocks)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return (self.ground, self.blocks) == (other.ground, other.blocks)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.ground, self.blocks))
 
     @property
     def n(self) -> int:
@@ -167,10 +161,6 @@ class Partition(BlockFamily):
     `make_partition`, `from_text`, `from_json_dict` or the enumerators
     rather than calling the constructor with untrusted data.
     """
-
-    @property
-    def block_sizes(self) -> tuple[int, ...]:
-        return tuple(len(b) for b in self.blocks)
 
     @cached_property
     def _block_of(self) -> dict[int, int]:
@@ -344,7 +334,7 @@ def is_noncrossing(p: Partition) -> bool:
 
 def _require_noncrossing(p: Partition, role: str) -> None:
     if not p._noncrossing:
-        raise ValueError(f"{role} partition {p} is crossing")
+        raise ValueError(f"{role} partition {_clipped(p)} is crossing")
 
 
 def _require_same_ground(a: Partition, b: Partition) -> None:
@@ -392,31 +382,20 @@ class BlockClassification(Frozen):
     per coarse block.
     """
 
+    _fields = ("special", "inner", "outer")
+
     def __init__(self, special: frozenset[int], inner: frozenset[int],
                  outer: frozenset[int]) -> None:
         _set_field(self, "special", special)
         _set_field(self, "inner", inner)
         _set_field(self, "outer", outer)
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return ((self.special, self.inner, self.outer)
-                    == (other.special, other.inner, other.outer))
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.special, self.inner, self.outer))
-
-    def __repr__(self) -> str:
-        return (f"{type(self).__qualname__}(special={self.special!r}, "
-                f"inner={self.inner!r}, outer={self.outer!r})")
-
 
 def classify_blocks(a: Partition, b: Partition) -> BlockClassification:
     """Classify the blocks of ``a`` relative to ``b``; requires
     ``endpoint_refines(a, b)``."""
     if not endpoint_refines(a, b):
-        raise ValueError(f"{a} does not endpoint-refine {b}")
+        raise ValueError(f"{_clipped(a)} does not endpoint-refine {_clipped(b)}")
     ao = a._block_of
     special = frozenset(ao[w[0]] for w in b.blocks)
     return BlockClassification(special, a.inner_indices, a.outer_indices)
@@ -589,16 +568,10 @@ def count_endpoint_coarsenings(a: Partition) -> int:
 class Permutation(Frozen):
     """A permutation of {1..n}, stored as its image sequence."""
 
+    _fields = ("image",)
+
     def __init__(self, image: tuple[int, ...]) -> None:
         _set_field(self, "image", image)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return (self.image,) == (other.image,)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.image,))
 
     @property
     def n(self) -> int:

@@ -33,16 +33,10 @@ class Monomial(Frozen):
     exponents positive.
     """
 
+    _fields = ("exps",)
+
     def __init__(self, exps: tuple[tuple[int, int], ...]) -> None:
         _set_field(self, "exps", exps)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return (self.exps,) == (other.exps,)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.exps,))
 
     @classmethod
     def of(cls, mapping: Mapping[int, int]) -> Monomial:
@@ -54,10 +48,6 @@ class Monomial(Frozen):
                 raise ValueError(f"bad variable power t{i}^{e}")
             items.append((i, e))
         return cls(tuple(items))
-
-    @property
-    def degree(self) -> int:
-        return sum(e for _, e in self.exps)
 
     @property
     def weight(self) -> int:
@@ -99,16 +89,10 @@ def _mono_from_sizes(indices: Iterable[int]) -> Monomial:
 class Polynomial(Frozen):
     """Integer-coefficient polynomial in t1, t2, ...; terms canonical."""
 
+    _fields = ("terms",)
+
     def __init__(self, terms: tuple[tuple[Monomial, int], ...]) -> None:
         _set_field(self, "terms", terms)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return (self.terms,) == (other.terms,)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.terms,))
 
     @classmethod
     def _from_dict(cls, d: Mapping[Monomial, int]) -> Polynomial:

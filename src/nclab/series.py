@@ -38,25 +38,15 @@ def _frac(x) -> Fraction:
 class TruncatedSeries(Frozen):
     """A power series known exactly up to z**order."""
 
+    _fields = ("coeffs",)
+
     def __init__(self, coeffs: tuple[Fraction, ...]) -> None:
         if not coeffs:
             raise ValueError("a series needs at least its constant term")
         _set_field(self, "coeffs", coeffs)
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return (self.coeffs,) == (other.coeffs,)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.coeffs,))
-
     @classmethod
     def of(cls, *coeffs) -> TruncatedSeries:
-        return cls(tuple(_frac(c) for c in coeffs))
-
-    @classmethod
-    def from_coeffs(cls, coeffs: Iterable) -> TruncatedSeries:
         return cls(tuple(_frac(c) for c in coeffs))
 
     @property
@@ -171,20 +161,14 @@ def _lagrange(h: TruncatedSeries, n: int) -> TruncatedSeries:
 class MomentSequence(Frozen):
     """Moments m_1..m_depth of a normalized variable (m_1 = 1)."""
 
+    _fields = ("values",)
+
     def __init__(self, values: tuple[Fraction, ...]) -> None:
         if not values:
             raise ValueError("a moment sequence needs depth at least 1")
         if values[0] != 1:
             raise NormalizationError(f"first moment must be 1, got {values[0]}")
         _set_field(self, "values", values)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return (self.values,) == (other.values,)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.values,))
 
     @classmethod
     def of(cls, values: Iterable) -> MomentSequence:

@@ -14,6 +14,7 @@ import random
 from fractions import Fraction
 
 from . import linked, partitions, polynomials, series
+from ._base import Record
 
 # Low-order moment polynomials in their conventional printed form; the
 # symbolic route must reproduce these strings byte for byte.
@@ -31,10 +32,12 @@ NCL_COUNT_PREFIX = (1, 2, 6, 22, 90, 394, 1806)
 RANDOM_SEED = 20240911
 
 
-class CheckResult:
+class CheckResult(Record):
     """The outcome of one check: what it covered, how many objects it
     checked, and up to five failure messages.  Mutable while the check
     runs, so it is not hashable."""
+
+    _fields = ("suite", "identity", "scope", "checked", "passed", "detail", "failures")
 
     def __init__(self, suite: str, identity: str, scope: str, checked: int,
                  passed: bool, detail: str = "", failures: list[str] | None = None) -> None:
@@ -45,23 +48,6 @@ class CheckResult:
         self.passed = passed
         self.detail = detail
         self.failures = [] if failures is None else failures
-
-    def _fields(self) -> tuple:
-        return (self.suite, self.identity, self.scope, self.checked, self.passed,
-                self.detail, self.failures)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return self._fields() == other._fields()
-        return NotImplemented
-
-    __hash__ = None
-
-    def __repr__(self) -> str:
-        return (f"{type(self).__qualname__}(suite={self.suite!r}, "
-                f"identity={self.identity!r}, scope={self.scope!r}, "
-                f"checked={self.checked!r}, passed={self.passed!r}, "
-                f"detail={self.detail!r}, failures={self.failures!r})")
 
     def fail(self, message: str) -> None:
         self.passed = False

@@ -17,6 +17,9 @@ from nclab import (
     ParseError,
     Partition,
     Permutation,
+    classify_blocks,
+    endpoint_refines,
+    from_pair,
     make_linked,
     make_partition,
 )
@@ -193,3 +196,40 @@ def test_integers_up_to_sixty_digits_in_full():
         with pytest.raises(error) as exc:
             make(n, [[n + 1]])
         assert str(exc.value) == f"element <200-bit integer> out of range 1..{n}"
+
+
+N_LONG = 3000  # a block of {1..3000} is 13894 characters of text
+LONG = make_partition(N_LONG, [list(range(1, N_LONG + 1))])
+LONG_HEAD = "{" + ",".join(map(str, range(1, 24))) + "... (13894 characters)"
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: make_linked(N_LONG, [list(range(1, N_LONG + 1)), [1, 2]]),
+     InvalidLinkedPartitionError, f"blocks {LONG_HEAD} and {{1,2}} share 2 elements"),
+    (lambda: LONG.restrict(range(1, N_LONG)),
+     ValueError, f"block {LONG_HEAD} is not contained in the restriction set"),
+    (lambda: from_pair(LONG, Partition.discrete(N_LONG)),
+     ValueError, f"{LONG_HEAD} does not endpoint-refine {{1}}{{2}}{{3}}{{4}}{{5}}{{6}}"
+                 "{7}{8}{9}{10}{11}{12}{13}{14}{15}{16}{17}{... (16893 characters)"),
+    (lambda: classify_blocks(Partition.discrete(N_LONG), LONG),
+     ValueError, "{1}{2}{3}{4}{5}{6}{7}{8}{9}{10}{11}{12}{13}{14}{15}{16}{17}{... "
+                 f"(16893 characters) does not endpoint-refine {LONG_HEAD}"),
+    (lambda: endpoint_refines(make_partition(N_LONG, [range(1, N_LONG, 2),
+                                                      range(2, N_LONG + 1, 2)]), LONG),
+     ValueError, "left partition {1,3,5,7,9,11,13,15,17,19,21,23,25,27,29,31,33,35,37,39,41,4"
+                 "... (13895 characters) is crossing"),
+], ids=["make_linked", "restrict", "from_pair", "classify_blocks", "crossing"])
+def test_long_blocks_quoted_bounded(build, error, message):
+    with pytest.raises(error) as exc:
+        build()
+    assert str(exc.value) == message
+    assert len(str(exc.value).encode()) < 1024
+
+
+def test_short_block_quotes_unchanged():
+    with pytest.raises(InvalidLinkedPartitionError) as exc:
+        make_linked(4, [[1, 2, 3], [2, 3, 4]])
+    assert str(exc.value) == "blocks {1,2,3} and {2,3,4} share 2 elements"
+    with pytest.raises(ValueError) as exc:
+        make_partition(3, [[1, 2], [3]]).restrict([1, 3])
+    assert str(exc.value) == "block {1,2} is not contained in the restriction set"

@@ -106,6 +106,7 @@ def test_series_commands_load_series_only(loaded_by, argv):
     assert "nclab.series" in modules
     assert not modules & {"nclab.partitions", "nclab.linked", "nclab.polynomials",
                           "nclab.verify", "dataclasses"}
+    assert ("json" in modules) == ("--json" in argv)
 
 
 @pytest.mark.parametrize("argv", BLOCK_COMMANDS, ids=" ".join)
@@ -114,6 +115,7 @@ def test_block_commands_load_no_series(loaded_by, argv):
     assert "nclab.partitions" in modules
     assert not modules & {"nclab.series", "nclab.polynomials", "nclab.verify",
                           "dataclasses"}
+    assert ("json" in modules) == ("--json" in argv)
 
 
 def test_bare_import_loads_no_submodule():

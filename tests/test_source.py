@@ -33,3 +33,26 @@ def test_no_dataclasses_import():
             if any(name.split(".")[0] == "dataclasses" for name in names):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def test_value_semantics_only_in_the_record_bases():
+    # equality and hashing come from `_base.Record` and `_base.Frozen`, read
+    # from each class's `_fields`; a class of its own would bypass that list
+    allowed = {("_base.py", "Record"), ("_base.py", "Frozen")}
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(node, ast.ClassDef) or (path.name, node.name) in allowed:
+                continue
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    names = [item.name]
+                elif isinstance(item, ast.Assign):
+                    names = [t.id for t in item.targets if isinstance(t, ast.Name)]
+                elif isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                    names = [item.target.id]
+                else:
+                    continue
+                found += [f"{path.name}:{node.name}.{name}" for name in names
+                          if name in ("__eq__", "__hash__")]
+    assert found == []

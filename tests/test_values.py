@@ -66,6 +66,11 @@ IDS = [cls.__name__ for cls, *_ in FROZEN]
 
 @pytest.mark.parametrize("cls, fields, make, make_other", FROZEN, ids=IDS)
 class TestFrozen:
+    def test_fields_are_the_declared_ones(self, cls, fields, make, make_other):
+        # equality and hashing read only `_fields`: a field left out of it
+        # would make values that differ in that field equal
+        assert cls._fields == fields
+
     def test_equal_values_equal_hashes(self, cls, fields, make, make_other):
         a, b = make(), make()
         assert a is not b
@@ -144,6 +149,10 @@ def test_custom_reprs():
 
 
 class TestCheckResult:
+    def test_fields_are_the_declared_ones(self):
+        assert CheckResult._fields == ("suite", "identity", "scope", "checked", "passed",
+                                       "detail", "failures")
+
     def test_mutable_and_unhashable(self):
         r = CheckResult("moments", "four-routes", "n<=3", 0, True)
         r.checked += 3
