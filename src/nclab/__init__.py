@@ -70,6 +70,7 @@ _EXPORTS = {
         "Polynomial",
         "cumulant_poly",
         "cumulant_product_identity",
+        "moment_poly",
         "moment_poly_cumulants",
         "moment_poly_inner_outer",
         "moment_poly_linked",

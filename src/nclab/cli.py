@@ -12,7 +12,8 @@ environment variable.
 Each command loads only the library modules it uses, inside its handler:
 a request is mostly interpreter start-up and import, so ``moments --t``,
 ``moments --cumulants`` and ``transform`` load `series` alone, and
-``enumerate``, ``map`` and ``count`` load `partitions` and `linked`.
+``enumerate``, ``map`` and ``count`` load `partitions` and `linked`, and
+``moments --symbolic`` loads `polynomials` alone.
 """
 
 from __future__ import annotations
@@ -283,9 +284,9 @@ def _cmd_moments(args, limit: int) -> int:
         if sources or args.n_max is not None:
             raise UsageError("--symbolic excludes --t/--cumulants/--n")
         _check_size(args.symbolic, limit)
-        from .polynomials import moment_poly_inner_outer
+        from .polynomials import moment_poly
 
-        poly = moment_poly_inner_outer(args.symbolic)
+        poly = moment_poly(args.symbolic)
         if args.json:
             _emit_json(poly.to_json_dict())
         else:

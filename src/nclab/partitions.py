@@ -122,7 +122,7 @@ class BlockFamily(Frozen):
         gset = set(self.ground)
         for x in e:
             if x not in gset:
-                raise ValueError(f"element {x} is not in the ground set")
+                raise ValueError(f"element {_int_text(x)} is not in the ground set")
         eset = set(e)
         kept = []
         for blk in self.blocks:
@@ -175,7 +175,8 @@ class Partition(BlockFamily):
         try:
             return self.blocks[self._block_of[element]]
         except KeyError:
-            raise ValueError(f"element {element} is not in the ground set") from None
+            raise ValueError(
+                f"element {_int_text(element)} is not in the ground set") from None
 
     @cached_property
     def _noncrossing(self) -> bool:
@@ -641,7 +642,7 @@ class Permutation(Frozen):
 def make_permutation(n: int, image: Iterable[int]) -> Permutation:
     img = tuple(image)
     if len(img) != n or sorted(img) != list(range(1, n + 1)):
-        raise ValueError(f"image {list(img)} is not a bijection of 1..{n}")
+        raise ValueError(f"image {_clipped(list(img))} is not a bijection of 1..{n}")
     return Permutation(img)
 
 

@@ -7,23 +7,30 @@ conventional way these moment polynomials are written, e.g.
 
     t3 + 3*t2*t1 + t1^3 + 4*t2 + 6*t1^2 + 6*t1 + 1
 
-The same moment polynomial is computed by four routes that must agree.
-The sums over linked partitions and over endpoint-refinement pairs are
-separate enumerations; the inner-outer and cumulant routes are sums over
-NC(n) by block type, on the tally the transform oracles in `series` use.
+The moment polynomial that ``moments --symbolic`` prints is the closed
+form `moment_poly`, by Lagrange inversion: one term per integer partition
+of each k < n.  Four enumerative routes compute the same polynomial and
+serve as its oracles.  The sums over linked partitions and over
+endpoint-refinement pairs are separate enumerations; the inner-outer and
+cumulant routes are sums over NC(n) by block type, on the tally the
+transform oracles in `series` use.  The enumerators are imported inside
+the routes that use them, so the closed form loads no other module of
+the package.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterable, Mapping, Sequence
+from math import comb, factorial
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Sequence
 
 from ._base import Frozen, _set_field
-from .linked import enumerate_ncl
-from .partitions import Partition, endpoint_refinements, enumerate_nc, is_noncrossing
-from .series import _frac, _nc_block_types
+
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+    from .partitions import Partition
 
 
 class Monomial(Frozen):
@@ -139,10 +146,12 @@ class Polynomial(Frozen):
 
     def evaluate(self, t: Sequence) -> Fraction:
         """Substitute t[i] for ti (t[0] is unused; indices must exist)."""
+        from .series import _frac
+
         ts = [_frac(x) for x in t]
-        total = Fraction(0)
+        total = _frac(0)
         for mono, c in self.terms:
-            v = Fraction(c)
+            v = _frac(c)
             for i, e in mono.exps:
                 if i >= len(ts):
                     raise ValueError(f"missing value for t{i}")
@@ -218,6 +227,8 @@ def _nc_block_poly(n: int, weight: Callable[[int, bool], Polynomial]) -> Polynom
     """Sum over the non-crossing partitions of {1..n} of the product of
     weight(|V|, V is inner) over their blocks V, taken type by type from
     `series._nc_block_types` and sorted once."""
+    from .series import _nc_block_types
+
     types = _nc_block_types(n)
     keys = {(size, inner) for blocks, _ in types for size, inner, _ in blocks}
     weights = {key: weight(*key).terms for key in keys}
@@ -231,11 +242,53 @@ def _nc_block_poly(n: int, weight: Callable[[int, bool], Polynomial]) -> Polynom
     return Polynomial._from_dict(total)
 
 
+def _integer_partitions(k: int, smallest: int = 1) -> Iterator[tuple[tuple[int, int], ...]]:
+    """The partitions of k into parts of at least ``smallest``, each as
+    (part, multiplicity) pairs with the parts ascending."""
+    if k == 0:
+        yield ()
+        return
+    for part in range(smallest, k + 1):
+        for mult in range(1, k // part + 1):
+            for rest in _integer_partitions(k - part * mult, part + 1):
+                yield ((part, mult), *rest)
+
+
+def _exact_quotient(num: int, den: int) -> int:
+    q, r = divmod(num, den)
+    if r:
+        raise ArithmeticError(f"{num} is not divisible by {den}")
+    return q
+
+
+def moment_poly(n: int) -> Polynomial:
+    """Moment polynomial in closed form.  Lagrange inversion of
+    M^{<-1>}(z) = z / ((1 + z) T(z)), with T = 1 + t1 z + t2 z^2 + ...,
+    gives m_n = (1/n) [w^(n-1)] (1 + w)^n T(w)^n.  By the binomial and
+    multinomial theorems, the monomial prod t_i^(e_i) of weight k <= n - 1
+    and degree d has coefficient C(n, n-1-k) n! / ((n-d)! prod e_i!) / n."""
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    fact = [factorial(i) for i in range(n + 1)]
+    terms = {}
+    for k in range(n):
+        binom = comb(n, n - 1 - k)
+        for exps in _integer_partitions(k):
+            den = fact[n - sum(e for _, e in exps)]
+            for _, e in exps:
+                den *= fact[e]
+            multinomial = _exact_quotient(fact[n], den)
+            terms[Monomial(exps)] = _exact_quotient(binom * multinomial, n)
+    return Polynomial._from_dict(terms)
+
+
 def moment_poly_linked(n: int) -> Polynomial:
     """Moment polynomial as the sum over non-crossing linked partitions of
     the products t_{|A|-1} over blocks A."""
     if n < 1:
         raise ValueError("n must be at least 1")
+    from .linked import enumerate_ncl
+
     return _tally(
         _mono_from_sizes(len(a) - 1 for a in p.blocks) for p in enumerate_ncl(n)
     )
@@ -246,6 +299,8 @@ def moment_poly_pairs(n: int) -> Polynomial:
     t_{|U|-1} over special blocks U times t_{|V|} over the rest."""
     if n < 1:
         raise ValueError("n must be at least 1")
+    from .partitions import endpoint_refinements, enumerate_nc
+
     return _tally(
         _pair_monomial(a, b) for b in enumerate_nc(n) for a in endpoint_refinements(b)
     )
@@ -285,6 +340,8 @@ def cumulant_product_identity(b: Partition) -> bool:
     """Check, for one non-crossing partition, that the product of its
     per-block cumulant polynomials equals the classified sum over its
     endpoint refinements."""
+    from .partitions import endpoint_refinements, is_noncrossing
+
     if not is_noncrossing(b):
         raise ValueError(f"{b} is crossing")
     lhs = Polynomial.one()

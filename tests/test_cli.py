@@ -294,6 +294,8 @@ class TestSymbolicDigests:
         (9, True, "61639f7622cf1fe40e8d4ff8fa2c6d8c87d1f8e06356f1132874cea2ae6fea95"),
         (10, False, "98266dd10e712c3d92dad2d3fa9d5030a5e76acdb7b3f05b70fb598dd0f80b2b"),
         (10, True, "9271c6ba209565ba463228f6abf177159b20f7f47aba9cd921064315ec23bf65"),
+        (11, False, "7e1db8e0bb38c87edd80ed90983f625b42cf404cd0f79114d75ac04476044d21"),
+        (11, True, "41e956704528aaeb5d0d29d1003b929128041c789d935c8f257cdc503a10883e"),
     ])
     def test_stdout_digest(self, capsys, n, as_json, digest):
         argv = ("moments", "--symbolic", str(n)) + (("--json",) if as_json else ())

@@ -22,6 +22,7 @@ from nclab import (
     from_pair,
     make_linked,
     make_partition,
+    make_permutation,
 )
 from nclab.partitions import parse_blocks_text
 from helpers import nc, ncl_direct
@@ -187,6 +188,16 @@ def test_huge_repeated_element_bounded():
     assert str(exc.value) == "element <16610-bit integer> covered by 3 blocks"
 
 
+@pytest.mark.parametrize("lookup", [
+    lambda p: p.restrict([HUGE]),
+    lambda p: p.block_of(HUGE),
+], ids=["restrict", "block_of"])
+def test_huge_element_lookup_bounded(lookup):
+    with pytest.raises(ValueError) as exc:
+        lookup(make_partition(2, [[1, 2]]))
+    assert str(exc.value) == "element <16610-bit integer> is not in the ground set"
+
+
 def test_integers_up_to_sixty_digits_in_full():
     n = 10**60 - 1
     for make, error in MAKERS:
@@ -233,3 +244,23 @@ def test_short_block_quotes_unchanged():
     with pytest.raises(ValueError) as exc:
         make_partition(3, [[1, 2], [3]]).restrict([1, 3])
     assert str(exc.value) == "block {1,2} is not contained in the restriction set"
+
+
+LONG_IMAGE = "[" + ", ".join(["1"] * 20) + ",... (9000 characters)"
+
+
+@pytest.mark.parametrize("build", [
+    lambda: make_permutation(N_LONG, [1] * N_LONG),
+    lambda: Permutation.from_json_dict({"n": N_LONG, "image": [1] * N_LONG}),
+], ids=["make_permutation", "from_json_dict"])
+def test_long_image_quoted_bounded(build):
+    with pytest.raises(ValueError) as exc:
+        build()
+    assert str(exc.value) == f"image {LONG_IMAGE} is not a bijection of 1..3000"
+    assert len(str(exc.value).encode()) < 1024
+
+
+def test_short_image_quote_unchanged():
+    with pytest.raises(ValueError) as exc:
+        make_permutation(3, [1, 1, 2])
+    assert str(exc.value) == "image [1, 1, 2] is not a bijection of 1..3"

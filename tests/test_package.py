@@ -29,7 +29,7 @@ EXPORTS = [
     "endpoint_floor", "endpoint_refinements", "endpoint_refines", "enumerate_nc",
     "enumerate_ncl", "enumerate_ncl_direct", "from_pair", "generated_partition",
     "is_noncrossing", "make_linked", "make_partition", "make_permutation",
-    "moment_poly_cumulants", "moment_poly_inner_outer", "moment_poly_linked",
+    "moment_poly", "moment_poly_cumulants", "moment_poly_inner_outer", "moment_poly_linked",
     "moment_poly_pairs", "moment_series", "moments_from_cumulants",
     "moments_from_cumulants_by_enumeration", "moments_from_t",
     "moments_from_t_by_enumeration", "ncl_count", "refines", "s_transform",
@@ -115,6 +115,33 @@ def test_block_commands_load_no_series(loaded_by, argv):
     assert "nclab.partitions" in modules
     assert not modules & {"nclab.series", "nclab.polynomials", "nclab.verify",
                           "dataclasses"}
+    assert ("json" in modules) == ("--json" in argv)
+
+
+SYMBOLIC_COMMANDS = [
+    ("moments", "--symbolic", "6"),
+    ("moments", "--symbolic", "9", "--json"),
+]
+VERIFY_COMMANDS = [
+    ("verify", "bijection", "3"),
+    ("verify", "counts", "3", "--json"),
+]
+
+
+@pytest.mark.parametrize("argv", SYMBOLIC_COMMANDS, ids=" ".join)
+def test_symbolic_commands_load_no_enumerator(loaded_by, argv):
+    modules = loaded_by(*argv)
+    assert "nclab.polynomials" in modules
+    assert not modules & {"nclab.partitions", "nclab.linked", "nclab.series",
+                          "nclab.verify"}
+    assert ("json" in modules) == ("--json" in argv)
+
+
+@pytest.mark.parametrize("argv", VERIFY_COMMANDS, ids=" ".join)
+def test_verify_suites_load_what_they_use(loaded_by, argv):
+    modules = loaded_by(*argv)
+    assert {"nclab.verify", "nclab.partitions", "nclab.linked"} <= modules
+    assert not modules & {"nclab.series", "nclab.polynomials"}
     assert ("json" in modules) == ("--json" in argv)
 
 

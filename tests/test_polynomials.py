@@ -1,6 +1,7 @@
 import random
 from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
@@ -16,6 +17,7 @@ from nclab import (
     cumulant_product_identity,
     enumerate_ncl_direct,
     make_partition,
+    moment_poly,
     moment_poly_cumulants,
     moment_poly_inner_outer,
     moment_poly_linked,
@@ -23,7 +25,8 @@ from nclab import (
     moments_from_t,
     to_pair,
 )
-from nclab.polynomials import _mono_from_sizes
+from nclab.polynomials import _exact_quotient, _mono_from_sizes
+from nclab.verify import verify_moments
 from helpers import nc
 
 T1 = Polynomial.variable(1)
@@ -167,6 +170,54 @@ class TestFourRoutes:
             )
 
 
+@lru_cache(maxsize=None)
+def partition_count(k: int, largest: int) -> int:
+    """The number of partitions of k into parts of at most ``largest``."""
+    if k == 0:
+        return 1
+    return sum(partition_count(k - part, part) for part in range(1, min(k, largest) + 1))
+
+
+class TestClosedForm:
+    def test_low_order_text(self):
+        for n, text in LOW_ORDER.items():
+            assert moment_poly(n).to_text() == text
+
+    def test_equals_inner_outer_to_n9(self):
+        for n in range(1, 10):
+            assert moment_poly(n) == moment_poly_inner_outer(n)
+
+    def test_equals_four_routes_through_verify(self):
+        four = [r for r in verify_moments(8) if r.identity == "four-routes"]
+        assert [(r.checked, r.passed) for r in four] == [(8, True)]
+
+    def test_verify_catches_a_wrong_closed_form(self, monkeypatch):
+        right = nclab.polynomials.moment_poly
+        monkeypatch.setattr(nclab.polynomials, "moment_poly",
+                            lambda n: right(n) + ONE if n == 5 else right(n))
+        four = [r for r in verify_moments(5) if r.identity == "four-routes"]
+        assert [(r.passed, r.failures) for r in four] == [(False, ["n=5: routes disagree"])]
+
+    def test_term_count_n20(self):
+        expected = sum(partition_count(k, k) for k in range(20))
+        assert expected == 2087
+        assert len(moment_poly(20).terms) == expected
+
+    def test_n_below_one(self):
+        for n in (0, -1):
+            with pytest.raises(ValueError, match="n must be at least 1"):
+                moment_poly(n)
+
+    def test_positive_integer_coefficients(self):
+        for n in range(1, 16):
+            assert all(type(c) is int and c > 0 for _, c in moment_poly(n).terms)
+
+    def test_inexact_division_raises(self):
+        assert _exact_quotient(12, 4) == 3
+        with pytest.raises(ArithmeticError, match="7 is not divisible by 2"):
+            _exact_quotient(7, 2)
+
+
 class TestBlockTypeRoutes:
     def test_each_nc_k_enumerated_at_most_once(self, monkeypatch):
         calls = Counter()
@@ -179,7 +230,6 @@ class TestBlockTypeRoutes:
         nclab.series._nc_block_types.cache_clear()
         cumulant_poly.cache_clear()
         monkeypatch.setattr(nclab.partitions, "enumerate_nc", counting)
-        monkeypatch.setattr(nclab.polynomials, "enumerate_nc", counting)
         for _ in range(20):
             for n in range(1, 9):
                 moment_poly_inner_outer(n)
