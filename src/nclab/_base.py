@@ -17,14 +17,14 @@ _MAX_QUOTED = 60
 _INT_BOUND = 10**_MAX_QUOTED
 
 
-def _clipped(value: object) -> str:
-    """``str(value)`` for a diagnostic: whole up to _MAX_QUOTED characters,
-    else its first _MAX_QUOTED and its length, so the message does not grow
+def _clipped(value: object, bound: int = _MAX_QUOTED) -> str:
+    """``str(value)`` for a diagnostic: whole up to ``bound`` characters,
+    else its first ``bound`` and its length, so the message does not grow
     with the input."""
     text = str(value)
-    if len(text) <= _MAX_QUOTED:
+    if len(text) <= bound:
         return text
-    return f"{text[:_MAX_QUOTED]}... ({len(text)} characters)"
+    return f"{text[:bound]}... ({len(text)} characters)"
 
 
 def _quoted(value: object) -> str:

@@ -24,7 +24,7 @@ import re
 import sys
 from functools import cache
 
-from ._base import MAX_DIGITS, _quoted
+from ._base import MAX_DIGITS, _clipped, _quoted
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -119,9 +119,7 @@ class _ArgumentParser(argparse.ArgumentParser):
     stderr does not grow with the input.  Subparsers use the same class."""
 
     def error(self, message: str):
-        if len(message) > _MAX_MESSAGE:
-            message = f"{message[:_MAX_MESSAGE]}... ({len(message)} characters)"
-        super().error(message)
+        super().error(_clipped(message, _MAX_MESSAGE))
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -640,9 +640,17 @@ class Permutation(Frozen):
 
 
 def make_permutation(n: int, image: Iterable[int]) -> Permutation:
+    """The permutation of {1..n} with the given image sequence.  ``bool``
+    is not an integer here, for the size or an element."""
+    if not _is_int(n):
+        raise ValueError(f"permutation size {_quoted(n)} is not an integer")
     img = tuple(image)
+    for x in img:
+        if not _is_int(x):
+            raise ValueError(f"image element {_quoted(x)} is not an integer")
     if len(img) != n or sorted(img) != list(range(1, n + 1)):
-        raise ValueError(f"image {_clipped(list(img))} is not a bijection of 1..{n}")
+        text = _clipped("[" + ", ".join(map(_int_text, img)) + "]")
+        raise ValueError(f"image {text} is not a bijection of 1..{_int_text(n)}")
     return Permutation(img)
 
 

@@ -8,6 +8,12 @@ trips, on seeded random rational data, through both the functional-equation
 routes and their enumeration oracles.  Everything is exact; a check either
 holds or fails.  Each suite imports what only it uses, so ``verify
 bijection`` and ``verify counts`` load neither `series` nor `polynomials`.
+
+These suites are the one implementation of the headline identities: ``nclab
+verify`` prints their results, and the acceptance tests run them at the
+acceptance ranges and compare each ``checked`` count with its closed form.
+`check_transform_roundtrips` takes the moment sequences it checks, so the
+acceptance tests feed it a seeded draw of their own.
 """
 
 from __future__ import annotations
@@ -123,11 +129,11 @@ def verify_counts(n_max: int) -> list[CheckResult]:
         ncn = list(partitions.enumerate_nc(n))
         for b in ncn:
             res.checked += 1
-            filtered = sum(1 for a in ncn if partitions.endpoint_refines(a, b))
-            if filtered != partitions.count_endpoint_refinements(b):
-                res.fail(f"{b}: filter={filtered}")
+            filtered = {a for a in ncn if partitions.endpoint_refines(a, b)}
+            if len(filtered) != partitions.count_endpoint_refinements(b):
+                res.fail(f"{b}: filter={len(filtered)}")
             below = list(partitions.endpoint_refinements(b))
-            if len(below) != filtered or len(set(below)) != filtered:
+            if len(below) != len(filtered) or set(below) != filtered:
                 res.fail(f"{b}: blockwise enumeration mismatch")
     out.append(res)
 
@@ -148,8 +154,45 @@ def verify_counts(n_max: int) -> list[CheckResult]:
             outer = a.outer_indices
             if any(not v >= outer for v in specials):
                 res.fail(f"{a}: a special set misses an outer block")
+            # classify_blocks raises on a pair that is not endpoint-refining,
+            # so only the pairs the filter accepted are classified
+            if any(b in filtered and partitions.classify_blocks(a, b).special != v
+                   for b, v in produced):
+                res.fail(f"{a}: a special set differs from classify_blocks")
     out.append(res)
     return out
+
+
+def check_transform_roundtrips(sequences: list) -> CheckResult:
+    """The transform calculus on the given moment sequences: S * (1/S) = 1,
+    the functional-equation routes against their enumeration oracles, and
+    the round trips through T and through the cumulants.  The scope names
+    the depths and the number of sequences, as ``depth=8 x100``."""
+    from . import series
+
+    depths = ",".join(map(str, sorted({m.depth for m in sequences})))
+    res = CheckResult("moments", "transform-roundtrips",
+                      f"depth={depths} x{len(sequences)}", 0, True)
+    for m in sequences:
+        res.checked += 1
+        depth = m.depth
+        s = series.s_transform(m)
+        t = series.t_transform(m)
+        if s * t != series.TruncatedSeries.of(1, *[0] * (depth - 1)):
+            res.fail(f"S*(1/S) != 1 for {m}")
+        if series.moments_from_t(t.coeffs, depth) != m:
+            res.fail(f"moments_from_t(t_transform) != id for {m}")
+        if series.moments_from_t_by_enumeration(t.coeffs, depth) != m:
+            res.fail(f"moments_from_t_by_enumeration(t_transform) != id for {m}")
+        kappa = series.cumulants_from_moments(m)
+        if series.cumulants_from_t(t.coeffs, depth) != kappa:
+            res.fail(f"cumulant routes disagree for {m}")
+        if (series.cumulants_from_t_by_enumeration(t.coeffs, depth) != kappa
+                or series.cumulants_from_moments_by_enumeration(m) != kappa):
+            res.fail(f"cumulant oracles disagree with the fast routes for {m}")
+        if series.moments_from_cumulants(kappa, depth) != m:
+            res.fail(f"moments_from_cumulants(cumulants_from_moments) != id for {m}")
+    return res
 
 
 def verify_moments(n_max: int) -> list[CheckResult]:
@@ -190,34 +233,13 @@ def verify_moments(n_max: int) -> list[CheckResult]:
                 res.fail(f"identity fails at {b}")
     out.append(res)
 
-    res = CheckResult("moments", "transform-roundtrips", "depth=8 x100", 0, True)
     rng = random.Random(RANDOM_SEED)
-    depth = 8
-    one = series.TruncatedSeries.of(*([1] + [0] * (depth - 1)))
-    for _ in range(100):
-        values = [Fraction(1)] + [
-            Fraction(rng.randint(-30, 30), rng.randint(1, 12))
-            for _ in range(depth - 1)
-        ]
-        m = series.MomentSequence.of(values)
-        res.checked += 1
-        s = series.s_transform(m)
-        t = series.t_transform(m)
-        if s * t != one:
-            res.fail(f"S*(1/S) != 1 for {m}")
-        if series.moments_from_t(t.coeffs, depth) != m:
-            res.fail(f"moments_from_t(t_transform) != id for {m}")
-        if series.moments_from_t_by_enumeration(t.coeffs, depth) != m:
-            res.fail(f"moments_from_t_by_enumeration(t_transform) != id for {m}")
-        kappa = series.cumulants_from_moments(m)
-        if series.cumulants_from_t(t.coeffs, depth) != kappa:
-            res.fail(f"cumulant routes disagree for {m}")
-        if (series.cumulants_from_t_by_enumeration(t.coeffs, depth) != kappa
-                or series.cumulants_from_moments_by_enumeration(m) != kappa):
-            res.fail(f"cumulant oracles disagree with the fast routes for {m}")
-        if series.moments_from_cumulants(kappa, depth) != m:
-            res.fail(f"moments_from_cumulants(cumulants_from_moments) != id for {m}")
-    out.append(res)
+    out.append(check_transform_roundtrips([
+        series.MomentSequence.of([1] + [
+            Fraction(rng.randint(-30, 30), rng.randint(1, 12)) for _ in range(7)
+        ])
+        for _ in range(100)
+    ]))
 
     res = CheckResult("moments", "special-cases", "depth=8", 0, True)
     depth = 8

@@ -1,43 +1,17 @@
 """Acceptance suite: the headline identities at their full desk-scale
-ranges, one test per criterion, each printing a PASS/FAIL line.
-
-Run with ``pytest -s tests/test_acceptance.py`` to see the lines, or
-``nclab verify all <n>`` for the CLI equivalent.  Everything here is
-exact: no tolerances anywhere.
-"""
+ranges, one test per criterion, each printing a PASS/FAIL line (run with
+``pytest -s``).  Criteria 1-6 and 9 run the `nclab.verify` suites and
+check that each identity passed and checked as many objects as its closed
+form gives; criterion 7 feeds the transform check its own seeded draw;
+criterion 8 runs the CLI on the worked example.  Everything is exact."""
 
 import random
 from contextlib import contextmanager
 from fractions import Fraction
+from functools import cache
 
-from nclab import (
-    MomentSequence,
-    TruncatedSeries,
-    catalan,
-    classify_blocks,
-    cli,
-    count_endpoint_coarsenings,
-    count_endpoint_refinements,
-    coloured_count,
-    cumulant_product_identity,
-    endpoint_coarsenings,
-    cumulants_from_moments,
-    cumulants_from_t,
-    endpoint_refinements,
-    endpoint_refines,
-    enumerate_ncl,
-    from_pair,
-    moment_poly_cumulants,
-    moment_poly_inner_outer,
-    moment_poly_linked,
-    moment_poly_pairs,
-    moments_from_t,
-    ncl_count,
-    s_transform,
-    t_transform,
-    to_pair,
-)
-from helpers import nc, ncl_direct
+from nclab import MomentSequence, catalan, cli, ncl_count
+from nclab.verify import check_transform_roundtrips, run_suite
 
 
 @contextmanager
@@ -50,100 +24,64 @@ def criterion(number, description):
     print(f"PASS criterion {number}: {description}")
 
 
+@cache
+def suite(name, n_max):
+    """One verify suite's results by identity, run once per module."""
+    return {r.identity: r for r in run_suite(name, n_max)}
+
+
+def assert_passed(res, checked):
+    assert res.passed, res.failures
+    assert res.checked == checked
+
+
 def test_criterion_1_bijection_round_trips():
     with criterion(1, "pair bijection round-trips, n <= 8"):
-        for n in range(1, 9):
-            for p in ncl_direct(n):
-                a, b = to_pair(p)
-                assert from_pair(a, b) == p
-            for b in nc(n):
-                for a in endpoint_refinements(b):
-                    assert to_pair(from_pair(a, b)) == (a, b)
+        # one check per linked partition, and as many endpoint-refinement pairs
+        total = sum(map(ncl_count, range(1, 9)))
+        assert_passed(suite("bijection", 8)["roundtrip-linked"], total)
+        assert_passed(suite("bijection", 8)["roundtrip-pairs"], total)
 
 
 def test_criterion_2_counting():
     with criterion(2, "linked-partition counts three ways, n <= 9"):
-        for n in range(1, 10):
-            assert (
-                sum(1 for _ in enumerate_ncl(n))
-                == ncl_count(n)
-                == coloured_count(n)
-            )
-        expected = (1, 2, 6, 22, 90, 394, 1806)
-        assert tuple(len(ncl_direct(n)) for n in range(1, 8)) == expected
-        assert tuple(ncl_count(n) for n in range(1, 8)) == expected
+        assert_passed(suite("counts", 9)["ncl-three-way"], 9)
+        assert_passed(suite("counts", 9)["ncl-direct-oracle"], 7)
 
 
 def test_criterion_3_interval_counts():
     with criterion(3, "refinement-interval counts are Catalan products, n <= 7"):
-        for n in range(1, 8):
-            ncn = nc(n)
-            for b in ncn:
-                filtered = sum(1 for a in ncn if endpoint_refines(a, b))
-                assert filtered == count_endpoint_refinements(b)
+        # one check per non-crossing partition
+        assert_passed(suite("counts", 9)["interval-products"], sum(map(catalan, range(1, 8))))
 
 
 def test_criterion_4_boolean_structure():
     with criterion(4, "coarsening sets are Boolean, n <= 7"):
-        for n in range(1, 8):
-            ncn = nc(n)
-            for a in ncn:
-                filtered = {b for b in ncn if endpoint_refines(a, b)}
-                assert len(filtered) == count_endpoint_coarsenings(a)
-                # the special-set map is injective with the stated image
-                produced = list(endpoint_coarsenings(a))
-                assert {b for b, _ in produced} == filtered
-                specials = [v for _, v in produced]
-                assert len(set(specials)) == len(specials)
-                assert all(v >= a.outer_indices for v in specials)
-                for b, v in produced:
-                    assert classify_blocks(a, b).special == v
+        assert_passed(suite("counts", 9)["boolean-coarsenings"], sum(map(catalan, range(1, 8))))
 
 
 def test_criterion_5_moment_polynomials():
     with criterion(5, "four moment-polynomial routes agree, n <= 8"):
-        expected_texts = {
-            1: "1",
-            2: "t1 + 1",
-            3: "t2 + t1^2 + 3*t1 + 1",
-            4: "t3 + 3*t2*t1 + t1^3 + 4*t2 + 6*t1^2 + 6*t1 + 1",
-        }
-        for n in range(1, 9):
-            p1 = moment_poly_linked(n)
-            p2 = moment_poly_pairs(n)
-            p3 = moment_poly_inner_outer(n)
-            p4 = moment_poly_cumulants(n)
-            assert p1 == p2 == p3 == p4
-            assert all(c > 0 for _, c in p1.terms)
-            if n in expected_texts:
-                assert p1.to_text() == expected_texts[n]
+        assert_passed(suite("moments", 8)["four-routes"], 8)
 
 
 def test_criterion_6_per_partition_identity():
     with criterion(6, "per-partition cumulant identity, n <= 6"):
-        for n in range(1, 7):
-            for b in nc(n):
-                assert cumulant_product_identity(b)
+        total = sum(map(catalan, range(1, 7)))
+        assert_passed(suite("moments", 8)["per-partition-identity"], total)
 
 
 def test_criterion_7_transforms():
     with criterion(7, "transform calculus on 100 random sequences, depth 8"):
         rng = random.Random(90210)
-        depth = 8
-        one = TruncatedSeries.of(*([1] + [0] * (depth - 1)))
-        for _ in range(100):
-            m = MomentSequence.of(
-                [1]
-                + [
-                    Fraction(rng.randint(-50, 50), rng.randint(1, 20))
-                    for _ in range(depth - 1)
-                ]
-            )
-            s = s_transform(m)
-            t = t_transform(m)
-            assert s * t == one
-            assert moments_from_t(t.coeffs, depth) == m
-            assert cumulants_from_t(t.coeffs, depth) == cumulants_from_moments(m)
+        res = check_transform_roundtrips([
+            MomentSequence.of([1] + [
+                Fraction(rng.randint(-50, 50), rng.randint(1, 20)) for _ in range(7)
+            ])
+            for _ in range(100)
+        ])
+        assert res.scope == "depth=8 x100"
+        assert_passed(res, 100)
 
 
 def test_criterion_8_cli_worked_example(capsys):
@@ -169,11 +107,4 @@ def test_criterion_8_cli_worked_example(capsys):
 
 def test_criterion_9_special_cases():
     with criterion(9, "pinned special coefficient sequences"):
-        depth = 8
-        t_cat = [1, 1] + [0] * (depth - 2)
-        m = moments_from_t(t_cat, depth)
-        assert list(m.values) == [catalan(k) for k in range(1, depth + 1)]
-        assert set(cumulants_from_moments(m)) == {Fraction(1)}
-
-        t_triv = [1] + [0] * (depth - 1)
-        assert set(moments_from_t(t_triv, depth).values) == {Fraction(1)}
+        assert_passed(suite("moments", 8)["special-cases"], 2)

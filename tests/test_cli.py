@@ -305,6 +305,22 @@ class TestSymbolicDigests:
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+class TestVerifyDigests:
+    # sha256 of the whole stdout, pinned before the acceptance suite came
+    # to run the verify checks; it fixes the identity names, their order,
+    # scopes and checked counts, which benchmark parsers read
+    @pytest.mark.parametrize("as_json, digest", [
+        (False, "d7806fed4d9c2b21c7d949918933c4753e1e341980e8626922dd2e0eca8b5354"),
+        (True, "0aa5fbad7fec66e9b35302626b2f8974c824ccb96308b7978973466500954119"),
+    ])
+    def test_stdout_digest(self, capsys, as_json, digest):
+        argv = ("verify", "all", "6") + (("--json",) if as_json else ())
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0
+        assert err == ""
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 class TestBoundedArgparseEcho:
     # argparse quotes a rejected argument whole; the message is clipped
     @pytest.mark.parametrize("argv, message", [
@@ -523,6 +539,25 @@ class TestVerify:
         assert records[-1]["summary"]["failed"] == 1
         failing = [r for r in records[:-1] if not r.get("pass", True)]
         assert failing and failing[0]["failures"]
+
+    def test_interval_products_compares_the_sets(self, capsys, monkeypatch):
+        # a wrong refinement in place of a right one keeps every count
+        from nclab import partitions
+
+        refinements = partitions.endpoint_refinements
+        full, wrong, right = (partitions.Partition.from_text(t)
+                              for t in ("{1,2,3}", "{1,2}{3}", "{1,3}{2}"))
+
+        def swapped(b):
+            for a in refinements(b):
+                yield wrong if b == full and a == right else a
+
+        monkeypatch.setattr(partitions, "endpoint_refinements", swapped)
+        code, out, _ = run_cli(capsys, "verify", "counts", "4")
+        assert code == 1
+        failed = [line.split()[1] for line in out.splitlines() if line.startswith("FAIL")]
+        assert failed == ["counts.interval-products"]
+        assert "    {1,2,3}: blockwise enumeration mismatch\n" in out
 
 
 class TestSubprocess:

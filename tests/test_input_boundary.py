@@ -264,3 +264,25 @@ def test_short_image_quote_unchanged():
     with pytest.raises(ValueError) as exc:
         make_permutation(3, [1, 1, 2])
     assert str(exc.value) == "image [1, 1, 2] is not a bijection of 1..3"
+
+
+HUGE = 10**5000  # past CPython's 4300-digit limit for str(int)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: make_permutation(HUGE, [1]),
+     "image [1] is not a bijection of 1..<16610-bit integer>"),
+    (lambda: make_permutation(3, [1, 2, HUGE]),
+     "image [1, 2, <16610-bit integer>] is not a bijection of 1..3"),
+    (lambda: Permutation.from_json_dict({"n": HUGE, "image": [1]}),
+     "image [1] is not a bijection of 1..<16610-bit integer>"),
+    (lambda: make_permutation(2, [True, 2]), "image element True is not an integer"),
+    (lambda: make_permutation(2, [1.0, 2]), "image element 1.0 is not an integer"),
+    (lambda: make_permutation(2, [1, "b"]), "image element 'b' is not an integer"),
+    (lambda: make_permutation("2", [1, 2]), "permutation size '2' is not an integer"),
+], ids=["huge-size", "huge-element", "json-huge-size", "bool", "float", "str", "str-size"])
+def test_permutation_rejects_with_a_short_message(build, message):
+    with pytest.raises(ValueError) as exc:
+        build()
+    assert str(exc.value) == message
+    assert len(str(exc.value).encode()) < 1024
