@@ -1,0 +1,146 @@
+"""Time the layers of one or more nclab source checkouts, in process.
+
+    python3 benchmarks/layers.py --src parent=DIR --src change=DIR --label LABEL [--reps 5]
+
+Each layer is a setup and a timed expression.  One run of a layer is a
+fresh interpreter with DIR/src first on its path: it does the setup, then
+times the expression with `time.perf_counter`.  The runs of the checkouts
+alternate, and each layer keeps the median of REPS runs per checkout.  A
+layer that a checkout cannot run (a name it does not have) is recorded as
+null for it.
+
+Writes BENCH_<label>.json in the current directory, or extends it: the
+`layers` section gets one entry per checkout named by --src NAME (the
+directory name when NAME= is left out), with the sha256 and line count of
+its `src/nclab/*.py`, beside the Python version and the core count.  Other
+sections of the file, such as those `pair_compare.py` writes, are kept.
+Only the standard library is used, and nothing is written to the checkouts
+but what importing them leaves behind (`__pycache__/`).
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+
+from pair_compare import source_digest, source_lines  # noqa: E402
+
+# name -> (setup, expression); the expression's value is recorded as the
+# layer's result, so that the two sides can be seen to do the same work
+LAYERS = {
+    "enumerate_nc(12)": (
+        "from nclab.partitions import enumerate_nc",
+        "count(enumerate_nc(12))"),
+    "enumerate_nc(12) to_text": (
+        "from nclab.partitions import enumerate_nc",
+        "count(p.to_text() for p in enumerate_nc(12))"),
+    "cli enumerate nc 11 --json": (
+        "from nclab import cli\n"
+        "sys.stdout = open(os.devnull, 'w')",
+        "cli.main(['enumerate', 'nc', '11', '--json'])"),
+    "enumerate_ncl(9)": (
+        "from nclab.linked import enumerate_ncl",
+        "count(enumerate_ncl(9))"),
+    "enumerate_ncl_direct(9)": (
+        "from nclab.linked import enumerate_ncl_direct",
+        "count(enumerate_ncl_direct(9))"),
+    "to_pair over NCL(8)": (
+        "from nclab.linked import enumerate_ncl, to_pair\n"
+        "objs = list(enumerate_ncl(8))",
+        "count(map(to_pair, objs))"),
+    "from_pair over NCL(8)": (
+        "from nclab.linked import enumerate_ncl, from_pair, to_pair\n"
+        "from nclab.partitions import make_partition\n"
+        "pairs = [(make_partition(a.n, a.blocks), make_partition(b.n, b.blocks))\n"
+        "         for a, b in map(to_pair, enumerate_ncl(8))]",
+        "count(starmap(from_pair, pairs))"),
+    "make_linked over NCL(8)": (
+        "from nclab.linked import enumerate_ncl, make_linked\n"
+        "raw = [(p.n, p.blocks) for p in enumerate_ncl(8)]",
+        "count(starmap(make_linked, raw))"),
+}
+
+RUN = """
+import json, os, sys, time
+from itertools import starmap
+sys.path.insert(0, {src!r})
+
+def count(items):
+    return sum(1 for _ in items)
+
+try:
+{setup}
+except (ImportError, AttributeError):
+    print(json.dumps(None), file=sys.__stdout__)
+    raise SystemExit
+start = time.perf_counter()
+result = {expression}
+elapsed = time.perf_counter() - start
+print(json.dumps([elapsed, result]), file=sys.__stdout__)
+"""
+
+
+def run_layer(checkout: Path, setup: str, expression: str) -> list | None:
+    indented = "".join(f"    {line}\n" for line in setup.splitlines())
+    code = RUN.format(src=str(checkout / "src"), setup=indented, expression=expression)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True)
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def parse_src(spec: str) -> tuple[str, Path]:
+    name, sep, path = spec.rpartition("=")
+    checkout = Path(path).resolve()
+    return (name if sep else checkout.name), checkout
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--src", action="append", required=True, type=parse_src,
+                        metavar="[NAME=]DIR", help="a source checkout; repeat to compare")
+    parser.add_argument("--label", required=True)
+    parser.add_argument("--reps", type=int, default=5)
+    args = parser.parse_args()
+    sides = dict(args.src)
+    runs: dict[str, dict[str, list]] = {side: {name: [] for name in LAYERS} for side in sides}
+    for rep in range(args.reps):
+        order = list(sides) if rep % 2 == 0 else list(sides)[::-1]
+        for name, (setup, expression) in LAYERS.items():
+            for side in order:
+                runs[side][name].append(run_layer(sides[side], setup, expression))
+    out_path = Path(f"BENCH_{args.label}.json")
+    data = json.loads(out_path.read_text()) if out_path.is_file() else {"label": args.label}
+    section = data.setdefault("layers", {})
+    section.update({
+        "how": "one fresh interpreter per run, time.perf_counter around the expression "
+               "after its setup; checkouts alternating; median of the runs",
+        "python": platform.python_version(), "nproc": os.cpu_count(), "reps": args.reps,
+        "expressions": {name: expression for name, (_, expression) in LAYERS.items()},
+    })
+    for side, checkout in sides.items():
+        results = {}
+        for name, got in runs[side].items():
+            if any(g is None for g in got):
+                results[name] = None
+                continue
+            values = [elapsed for elapsed, _ in got]
+            results[name] = {"median_s": statistics.median(values), "values": values,
+                             "result": got[0][1]}
+        section[side] = {"source_sha256": source_digest(checkout),
+                         "source_lines": source_lines(checkout), "results": results}
+        print(json.dumps({side: {name: r and round(r["median_s"], 4)
+                                 for name, r in results.items()}}), flush=True)
+    out_path.write_text(json.dumps(data, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -27,7 +27,8 @@ sides (`outputs_identical`, `mismatches`).  Timings are unscaled.
 
 --steady WORKLOAD:SEEDS runs `nclbench/run.py` once per seed on both
 checkouts, alternating which runs first, and summarizes every end-to-end
-metric with the quartiles of `nclbench/steady.py`.
+metric with the quartiles of `nclbench/steady.py`, so SEEDS names at
+least two.  The file is written after each comparison.
 """
 
 from __future__ import annotations
@@ -171,6 +172,10 @@ def main() -> int:
                         metavar="WORKLOAD:SEED:REPS")
     parser.add_argument("--steady", action="append", default=[], metavar="WORKLOAD:SEEDS")
     args = parser.parse_args()
+    steady = [(workload, parse_seeds(seeds))
+              for workload, seeds in (spec.split(":") for spec in args.steady)]
+    if any(len(seeds) < 2 for _, seeds in steady):
+        parser.error("--steady needs at least two seeds: its summary takes quartiles")
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     entry = {"label": args.label, "python": platform.python_version(),
              "nproc": os.cpu_count(),
@@ -182,16 +187,17 @@ def main() -> int:
         earlier = json.loads(out_path.read_text())
         if earlier.get("source_sha256") == entry["source_sha256"]:
             entry = earlier
+    # written after each comparison, so that one that fails loses no other
     for spec in args.requests:
         workload, seed, reps = spec.split(":")
         entry["requests"].append(compare_requests(sides, workload, int(seed), int(reps)))
+        out_path.write_text(json.dumps(entry, indent=1) + "\n")
         print(json.dumps({k: v for k, v in entry["requests"][-1].items()
                           if k != "per_request"}), flush=True)
-    for spec in args.steady:
-        workload, seeds = spec.split(":")
-        entry["end_to_end"].append(compare_steady(sides, workload, parse_seeds(seeds)))
+    for workload, seeds in steady:
+        entry["end_to_end"].append(compare_steady(sides, workload, seeds))
+        out_path.write_text(json.dumps(entry, indent=1) + "\n")
         print(json.dumps(entry["end_to_end"][-1]["pairs_change_better"]), flush=True)
-    out_path.write_text(json.dumps(entry, indent=1) + "\n")
     return 0
 
 

@@ -23,6 +23,7 @@ import os
 import re
 import sys
 from functools import cache
+from itertools import islice
 
 from ._base import MAX_DIGITS, _clipped, _quoted
 
@@ -184,6 +185,11 @@ def build_parser() -> argparse.ArgumentParser:
 _CHUNK_LINES = 1024
 
 
+def _block_json(block: tuple[int, ...]) -> str:
+    """A block as the compact JSON encoder writes a list of integers."""
+    return "[" + ",".join(map(str, block)) + "]"
+
+
 def _cmd_enumerate(args, limit: int) -> int:
     _check_size(args.n, limit)
     if args.kind == "nc":
@@ -194,20 +200,21 @@ def _cmd_enumerate(args, limit: int) -> int:
         from .linked import enumerate_ncl
 
         gen = enumerate_ncl(args.n)
+    if args.json:
+        # the compact encoding of ``obj.to_json_dict()``, block by block
+        head = f'{{"n":{args.n},"blocks":['
+        tail = '],"linked":true}' if args.kind == "ncl" else "]}"
+        block_json = cache(_block_json)  # for this command only
+        lines = (head + ",".join(map(block_json, obj.blocks)) + tail for obj in gen)
+    else:
+        lines = (obj.to_text() for obj in gen)
     # written in bounded chunks: one write per line is slow, and one for the
     # whole output would hold all of it in memory
     count = 0
-    chunk: list[str] = []
-    encode = _json_encoder() if args.json else None
-    for obj in gen:
-        chunk.append(encode(obj.to_json_dict()) if args.json else obj.to_text())
-        if len(chunk) == _CHUNK_LINES:
-            count += len(chunk)
-            sys.stdout.write("\n".join(chunk) + "\n")
-            chunk.clear()
-    count += len(chunk)
-    chunk.append(encode({"count": count}) if args.json else f"count={count}")
-    sys.stdout.write("\n".join(chunk) + "\n")
+    while chunk := list(islice(lines, _CHUNK_LINES)):
+        count += len(chunk)
+        sys.stdout.write("\n".join(chunk) + "\n")
+    print(_json_encoder()({"count": count}) if args.json else f"count={count}")
     return EXIT_OK
 
 

@@ -21,7 +21,7 @@ with ``endpoint_refines(a, b)``.
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import combinations
 from typing import Callable, Iterable, Iterator
 
@@ -29,7 +29,9 @@ from ._base import Frozen, _clipped, _int_text, _set_field
 from .partitions import (
     BlockFamily,
     Partition,
+    _block_shapes,
     _blocks_cross,
+    _blockwise,
     _fmt_block,
     _not_covered,
     _parse_blocks_json,
@@ -37,7 +39,6 @@ from .partitions import (
     act,
     block_cycles,
     catalan,
-    endpoint_refinements,
     endpoint_refines,
     enumerate_nc,
     parse_blocks_text,
@@ -306,19 +307,36 @@ def _link(
 def enumerate_ncl(n: int) -> Iterator[LinkedPartition]:
     """Yield every non-crossing linked partition of {1..n} exactly once.
 
-    Primary generator: the construction of `from_pair` applied to every
-    endpoint-refinement pair, outer loop over coarse partitions in
-    `enumerate_nc` order, inner loop in `endpoint_refinements` order.  The
-    pairs are valid by construction, so the output is not re-checked here:
-    `verify bijection` runs the validating `from_pair` over the same pairs,
-    and Tier-1 checks the output against `make_linked` and
+    Primary generator: `from_pair` over every endpoint-refinement pair
+    (a, b), b in `enumerate_nc` order and a in `endpoint_refinements(b)`
+    order, built block by block.  Inside each block W of b, a is one
+    `_block_shapes` shape, and `_link` maps it into W by the block cycle of
+    b, which keeps to W.  So each shape's image is made once per call, by
+    `_link` against the one-block partition of its size, and each result is
+    the union of the images relabelled onto the blocks of b.  Nothing is
+    re-checked: `verify bijection` runs the validating `from_pair` over the
+    same pairs, and Tier-1 checks this generator against `from_pair` over
+    `endpoint_refinements` in order, `make_linked` and
     `enumerate_ncl_direct`.  The count is `ncl_count(n)`, the (n-1)-th
     large Schroeder number.
     """
+    images = cache(_linked_shapes)  # for this call only
     for beta in enumerate_nc(n):
-        b_blocks, cycle, host = beta.blocks, block_cycles(beta).image, beta._block_of
-        for alpha in endpoint_refinements(beta):
-            yield _link(alpha, b_blocks, cycle, host)
+        for blocks in _blockwise(beta.blocks, images):
+            yield LinkedPartition(beta.ground, blocks)
+
+
+def _linked_shapes(m: int) -> list[list[tuple[int, ...]]]:
+    """The `_link` images of the `_block_shapes(m)` against the one-block
+    partition of {1..m}, in that order, as 0-based positions."""
+    one = Partition.full(m)
+    cycle = (*range(2, m + 1), 1)  # the image of block_cycles(one)
+    out = []
+    for shape in _block_shapes(m):
+        alpha = Partition(one.ground, tuple(tuple(x + 1 for x in blk) for blk in shape))
+        image = _link(alpha, one.blocks, cycle, one._block_of)
+        out.append([tuple(x - 1 for x in blk) for blk in image.blocks])
+    return out
 
 
 def enumerate_ncl_direct(n: int) -> Iterator[LinkedPartition]:

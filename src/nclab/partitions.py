@@ -21,8 +21,8 @@ import math
 import re
 from bisect import bisect_right
 from functools import cached_property, lru_cache
-from itertools import product
-from typing import Collection, Iterable, Iterator, TypeVar
+from itertools import chain, product
+from typing import Callable, Collection, Iterable, Iterator, TypeVar
 
 from ._base import MAX_DIGITS, Frozen, _clipped, _int_text, _quoted, _set_field
 
@@ -273,6 +273,14 @@ def _not_covered(n: int, covered: Collection[int]) -> str:
     return f"elements {missing} not covered"
 
 
+def _require_size(n: object, error: type[ValueError] = ValueError) -> None:
+    """Raise ``error`` unless ``n`` is an integer, not ``bool``, of at least 1."""
+    if not _is_int(n):
+        raise error(f"ground-set size {_quoted(n)} is not an integer")
+    if n < 1:
+        raise error("ground-set size must be at least 1")
+
+
 def _iterate(items: object, role: str, error: type[ValueError]) -> Iterator:
     try:
         return iter(items)
@@ -290,10 +298,7 @@ def _read_raw_blocks(
     Elements are type-checked before a block is sorted, so values that
     cannot be ordered against integers are rejected too.  Overlap, crossing
     and coverage are left to the caller."""
-    if not _is_int(n):
-        raise error(f"ground-set size {_quoted(n)} is not an integer")
-    if n < 1:
-        raise error("ground-set size must be at least 1")
+    _require_size(n, error)
     for raw in _iterate(raw_blocks, "block family", error):
         blk = list(_iterate(raw, "block", error))
         for x in blk:
@@ -436,34 +441,47 @@ def enumerate_nc(n: int) -> Iterator[Partition]:
 
         {1}{2}{3}, {1,3}{2}, {1}{2,3}, {1,2}{3}, {1,2,3}
 
-    The count is the n-th Catalan number.
+    The count is the n-th Catalan number.  One backtracking loop, with no
+    nested generators, walks the codes in that order.  ``n`` that is not an
+    integer of at least 1 raises ValueError at the first object.
     """
-    if n < 1:
-        raise ValueError("ground-set size must be at least 1")
+    _require_size(n)
     ground = tuple(range(1, n + 1))
     blocks: list[tuple[int, ...]] = []
-    open_idx: list[int] = []
-
-    def rec(k: int) -> Iterator[Partition]:
-        if k > n:
+    # indices of the open blocks, outermost first; a new list on each change,
+    # so that ``arrived[k]`` keeps those open when element k < n came
+    opened: list[int] = []
+    arrived: list[list[int]] = [opened] * n
+    code = [0] * n  # the choice code of each element k < n
+    k = 1
+    while True:
+        while k < n:  # elements k..n-1 open new blocks
+            arrived[k], code[k] = opened, 0
+            opened = [*opened, len(blocks)]
+            blocks.append((k,))
+            k += 1
+        yield Partition(ground, (*blocks, (n,)))
+        for i in opened:
+            old = blocks[i]
+            blocks[i] = old + (n,)
             yield Partition(ground, tuple(blocks))
+            blocks[i] = old
+        k = n - 1  # undo choices back to the last element k < n with one left
+        while k:
+            d, opened = code[k], arrived[k]
+            if d:
+                blocks[opened[d - 1]] = blocks[opened[d - 1]][:-1]
+            else:
+                blocks.pop()
+            if d < len(opened):
+                code[k] = d + 1
+                blocks[opened[d]] += (k,)
+                opened = opened[:d + 1]
+                k += 1
+                break
+            k -= 1
+        else:
             return
-        blocks.append((k,))
-        open_idx.append(len(blocks) - 1)
-        yield from rec(k + 1)
-        open_idx.pop()
-        blocks.pop()
-        for depth in range(len(open_idx)):
-            saved = open_idx[depth + 1:]
-            del open_idx[depth + 1:]
-            target = open_idx[depth]
-            old = blocks[target]
-            blocks[target] = old + (k,)
-            yield from rec(k + 1)
-            blocks[target] = old
-            open_idx.extend(saved)
-
-    yield from rec(1)
 
 
 @lru_cache(maxsize=32)
@@ -480,33 +498,29 @@ def _block_shapes(m: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
     )
 
 
-def _sub_choices(w: tuple[int, ...]) -> list[tuple[tuple[int, ...], ...]]:
-    """All ways to partition block ``w`` so that the result endpoint-refines
-    the one-block partition of ``w``.
-
-    Realized through the standard identification with the non-crossing
-    partitions of the first |w| - 1 elements: relabel a non-crossing
-    partition onto them, then adjoin max(w) to the block containing min(w).
-    The shapes are enumerated once per block size (`_block_shapes`).
-    """
-    return [tuple(tuple(w[i] for i in blk) for blk in shape)
-            for shape in _block_shapes(len(w))]
+def _blockwise(
+    blocks: tuple[tuple[int, ...], ...], shapes: Callable[[int], Iterable]
+) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """The block tuples made of one shape per block W of ``blocks``, where
+    ``shapes(m)`` gives the shapes of a block of size m as 0-based
+    positions: the shapes are relabelled onto W, united and sorted, later
+    blocks varying fastest."""
+    per_block = [[[tuple([w[i] for i in blk]) for blk in shape] for shape in shapes(len(w))]
+                 for w in blocks]
+    return map(tuple, map(sorted, map(chain.from_iterable, product(*per_block))))
 
 
 def endpoint_refinements(b: Partition) -> Iterator[Partition]:
     """Yield every non-crossing ``a`` with ``endpoint_refines(a, b)``, once.
 
     Built blockwise: choices for each block of ``b`` are independent, so
-    the results are the products of the per-block choices (per-block order
-    as in `enumerate_nc`, later blocks varying fastest).  The count is
+    the results are the products of the per-block `_block_shapes` (order as
+    in `enumerate_nc`, later blocks varying fastest).  The count is
     `count_endpoint_refinements(b)`.
     """
     _require_noncrossing(b, "input")
-    per_block = [_sub_choices(w) for w in b.blocks]
-    for combo in product(*per_block):
-        all_blocks = [blk for sub in combo for blk in sub]
-        all_blocks.sort(key=lambda blk: blk[0])
-        yield Partition(b.ground, tuple(all_blocks))
+    for blocks in _blockwise(b.blocks, _block_shapes):
+        yield Partition(b.ground, blocks)
 
 
 def count_endpoint_refinements(b: Partition) -> int:

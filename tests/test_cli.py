@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from nclab import cli, linked, ncl_count
+from nclab import cli, enumerate_nc, enumerate_ncl, linked, ncl_count
 
 
 def run_cli(capsys, *argv):
@@ -50,6 +50,17 @@ class TestEnumerate:
             {"n": 2, "blocks": [[1, 2]]},
             {"count": 2},
         ]
+
+    @pytest.mark.parametrize("kind", ["nc", "ncl"])
+    def test_json_lines_are_the_json_form(self, capsys, kind):
+        # every object line is the compact encoding of its `to_json_dict`
+        enumerate_ = enumerate_nc if kind == "nc" else enumerate_ncl
+        for n in range(1, 8):
+            code, out, _ = run_cli(capsys, "enumerate", kind, str(n), "--json")
+            assert code == 0
+            want = [json.dumps(obj.to_json_dict(), separators=(",", ":"))
+                    for obj in enumerate_(n)]
+            assert out.splitlines()[:-1] == want
 
     def test_limit_guard(self, capsys):
         code, _, err = run_cli(capsys, "enumerate", "nc", "13")
@@ -262,6 +273,14 @@ class TestEnumerateDigests:
          "21e06156517bee4cda3d11f63ee2183313149461da909cf560d469f9fa8a581c"),
         (("enumerate", "ncl", "6", "--json"),
          "99d7a7ddc7827c31e8ba0aaa1fca64520036bc3039b71d529bb85bfb10a6caf6"),
+        # pinned from the recursive `enumerate_nc`, the per-pair
+        # `enumerate_ncl` and the per-object JSON encoder
+        (("enumerate", "nc", "10"),
+         "b96bcb4bb9779fced4fb33c30962ea8cb08d0a5be397b75473378a3a186e70bf"),
+        (("enumerate", "ncl", "8"),
+         "a62cd33c4975e5d3379ddd3adbcdea509e6514a9cf2d5910b425493e78dc0177"),
+        (("enumerate", "ncl", "8", "--json"),
+         "982db1e5d7b38194d3ed9e68bf3a1725efccc87eefea35df916c8e68b4f9b59d"),
     ])
     def test_stdout_digest(self, capsys, argv, digest):
         code, out, err = run_cli(capsys, *argv)

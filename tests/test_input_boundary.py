@@ -19,6 +19,8 @@ from nclab import (
     Permutation,
     classify_blocks,
     endpoint_refines,
+    enumerate_nc,
+    enumerate_ncl,
     from_pair,
     make_linked,
     make_partition,
@@ -130,6 +132,19 @@ def test_rejected_before_sorting(n, raw, message):
         with pytest.raises(error) as exc:
             make(n, raw)
         assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("n, message", [
+    (0, "ground-set size must be at least 1"),
+    (True, "ground-set size True is not an integer"),
+    (2.0, "ground-set size 2.0 is not an integer"),
+], ids=["zero", "bool", "float"])
+@pytest.mark.parametrize("enumerate_", [enumerate_nc, enumerate_ncl], ids=["nc", "ncl"])
+def test_enumerator_size(enumerate_, n, message):
+    # checked when the first object is asked for
+    with pytest.raises(ValueError) as exc:
+        next(enumerate_(n))
+    assert str(exc.value) == message
 
 
 @pytest.mark.parametrize("raw, message", [

@@ -474,6 +474,33 @@ class TestEnumeration:
             for p in enumerate_ncl(n):
                 assert make_linked(n, p.blocks) == p
 
+    def test_same_order_as_from_pair(self):
+        # the validating whole-partition route against the blockwise one
+        for n in range(1, 9):
+            want = [from_pair(a, b) for b in nc(n) for a in endpoint_refinements(b)]
+            assert list(enumerate_ncl(n)) == want
+
+    def test_work_per_call(self, monkeypatch):
+        calls = Counter()
+
+        def counting(module, name):
+            original = getattr(module, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return original(*args)
+            monkeypatch.setattr(module, name, wrapper)
+
+        counting(nclab.linked, "_link")
+        for module in (nclab.linked, nclab.partitions):
+            for name in ("_require_noncrossing", "block_cycles", "endpoint_refinements"):
+                if hasattr(module, name):
+                    counting(module, name)
+        assert sum(1 for _ in enumerate_ncl(8)) == COUNTS[7]
+        # one `_link` per shape of each block size 1..8: the sum of C(m - 1)
+        assert calls.pop("_link") <= sum(catalan(m - 1) for m in range(1, 9)) == 626
+        assert calls == Counter()
+
     def test_block_shapes_enumerated_once_per_size(self, monkeypatch):
         calls = Counter()
         original = nclab.partitions.enumerate_nc

@@ -282,6 +282,35 @@ class TestEnumerateNC:
         with pytest.raises(ValueError):
             list(enumerate_nc(0))
 
+    def test_same_order_as_recursive_generator(self):
+        def recursive(n):
+            # the nested-generator form that the backtracking loop replaced
+            blocks, open_idx = [], []
+
+            def rec(k):
+                if k > n:
+                    yield tuple(blocks)
+                    return
+                blocks.append((k,))
+                open_idx.append(len(blocks) - 1)
+                yield from rec(k + 1)
+                open_idx.pop()
+                blocks.pop()
+                for depth in range(len(open_idx)):
+                    saved = open_idx[depth + 1:]
+                    del open_idx[depth + 1:]
+                    target = open_idx[depth]
+                    old = blocks[target]
+                    blocks[target] = old + (k,)
+                    yield from rec(k + 1)
+                    blocks[target] = old
+                    open_idx.extend(saved)
+
+            yield from rec(1)
+
+        for n in range(1, 11):
+            assert [p.blocks for p in enumerate_nc(n)] == list(recursive(n))
+
 
 class TestEndpointRefinements:
     def test_discrete_is_fixed(self):
