@@ -34,11 +34,9 @@ _EXPORTS = {
         "refines",
     ),
     "linked": (
-        "CoverMap",
         "InvalidLinkedPartitionError",
         "LinkedPartition",
         "coloured_count",
-        "cover_map",
         "enumerate_ncl",
         "enumerate_ncl_direct",
         "from_pair",

@@ -1,11 +1,11 @@
 """Linked partitions: block families whose blocks may share single elements.
 
-A linked partition covers every element once or twice.  Two distinct blocks
-are either disjoint or share exactly one element, in which case both blocks
-have at least two elements, their minima differ, and the shared element is
-the minimum of exactly one of them.  Only non-crossing linked partitions
-are modeled here; the crossing test is the same interleaving test used for
-plain partitions.
+A linked partition of {1..n} covers every element once or twice.  Two
+distinct blocks are either disjoint or share exactly one element, in which
+case both blocks have at least two elements, their minima differ, and the
+shared element is the minimum of exactly one of them.  Only non-crossing
+linked partitions are modeled here; the crossing test is the same
+interleaving test used for plain partitions.
 
 The central pair of maps:
 
@@ -25,7 +25,7 @@ from functools import cache, cached_property
 from itertools import combinations
 from typing import Callable, Iterable, Iterator
 
-from ._base import Frozen, _clipped, _int_text, _set_field
+from ._base import _clipped, _int_text
 from .partitions import (
     BlockFamily,
     Partition,
@@ -36,6 +36,8 @@ from .partitions import (
     _not_covered,
     _parse_blocks_json,
     _read_raw_blocks,
+    _require_index,
+    _require_size,
     act,
     block_cycles,
     catalan,
@@ -51,7 +53,7 @@ class InvalidLinkedPartitionError(ValueError):
 
 
 class LinkedPartition(BlockFamily):
-    """A non-crossing linked partition of a finite ground set.
+    """A non-crossing linked partition of {1..n}.
 
     Instances are assumed canonical: blocks sorted by least element (block
     minima are pairwise distinct), elements increasing inside each block.
@@ -61,24 +63,17 @@ class LinkedPartition(BlockFamily):
 
     @cached_property
     def _cover_count(self) -> dict[int, int]:
-        out = {x: 0 for x in self.ground}
+        out = dict.fromkeys(range(1, self.n + 1), 0)
         for blk in self.blocks:
             for x in blk:
                 out[x] += 1
         return out
-
-    @property
-    def is_plain(self) -> bool:
-        """True when no element is doubly covered (an ordinary partition)."""
-        return all(c == 1 for c in self._cover_count.values())
 
     @classmethod
     def from_text(cls, text: str) -> LinkedPartition:
         return make_linked(*parse_blocks_text(text))
 
     def to_json_dict(self) -> dict:
-        if not self.is_standard:
-            raise ValueError("only linked partitions of {1..n} have a JSON form")
         return {"n": self.n, "blocks": [list(b) for b in self.blocks], "linked": True}
 
     @classmethod
@@ -149,53 +144,7 @@ def make_linked(n: int, raw_blocks: Iterable[Iterable[int]]) -> LinkedPartition:
         raise InvalidLinkedPartitionError(_not_covered(n, count))
 
     blocks.sort(key=lambda blk: blk[0])
-    return LinkedPartition(tuple(range(1, n + 1)), tuple(blocks))
-
-
-class CoverMap(Frozen):
-    """Per-element block incidence of a linked partition.
-
-    ``incidence[i]`` lists the 0-based block indices containing
-    ``ground[i]``; the list has length 1 or 2.
-    """
-
-    _fields = ("ground", "incidence")
-
-    def __init__(self, ground: tuple[int, ...],
-                 incidence: tuple[tuple[int, ...], ...]) -> None:
-        _set_field(self, "ground", ground)
-        _set_field(self, "incidence", incidence)
-
-    @cached_property
-    def _pos(self) -> dict[int, int]:
-        return {x: i for i, x in enumerate(self.ground)}
-
-    def blocks_of(self, element: int) -> tuple[int, ...]:
-        return self.incidence[self._pos[element]]
-
-    def is_doubly_covered(self, element: int) -> bool:
-        return len(self.blocks_of(element)) == 2
-
-    @property
-    def doubly_covered(self) -> frozenset[int]:
-        return frozenset(
-            x for x, inc in zip(self.ground, self.incidence) if len(inc) == 2
-        )
-
-    @property
-    def singly_covered(self) -> frozenset[int]:
-        return frozenset(
-            x for x, inc in zip(self.ground, self.incidence) if len(inc) == 1
-        )
-
-
-def cover_map(p: LinkedPartition) -> CoverMap:
-    """Which blocks contain each element (one or two of them)."""
-    inc: dict[int, list[int]] = {x: [] for x in p.ground}
-    for i, blk in enumerate(p.blocks):
-        for x in blk:
-            inc[x].append(i)
-    return CoverMap(p.ground, tuple(tuple(inc[x]) for x in p.ground))
+    return LinkedPartition(n, tuple(blocks))
 
 
 def generated_partition(p: LinkedPartition) -> Partition:
@@ -223,7 +172,7 @@ def generated_partition(p: LinkedPartition) -> Partition:
     for i, blk in enumerate(p.blocks):
         groups.setdefault(find(i), set()).update(blk)
     out = sorted((tuple(sorted(g)) for g in groups.values()), key=lambda blk: blk[0])
-    result = Partition(p.ground, tuple(out))
+    result = Partition(p.n, tuple(out))
     # a theorem for valid input; an unchecked constructor call can break it
     if not result._noncrossing:
         raise InvalidLinkedPartitionError(f"generated partition of {_clipped(p)} is crossing")
@@ -240,14 +189,12 @@ def unlink(p: LinkedPartition) -> Partition:
     for blk in p.blocks:
         out.append(blk[1:] if count[blk[0]] == 2 else blk)
     out.sort(key=lambda blk: blk[0])
-    return Partition(p.ground, tuple(out))
+    return Partition(p.n, tuple(out))
 
 
 def to_pair(p: LinkedPartition) -> tuple[Partition, Partition]:
     """Map a non-crossing linked partition to its (cycled unlinking,
     generated partition) pair.  The inverse is `from_pair`."""
-    if not p.is_standard:
-        raise ValueError("to_pair needs a linked partition of {1..n}")
     beta = generated_partition(p)
     alpha = act(block_cycles(beta).inverse(), unlink(p))
     return alpha, beta
@@ -262,8 +209,6 @@ def from_pair(a: Partition, b: Partition) -> LinkedPartition:
     whose minimum is not its host-block minimum by prepending the host
     element immediately preceding it.
     """
-    if not a.is_standard or not b.is_standard:
-        raise ValueError("from_pair needs partitions of {1..n}")
     if not endpoint_refines(a, b):
         if refines(a, b):
             ao = a._block_of
@@ -301,7 +246,7 @@ def _link(
             v.insert(0, w[w.index(v[0]) - 1])
         out.append(tuple(v))
     out.sort()
-    return LinkedPartition(a.ground, tuple(out))
+    return LinkedPartition(a.n, tuple(out))
 
 
 def enumerate_ncl(n: int) -> Iterator[LinkedPartition]:
@@ -323,7 +268,7 @@ def enumerate_ncl(n: int) -> Iterator[LinkedPartition]:
     images = cache(_linked_shapes)  # for this call only
     for beta in enumerate_nc(n):
         for blocks in _blockwise(beta.blocks, images):
-            yield LinkedPartition(beta.ground, blocks)
+            yield LinkedPartition(beta.n, blocks)
 
 
 def _linked_shapes(m: int) -> list[list[tuple[int, ...]]]:
@@ -333,7 +278,7 @@ def _linked_shapes(m: int) -> list[list[tuple[int, ...]]]:
     cycle = (*range(2, m + 1), 1)  # the image of block_cycles(one)
     out = []
     for shape in _block_shapes(m):
-        alpha = Partition(one.ground, tuple(tuple(x + 1 for x in blk) for blk in shape))
+        alpha = Partition(m, tuple(tuple(x + 1 for x in blk) for blk in shape))
         image = _link(alpha, one.blocks, cycle, one._block_of)
         out.append([tuple(x - 1 for x in blk) for blk in image.blocks])
     return out
@@ -350,9 +295,7 @@ def enumerate_ncl_direct(n: int) -> Iterator[LinkedPartition]:
     Exists to cross-validate the pair-based generator; do not change one
     without the other.
     """
-    if n < 1:
-        raise ValueError("ground-set size must be at least 1")
-    ground = tuple(range(1, n + 1))
+    _require_size(n)
     blocks: list[list[int]] = []
     must_grow: list[bool] = []
     open_idx: list[int] = []
@@ -360,7 +303,7 @@ def enumerate_ncl_direct(n: int) -> Iterator[LinkedPartition]:
     def rec(k: int) -> Iterator[LinkedPartition]:
         if k > n:
             if all(not must_grow[i] or len(blocks[i]) >= 2 for i in open_idx):
-                yield LinkedPartition(ground, tuple(tuple(b) for b in blocks))
+                yield LinkedPartition(n, tuple(tuple(b) for b in blocks))
             return
         for depth in range(len(open_idx)):
             closing = open_idx[depth + 1:]
@@ -427,8 +370,7 @@ def ncl_count(n: int) -> int:
     """Number of non-crossing linked partitions of {1..n}: the sum over
     non-crossing partitions of the per-block Catalan products C(|W| - 1),
     one term per endpoint-refinement pair, computed in polynomial time."""
-    if n < 1:
-        raise ValueError("ground-set size must be at least 1")
+    _require_size(n)
     return _nc_weight_sum(n, lambda k, inner: catalan(k - 1))
 
 
@@ -436,8 +378,7 @@ def coloured_count(n: int) -> int:
     """Number of red/blue colourings of non-crossing partitions of {1..n}
     with all outer blocks red: the sum of 2**(inner blocks), computed in
     polynomial time.  Equals `ncl_count(n)`."""
-    if n < 1:
-        raise ValueError("ground-set size must be at least 1")
+    _require_size(n)
     return _nc_weight_sum(n, lambda k, inner: 2 if inner else 1)
 
 
@@ -447,8 +388,7 @@ def schroder(k: int) -> int:
     Satisfies (k+1) r_k = (6k-3) r_{k-1} - (k-2) r_{k-2}; r_{n-1} counts
     the non-crossing linked partitions of {1..n}.
     """
-    if k < 0:
-        raise ValueError("schroder is defined for k >= 0")
+    _require_index(k, "schroder")
     r0, r1 = 1, 2
     if k == 0:
         return r0

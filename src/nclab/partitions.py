@@ -22,7 +22,7 @@ import re
 from bisect import bisect_right
 from functools import cached_property, lru_cache
 from itertools import chain, product
-from typing import Callable, Collection, Iterable, Iterator, TypeVar
+from typing import Callable, Collection, Iterable, Iterator
 
 from ._base import MAX_DIGITS, Frozen, _clipped, _int_text, _quoted, _set_field
 
@@ -76,73 +76,20 @@ def _interleaves(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
     return False
 
 
-# The ground set {1..n}, built once per n rather than on every comparison.
-_standard_ground = lru_cache(maxsize=32)(lambda n: tuple(range(1, n + 1)))
-
-
-_Family = TypeVar("_Family", bound="BlockFamily")
-
-
 class BlockFamily(Frozen):
-    """A canonical family of blocks on a finite ground set of positive
-    integers: blocks sorted by least element, elements increasing inside
-    each block.  The ground set is ``{1..n}`` for everything except
-    restriction results, which keep their original labels.
+    """A canonical family of blocks on {1..n}: blocks sorted by least
+    element, elements increasing inside each block.
 
     `Partition` and `LinkedPartition` share this code.  Equality compares
     the class as well, so a partition never equals a linked partition with
     the same blocks.
     """
 
-    _fields = ("ground", "blocks")
+    _fields = ("n", "blocks")
 
-    def __init__(self, ground: tuple[int, ...], blocks: tuple[tuple[int, ...], ...]) -> None:
-        _set_field(self, "ground", ground)
+    def __init__(self, n: int, blocks: tuple[tuple[int, ...], ...]) -> None:
+        _set_field(self, "n", n)
         _set_field(self, "blocks", blocks)
-
-    @property
-    def n(self) -> int:
-        """Size of the ground set."""
-        return len(self.ground)
-
-    @property
-    def is_standard(self) -> bool:
-        """True when the ground set is {1..n}."""
-        return self.ground == _standard_ground(len(self.ground))
-
-    def restrict(self: _Family, elements: Iterable[int]) -> _Family:
-        """Restrict to a saturated subset of the ground set, keeping labels.
-
-        ``elements`` is saturated when every block meeting it is contained
-        in it; otherwise a ValueError names the offending block.
-        """
-        e = tuple(sorted(set(elements)))
-        if not e:
-            raise ValueError("restriction set is empty")
-        gset = set(self.ground)
-        for x in e:
-            if x not in gset:
-                raise ValueError(f"element {_int_text(x)} is not in the ground set")
-        eset = set(e)
-        kept = []
-        for blk in self.blocks:
-            hits = sum(1 for x in blk if x in eset)
-            if hits == 0:
-                continue
-            if hits != len(blk):
-                raise ValueError(
-                    f"block {_fmt_block(blk)} is not contained in the restriction set"
-                )
-            kept.append(blk)
-        return type(self)(e, tuple(kept))
-
-    def relabel(self: _Family) -> _Family:
-        """Order-isomorphic copy on the standard ground set {1..n}."""
-        pos = {x: i + 1 for i, x in enumerate(self.ground)}
-        return type(self)(
-            tuple(range(1, len(self.ground) + 1)),
-            tuple(tuple(pos[x] for x in blk) for blk in self.blocks),
-        )
 
     def to_text(self) -> str:
         return "".join(map(_block_text, self.blocks))
@@ -155,7 +102,7 @@ class BlockFamily(Frozen):
 
 
 class Partition(BlockFamily):
-    """A set partition of a finite ground set of positive integers.
+    """A set partition of {1..n}.
 
     Instances are assumed canonical (see `make_partition`); build them via
     `make_partition`, `from_text`, `from_json_dict` or the enumerators
@@ -218,8 +165,6 @@ class Partition(BlockFamily):
         return make_partition(*parse_blocks_text(text))
 
     def to_json_dict(self) -> dict:
-        if not self.is_standard:
-            raise ValueError("only partitions of {1..n} have a JSON form")
         return {"n": self.n, "blocks": [list(b) for b in self.blocks]}
 
     @classmethod
@@ -330,7 +275,7 @@ def make_partition(n: int, raw_blocks: Iterable[Iterable[int]]) -> Partition:
     if len(seen) != n:
         raise InvalidPartitionError(_not_covered(n, seen))
     blocks.sort(key=lambda b: b[0])
-    return Partition(tuple(range(1, n + 1)), tuple(blocks))
+    return Partition(n, tuple(blocks))
 
 
 def is_noncrossing(p: Partition) -> bool:
@@ -344,7 +289,7 @@ def _require_noncrossing(p: Partition, role: str) -> None:
 
 
 def _require_same_ground(a: Partition, b: Partition) -> None:
-    if a.ground != b.ground:
+    if a.n != b.n:
         raise ValueError(f"ground sets differ ({a.n} vs {b.n} elements)")
 
 
@@ -420,13 +365,21 @@ def endpoint_floor(b: Partition) -> Partition:
             out.append((w[0], w[-1]))
             out.extend((x,) for x in w[1:-1])
     out.sort(key=lambda blk: blk[0])
-    return Partition(b.ground, tuple(out))
+    return Partition(b.n, tuple(out))
+
+
+def _require_index(k: object, name: str) -> None:
+    """Raise ValueError unless ``k`` is an integer, not ``bool``, of at
+    least 0: the index of the number sequence ``name``."""
+    if not _is_int(k):
+        raise ValueError(f"{name} index {_quoted(k)} is not an integer")
+    if k < 0:
+        raise ValueError(f"{name} is defined for k >= 0")
 
 
 def catalan(k: int) -> int:
     """The k-th Catalan number (2k)! / (k! (k+1)!)."""
-    if k < 0:
-        raise ValueError("catalan is defined for k >= 0")
+    _require_index(k, "catalan")
     return math.comb(2 * k, k) // (k + 1)
 
 
@@ -446,7 +399,6 @@ def enumerate_nc(n: int) -> Iterator[Partition]:
     integer of at least 1 raises ValueError at the first object.
     """
     _require_size(n)
-    ground = tuple(range(1, n + 1))
     blocks: list[tuple[int, ...]] = []
     # indices of the open blocks, outermost first; a new list on each change,
     # so that ``arrived[k]`` keeps those open when element k < n came
@@ -460,11 +412,11 @@ def enumerate_nc(n: int) -> Iterator[Partition]:
             opened = [*opened, len(blocks)]
             blocks.append((k,))
             k += 1
-        yield Partition(ground, (*blocks, (n,)))
+        yield Partition(n, (*blocks, (n,)))
         for i in opened:
             old = blocks[i]
             blocks[i] = old + (n,)
-            yield Partition(ground, tuple(blocks))
+            yield Partition(n, tuple(blocks))
             blocks[i] = old
         k = n - 1  # undo choices back to the last element k < n with one left
         while k:
@@ -520,7 +472,7 @@ def endpoint_refinements(b: Partition) -> Iterator[Partition]:
     """
     _require_noncrossing(b, "input")
     for blocks in _blockwise(b.blocks, _block_shapes):
-        yield Partition(b.ground, blocks)
+        yield Partition(b.n, blocks)
 
 
 def count_endpoint_refinements(b: Partition) -> int:
@@ -571,7 +523,7 @@ def endpoint_coarsenings(a: Partition) -> Iterator[tuple[Partition, frozenset[in
                 elems.extend(a.blocks[j])
             out.append(tuple(sorted(elems)))
         out.sort(key=lambda blk: blk[0])
-        yield Partition(a.ground, tuple(out)), frozenset(special)
+        yield Partition(a.n, tuple(out)), frozenset(special)
 
 
 def count_endpoint_coarsenings(a: Partition) -> int:
@@ -591,10 +543,6 @@ class Permutation(Frozen):
     @property
     def n(self) -> int:
         return len(self.image)
-
-    @classmethod
-    def identity(cls, n: int) -> Permutation:
-        return cls(tuple(range(1, n + 1)))
 
     def __call__(self, i: int) -> int:
         return self.image[i - 1]
@@ -671,8 +619,6 @@ def make_permutation(n: int, image: Iterable[int]) -> Permutation:
 def block_cycles(a: Partition) -> Permutation:
     """The permutation with one cycle per block: each block {i1 < ... < im}
     maps i1 -> i2, ..., i(m-1) -> im, im -> i1."""
-    if not a.is_standard:
-        raise ValueError("block_cycles needs a partition of {1..n}")
     image = [0] * a.n
     for blk in a.blocks:
         for u, v in zip(blk, blk[1:]):
@@ -683,10 +629,8 @@ def block_cycles(a: Partition) -> Permutation:
 
 def act(t: Permutation, a: Partition) -> Partition:
     """Apply a permutation to a partition blockwise (a left group action)."""
-    if not a.is_standard:
-        raise ValueError("act needs a partition of {1..n}")
     if t.n != a.n:
         raise ValueError(f"sizes differ ({t.n} vs {a.n})")
     blocks = [tuple(sorted(t(x) for x in blk)) for blk in a.blocks]
     blocks.sort(key=lambda blk: blk[0])
-    return Partition(a.ground, tuple(blocks))
+    return Partition(a.n, tuple(blocks))

@@ -108,10 +108,6 @@ class Polynomial(Frozen):
         return cls(tuple(items))
 
     @classmethod
-    def zero(cls) -> Polynomial:
-        return cls(())
-
-    @classmethod
     def constant(cls, c: int) -> Polynomial:
         return cls._from_dict({_MONO_ONE: c})
 
@@ -125,20 +121,9 @@ class Polynomial(Frozen):
             return cls.one()
         return cls._from_dict({Monomial.of({i: 1}): 1})
 
-    def coefficient(self, mono: Monomial) -> int:
-        for m, c in self.terms:
-            if m == mono:
-                return c
-        return 0
-
     def __add__(self, other: Polynomial) -> Polynomial:
         d = Counter(dict(self.terms))
         d.update(dict(other.terms))
-        return Polynomial._from_dict(d)
-
-    def __sub__(self, other: Polynomial) -> Polynomial:
-        d = Counter(dict(self.terms))
-        d.subtract(dict(other.terms))
         return Polynomial._from_dict(d)
 
     def __mul__(self, other: Polynomial) -> Polynomial:

@@ -1,9 +1,9 @@
 """Exact truncated power series over rationals and the moment transforms.
 
 Coefficients are `fractions.Fraction`; nothing is ever rounded.  A series
-carries an explicit truncation order; arithmetic results carry the minimum
-order of their inputs, and reading a coefficient beyond the order is an
-error rather than a silent zero.
+carries an explicit truncation order: ``coeffs`` holds exactly order + 1
+coefficients, and arithmetic results carry the minimum order of their
+inputs, so nothing beyond the order is ever read as a silent zero.
 
 The moment calculus assumes the standing normalization: the first moment
 is 1.  Inputs violating it raise `NormalizationError`.
@@ -53,13 +53,6 @@ class TruncatedSeries(Frozen):
     def order(self) -> int:
         return len(self.coeffs) - 1
 
-    def coefficient(self, k: int) -> Fraction:
-        if k < 0:
-            raise IndexError("coefficient index must be non-negative")
-        if k > self.order:
-            raise IndexError(f"coefficient {k} beyond truncation order {self.order}")
-        return self.coeffs[k]
-
     def truncate(self, order: int) -> TruncatedSeries:
         if order > self.order:
             raise ValueError(f"cannot extend order {self.order} to {order}")
@@ -68,9 +61,6 @@ class TruncatedSeries(Frozen):
     def __add__(self, other: TruncatedSeries) -> TruncatedSeries:
         # zip stops at the shorter series: the lower truncation order
         return TruncatedSeries(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __sub__(self, other: TruncatedSeries) -> TruncatedSeries:
-        return TruncatedSeries(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
 
     def __mul__(self, other: TruncatedSeries) -> TruncatedSeries:
         n = min(self.order, other.order)

@@ -5,10 +5,19 @@ block assignment, and order relations by definition chasing.  They exist
 so the library's cleverer routes have something independent to answer to.
 """
 
+from collections import Counter
 from functools import lru_cache
-from typing import Iterator
+from typing import Iterable, Iterator
 
-from nclab import Partition, enumerate_nc, enumerate_ncl, enumerate_ncl_direct, make_partition
+from nclab import (
+    LinkedPartition,
+    Partition,
+    enumerate_nc,
+    enumerate_ncl,
+    enumerate_ncl_direct,
+    make_linked,
+    make_partition,
+)
 
 
 def all_set_partitions(n: int) -> Iterator[Partition]:
@@ -29,6 +38,22 @@ def all_set_partitions(n: int) -> Iterator[Partition]:
         blocks.pop()
 
     yield from rec(1)
+
+
+def restricted(p, elements: Iterable[int]):
+    """The blocks of ``p`` inside ``elements``, relabelled onto {1..m} in
+    increasing order, m = |elements|, and validated as an object of p's
+    class.  Every block of ``p`` that meets ``elements`` must lie inside
+    it, else KeyError."""
+    pos = {x: i for i, x in enumerate(sorted(elements), start=1)}
+    make = make_linked if type(p) is LinkedPartition else make_partition
+    return make(len(pos), [[pos[x] for x in blk] for blk in p.blocks
+                           if any(x in pos for x in blk)])
+
+
+def cover_counts(p) -> Counter:
+    """Element -> number of blocks of ``p`` that contain it."""
+    return Counter(x for blk in p.blocks for x in blk)
 
 
 @lru_cache(maxsize=None)

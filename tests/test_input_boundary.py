@@ -17,14 +17,19 @@ from nclab import (
     ParseError,
     Partition,
     Permutation,
+    catalan,
     classify_blocks,
+    coloured_count,
     endpoint_refines,
     enumerate_nc,
     enumerate_ncl,
+    enumerate_ncl_direct,
     from_pair,
     make_linked,
     make_partition,
     make_permutation,
+    ncl_count,
+    schroder,
 )
 from nclab.partitions import parse_blocks_text
 from helpers import nc, ncl_direct
@@ -134,17 +139,41 @@ def test_rejected_before_sorting(n, raw, message):
         assert str(exc.value) == message
 
 
-@pytest.mark.parametrize("n, message", [
+SIZES = pytest.mark.parametrize("n, message", [
     (0, "ground-set size must be at least 1"),
     (True, "ground-set size True is not an integer"),
     (2.0, "ground-set size 2.0 is not an integer"),
 ], ids=["zero", "bool", "float"])
-@pytest.mark.parametrize("enumerate_", [enumerate_nc, enumerate_ncl], ids=["nc", "ncl"])
+
+
+@SIZES
+@pytest.mark.parametrize("enumerate_", [enumerate_nc, enumerate_ncl, enumerate_ncl_direct],
+                         ids=["nc", "ncl", "ncl_direct"])
 def test_enumerator_size(enumerate_, n, message):
     # checked when the first object is asked for
     with pytest.raises(ValueError) as exc:
         next(enumerate_(n))
     assert str(exc.value) == message
+
+
+@SIZES
+@pytest.mark.parametrize("count", [ncl_count, coloured_count], ids=["ncl", "coloured"])
+def test_count_size(count, n, message):
+    with pytest.raises(ValueError) as exc:
+        count(n)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("k, message", [
+    (-1, "{} is defined for k >= 0"),
+    (True, "{} index True is not an integer"),
+    (2.0, "{} index 2.0 is not an integer"),
+], ids=["negative", "bool", "float"])
+@pytest.mark.parametrize("number", [catalan, schroder], ids=["catalan", "schroder"])
+def test_sequence_index(number, k, message):
+    with pytest.raises(ValueError) as exc:
+        number(k)
+    assert str(exc.value) == message.format(number.__name__)
 
 
 @pytest.mark.parametrize("raw, message", [
@@ -204,9 +233,8 @@ def test_huge_repeated_element_bounded():
 
 
 @pytest.mark.parametrize("lookup", [
-    lambda p: p.restrict([HUGE]),
     lambda p: p.block_of(HUGE),
-], ids=["restrict", "block_of"])
+], ids=["block_of"])
 def test_huge_element_lookup_bounded(lookup):
     with pytest.raises(ValueError) as exc:
         lookup(make_partition(2, [[1, 2]]))
@@ -232,8 +260,6 @@ LONG_HEAD = "{" + ",".join(map(str, range(1, 24))) + "... (13894 characters)"
 @pytest.mark.parametrize("build, error, message", [
     (lambda: make_linked(N_LONG, [list(range(1, N_LONG + 1)), [1, 2]]),
      InvalidLinkedPartitionError, f"blocks {LONG_HEAD} and {{1,2}} share 2 elements"),
-    (lambda: LONG.restrict(range(1, N_LONG)),
-     ValueError, f"block {LONG_HEAD} is not contained in the restriction set"),
     (lambda: from_pair(LONG, Partition.discrete(N_LONG)),
      ValueError, f"{LONG_HEAD} does not endpoint-refine {{1}}{{2}}{{3}}{{4}}{{5}}{{6}}"
                  "{7}{8}{9}{10}{11}{12}{13}{14}{15}{16}{17}{... (16893 characters)"),
@@ -244,7 +270,7 @@ LONG_HEAD = "{" + ",".join(map(str, range(1, 24))) + "... (13894 characters)"
                                                       range(2, N_LONG + 1, 2)]), LONG),
      ValueError, "left partition {1,3,5,7,9,11,13,15,17,19,21,23,25,27,29,31,33,35,37,39,41,4"
                  "... (13895 characters) is crossing"),
-], ids=["make_linked", "restrict", "from_pair", "classify_blocks", "crossing"])
+], ids=["make_linked", "from_pair", "classify_blocks", "crossing"])
 def test_long_blocks_quoted_bounded(build, error, message):
     with pytest.raises(error) as exc:
         build()
@@ -256,9 +282,6 @@ def test_short_block_quotes_unchanged():
     with pytest.raises(InvalidLinkedPartitionError) as exc:
         make_linked(4, [[1, 2, 3], [2, 3, 4]])
     assert str(exc.value) == "blocks {1,2,3} and {2,3,4} share 2 elements"
-    with pytest.raises(ValueError) as exc:
-        make_partition(3, [[1, 2], [3]]).restrict([1, 3])
-    assert str(exc.value) == "block {1,2} is not contained in the restriction set"
 
 
 LONG_IMAGE = "[" + ", ".join(["1"] * 20) + ",... (9000 characters)"

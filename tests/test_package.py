@@ -18,12 +18,12 @@ import nclab
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 EXPORTS = [
-    "BlockClassification", "CoverMap", "InvalidLinkedPartitionError",
+    "BlockClassification", "InvalidLinkedPartitionError",
     "InvalidPartitionError", "LinkedPartition", "MomentSequence", "Monomial",
     "NormalizationError", "ParseError", "Partition", "Permutation", "Polynomial",
     "TruncatedSeries", "act", "block_cycles", "catalan", "classify_blocks",
     "coloured_count", "count_endpoint_coarsenings", "count_endpoint_refinements",
-    "cover_map", "cumulant_poly", "cumulant_product_identity",
+    "cumulant_poly", "cumulant_product_identity",
     "cumulants_from_moments", "cumulants_from_moments_by_enumeration",
     "cumulants_from_t", "cumulants_from_t_by_enumeration", "endpoint_coarsenings",
     "endpoint_floor", "endpoint_refinements", "endpoint_refines", "enumerate_nc",

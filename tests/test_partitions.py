@@ -252,7 +252,7 @@ class TestEnumerateNC:
             # 0 opens a block; d >= 1 joins the d-th open block from the
             # outside and closes every block opened inside it
             codes, open_mins = [], []
-            for k in p.ground:
+            for k in range(1, p.n + 1):
                 lo = p.block_of(k)[0]
                 if lo == k:
                     codes.append(0)
@@ -410,7 +410,7 @@ class TestPermutation:
         assert perm.to_cycle_text() == "(1,2,3,4,5,6,7)(8,9,10,11)"
 
     def test_block_cycles_discrete_is_identity(self):
-        assert block_cycles(Partition.discrete(5)) == Permutation.identity(5)
+        assert block_cycles(Partition.discrete(5)) == make_permutation(5, range(1, 6))
 
     def test_block_cycles_two_cycle(self):
         assert block_cycles(make_partition(3, [[1, 3], [2]])).image == (3, 2, 1)
@@ -431,18 +431,23 @@ class TestPermutation:
             img = list(range(1, n + 1))
             rng.shuffle(img)
             t = make_permutation(n, img)
-            assert t * t.inverse() == Permutation.identity(n)
-            assert t.inverse() * t == Permutation.identity(n)
+            identity = make_permutation(n, range(1, n + 1))
+            assert t * t.inverse() == identity
+            assert t.inverse() * t == identity
 
     def test_json_round_trip(self):
         perm = block_cycles(BETA_11)
         assert Permutation.from_json_dict(perm.to_json_dict()) == perm
 
+    def test_identity_cycle_text(self):
+        assert make_permutation(4, range(1, 5)).to_cycle_text() == "()"
+        assert block_cycles(make_partition(3, [[1, 3], [2]])).to_cycle_text() == "(1,3)"
+
 
 class TestAct:
     def test_identity(self):
         for a in nc(4):
-            assert act(Permutation.identity(4), a) == a
+            assert act(make_permutation(4, range(1, 5)), a) == a
 
     def test_worked_example(self):
         perm = block_cycles(BETA_11)
@@ -460,7 +465,7 @@ class TestAct:
 
     def test_size_mismatch(self):
         with pytest.raises(ValueError, match="sizes differ"):
-            act(Permutation.identity(3), Partition.full(4))
+            act(make_permutation(3, range(1, 4)), Partition.full(4))
 
     def test_cycle_action_preserves_order_ideal(self):
         # the inverse block-cycle permutation of b maps {a : a <= b} into itself
@@ -498,30 +503,3 @@ class TestCountDuality:
                 above += count_endpoint_coarsenings(p)
             assert below == above
 
-
-class TestRestrictRelabel:
-    def test_restrict_keeps_labels(self):
-        r = BETA_11.restrict(range(8, 12))
-        assert r.ground == (8, 9, 10, 11)
-        assert r.blocks == ((8, 9, 10, 11),)
-
-    def test_restrict_rejects_split_block(self):
-        with pytest.raises(ValueError, match=r"block \{1,2,4\} is not contained"):
-            UNLINK_11.restrict([1, 2, 3])
-
-    def test_relabel(self):
-        r = UNLINK_11.restrict([8, 9, 10, 11]).relabel()
-        assert r == make_partition(4, [[1, 2, 4], [3]])
-
-    def test_foreign_elements_rejected(self):
-        with pytest.raises(ValueError, match="element 0 is not in the ground set"):
-            BETA_11.restrict([0, 1])
-
-    def test_block_cycles_needs_standard_ground(self):
-        r = BETA_11.restrict(range(8, 12))
-        with pytest.raises(ValueError, match=r"\{1\.\.n\}"):
-            block_cycles(r)
-
-    def test_identity_cycle_text(self):
-        assert Permutation.identity(4).to_cycle_text() == "()"
-        assert block_cycles(make_partition(3, [[1, 3], [2]])).to_cycle_text() == "(1,3)"

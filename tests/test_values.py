@@ -11,7 +11,6 @@ import pytest
 
 from nclab import (
     BlockClassification,
-    CoverMap,
     LinkedPartition,
     MomentSequence,
     Monomial,
@@ -20,23 +19,35 @@ from nclab import (
     Permutation,
     Polynomial,
     TruncatedSeries,
+    act,
+    block_cycles,
     classify_blocks,
-    cover_map,
+    endpoint_coarsenings,
+    endpoint_floor,
+    endpoint_refinements,
+    enumerate_nc,
+    enumerate_ncl,
+    enumerate_ncl_direct,
+    from_pair,
+    generated_partition,
     make_linked,
     make_partition,
+    to_pair,
+    unlink,
 )
 from nclab.partitions import BlockFamily
 from nclab.verify import CheckResult
+from helpers import nc, ncl_direct
 
 # (class, field names, a factory for one value, a factory for a different one)
 FROZEN = [
-    (BlockFamily, ("ground", "blocks"),
-     lambda: BlockFamily((1, 2, 3), ((1, 3), (2,))),
-     lambda: BlockFamily((1, 2, 3), ((1,), (2, 3)))),
-    (Partition, ("ground", "blocks"),
+    (BlockFamily, ("n", "blocks"),
+     lambda: BlockFamily(3, ((1, 3), (2,))),
+     lambda: BlockFamily(3, ((1,), (2, 3)))),
+    (Partition, ("n", "blocks"),
      lambda: make_partition(3, [[1, 3], [2]]),
      lambda: make_partition(3, [[1], [2, 3]])),
-    (LinkedPartition, ("ground", "blocks"),
+    (LinkedPartition, ("n", "blocks"),
      lambda: make_linked(3, [[1, 2], [2, 3]]),
      lambda: make_linked(3, [[1, 3], [2]])),
     (BlockClassification, ("special", "inner", "outer"),
@@ -45,9 +56,6 @@ FROZEN = [
     (Permutation, ("image",),
      lambda: Permutation((2, 1, 3)),
      lambda: Permutation((1, 3, 2))),
-    (CoverMap, ("ground", "incidence"),
-     lambda: CoverMap((1, 2), ((0,), (0,))),
-     lambda: CoverMap((1, 2), ((0,), (1,)))),
     (TruncatedSeries, ("coeffs",),
      lambda: TruncatedSeries.of(1, "1/2", 0),
      lambda: TruncatedSeries.of(1, "1/2")),
@@ -110,10 +118,44 @@ class TestFrozen:
         assert cls(**{name: getattr(a, name) for name in fields}) == a
 
 
+# Every route that builds a block family, as n -> the objects it builds on {1..n}.
+ROUTES = {
+    "make_partition": lambda n: (make_partition(n, b.blocks) for b in nc(n)),
+    "make_linked": lambda n: (make_linked(n, p.blocks) for p in ncl_direct(n)),
+    "from_text": lambda n: (type(x).from_text(x.to_text()) for x in nc(n) + ncl_direct(n)),
+    "from_json_dict": lambda n: (type(x).from_json_dict(x.to_json_dict())
+                                 for x in nc(n) + ncl_direct(n)),
+    "enumerate_nc": enumerate_nc,
+    "endpoint_refinements": lambda n: (a for b in nc(n) for a in endpoint_refinements(b)),
+    "endpoint_coarsenings": lambda n: (b for a in nc(n) for b, _ in endpoint_coarsenings(a)),
+    "endpoint_floor": lambda n: map(endpoint_floor, nc(n)),
+    "act": lambda n: (act(block_cycles(b), b) for b in nc(n)),
+    "unlink": lambda n: map(unlink, ncl_direct(n)),
+    "generated_partition": lambda n: map(generated_partition, ncl_direct(n)),
+    "from_pair": lambda n: (from_pair(*to_pair(p)) for p in ncl_direct(n)),
+    "enumerate_ncl": enumerate_ncl,
+    "enumerate_ncl_direct": enumerate_ncl_direct,
+}
+
+
+@pytest.mark.parametrize("route", ROUTES.values(), ids=ROUTES.keys())
+def test_constructed_families_live_on_1_to_n(route):
+    # each object carries its size n and equals the validated object with
+    # its blocks; copies and pickles of it are equal values
+    for n in range(1, 7):
+        for obj in route(n):
+            assert type(obj.n) is int and obj.n == n
+            make = make_linked if type(obj) is LinkedPartition else make_partition
+            canonical = make(obj.n, obj.blocks)
+            assert obj == canonical and hash(obj) == hash(canonical)
+            for twin in (copy.copy(obj), copy.deepcopy(obj), pickle.loads(pickle.dumps(obj))):
+                assert twin == obj and hash(twin) == hash(obj)
+
+
 def test_partition_never_equals_linked_partition():
     p = make_partition(3, [[1, 2], [3]])
     q = make_linked(3, [[1, 2], [3]])
-    f = BlockFamily(p.ground, p.blocks)
+    f = BlockFamily(p.n, p.blocks)
     assert p.blocks == q.blocks == f.blocks
     assert p != q and q != p and p != f and f != q
 
@@ -122,9 +164,6 @@ def test_cached_properties_on_frozen_values():
     p = make_partition(4, [[1, 4], [2, 3]])
     assert p.inner_indices == frozenset({1})
     assert p.block_of(3) == (2, 3)
-    c = cover_map(make_linked(3, [[1, 2], [2, 3]]))
-    assert c.blocks_of(2) == (0, 1)
-    assert c.doubly_covered == frozenset({2})
 
 
 def test_default_reprs():
@@ -133,8 +172,6 @@ def test_default_reprs():
     assert repr(classify_blocks(a, b)) == (
         "BlockClassification(special=frozenset({0}), inner=frozenset({1, 2}), "
         "outer=frozenset({0}))")
-    assert repr(cover_map(make_linked(3, [[1, 2], [2, 3]]))) == (
-        "CoverMap(ground=(1, 2, 3), incidence=((0,), (0, 1), (1,)))")
     assert repr(CheckResult("counts", "ncl-three-way", "n<=2", 2, True)) == (
         "CheckResult(suite='counts', identity='ncl-three-way', scope='n<=2', "
         "checked=2, passed=True, detail='', failures=[])")
