@@ -42,6 +42,10 @@ LAYERS = {
     "enumerate_nc(12) to_text": (
         "from nclab.partitions import enumerate_nc",
         "count(p.to_text() for p in enumerate_nc(12))"),
+    "cli enumerate nc 12": (
+        "from nclab import cli\n"
+        "sys.stdout = open(os.devnull, 'w')",
+        "cli.main(['enumerate', 'nc', '12'])"),
     "cli enumerate nc 11 --json": (
         "from nclab import cli\n"
         "sys.stdout = open(os.devnull, 'w')",

@@ -35,6 +35,7 @@ _EXPORTS = {
     ),
     "linked": (
         "InvalidLinkedPartitionError",
+        "InvalidPairError",
         "LinkedPartition",
         "coloured_count",
         "enumerate_ncl",

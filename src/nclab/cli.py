@@ -192,22 +192,24 @@ def _block_json(block: tuple[int, ...]) -> str:
 
 def _cmd_enumerate(args, limit: int) -> int:
     _check_size(args.n, limit)
-    if args.kind == "nc":
-        from .partitions import enumerate_nc
+    from .partitions import _block_text, _nc_walk
 
-        gen = enumerate_nc(args.n)
+    # each object as the texts of its blocks; the JSON ones are cached for
+    # this command only
+    fmt = cache(_block_json) if args.json else _block_text
+    if args.kind == "nc":
+        rows = _nc_walk(args.n, fmt)  # re-formats only the blocks it changes
     else:
         from .linked import enumerate_ncl
 
-        gen = enumerate_ncl(args.n)
+        rows = (map(fmt, obj.blocks) for obj in enumerate_ncl(args.n))
     if args.json:
         # the compact encoding of ``obj.to_json_dict()``, block by block
         head = f'{{"n":{args.n},"blocks":['
         tail = '],"linked":true}' if args.kind == "ncl" else "]}"
-        block_json = cache(_block_json)  # for this command only
-        lines = (head + ",".join(map(block_json, obj.blocks)) + tail for obj in gen)
+        lines = (head + ",".join(row) + tail for row in rows)
     else:
-        lines = (obj.to_text() for obj in gen)
+        lines = map("".join, rows)
     # written in bounded chunks: one write per line is slow, and one for the
     # whole output would hold all of it in memory
     count = 0

@@ -52,6 +52,10 @@ class InvalidLinkedPartitionError(ValueError):
     """A block family does not form a valid non-crossing linked partition."""
 
 
+class InvalidPairError(ValueError):
+    """A pair (a, b) given to `from_pair` where a does not endpoint-refine b."""
+
+
 class LinkedPartition(BlockFamily):
     """A non-crossing linked partition of {1..n}.
 
@@ -207,17 +211,18 @@ def from_pair(a: Partition, b: Partition) -> LinkedPartition:
     Construction (`_link`): push ``a`` forward through the block-cycle
     permutation of ``b`` (giving the unlinking), then re-link each block
     whose minimum is not its host-block minimum by prepending the host
-    element immediately preceding it.
+    element immediately preceding it.  A pair that is not so related
+    raises `InvalidPairError`.
     """
     if not endpoint_refines(a, b):
         if refines(a, b):
             ao = a._block_of
             for w in b.blocks:
                 if ao[w[0]] != ao[w[-1]]:
-                    raise ValueError(
+                    raise InvalidPairError(
                         f"block {_fmt_block(w)}: min/max not together in alpha"
                     )
-        raise ValueError(f"{_clipped(a)} does not endpoint-refine {_clipped(b)}")
+        raise InvalidPairError(f"{_clipped(a)} does not endpoint-refine {_clipped(b)}")
 
     result = _link(a, b.blocks, block_cycles(b).image, b._block_of)
     try:

@@ -46,7 +46,9 @@ def _fmt_block(block: Iterable[int]) -> str:
 
 
 # The text form of one block; one cache entry per distinct block: at most
-# 2**n - 1 for objects on {1..n}.
+# 2**n - 1 for objects on {1..n}.  `BlockFamily.to_text` looks up every
+# block of each object it writes; ``enumerate nc`` looks up only the blocks
+# that `_nc_walk` changes, amortised O(1) per partition.
 @lru_cache(maxsize=1 << 16)
 def _block_text(block: tuple[int, ...]) -> str:
     return "{" + ",".join(map(str, block)) + "}"
@@ -394,40 +396,66 @@ def enumerate_nc(n: int) -> Iterator[Partition]:
 
         {1}{2}{3}, {1,3}{2}, {1}{2,3}, {1,2}{3}, {1,2,3}
 
-    The count is the n-th Catalan number.  One backtracking loop, with no
-    nested generators, walks the codes in that order.  ``n`` that is not an
-    integer of at least 1 raises ValueError at the first object.
+    The count is the n-th Catalan number.  The walk is `_nc_walk`, which
+    also writes the CLI's ``enumerate nc`` lines without building objects.
+    ``n`` that is not an integer of at least 1 raises ValueError at the
+    first object.
     """
     _require_size(n)
+    for blocks in _nc_walk(n):
+        yield Partition(n, tuple(blocks))
+
+
+def _nc_walk(n: int, fmt: Callable[[tuple], str] | None = None) -> Iterator[list]:
+    """Walk NC(n), n >= 1, in `enumerate_nc` order by one backtracking loop.
+    Yields one live list per partition: its blocks, or ``fmt(block)`` for
+    each block, where ``fmt`` is called only on the blocks the walk opens,
+    extends or shrinks, amortised O(1) calls per partition.  The list
+    changes in place at the next step, so copy or join it first."""
     blocks: list[tuple[int, ...]] = []
+    shown = [] if fmt else blocks  # what is yielded
     # indices of the open blocks, outermost first; a new list on each change,
     # so that ``arrived[k]`` keeps those open when element k < n came
     opened: list[int] = []
     arrived: list[list[int]] = [opened] * n
     code = [0] * n  # the choice code of each element k < n
+    last = fmt((n,)) if fmt else (n,)
     k = 1
     while True:
         while k < n:  # elements k..n-1 open new blocks
             arrived[k], code[k] = opened, 0
             opened = [*opened, len(blocks)]
             blocks.append((k,))
+            if fmt:
+                shown.append(fmt((k,)))
             k += 1
-        yield Partition(n, (*blocks, (n,)))
-        for i in opened:
-            old = blocks[i]
-            blocks[i] = old + (n,)
-            yield Partition(n, tuple(blocks))
-            blocks[i] = old
+        shown.append(last)  # n alone
+        yield shown
+        shown.pop()
+        for i in opened:  # n joins an open block
+            saved = shown[i]
+            grown = blocks[i] + (n,)
+            shown[i] = fmt(grown) if fmt else grown
+            yield shown
+            shown[i] = saved
         k = n - 1  # undo choices back to the last element k < n with one left
         while k:
             d, opened = code[k], arrived[k]
             if d:
-                blocks[opened[d - 1]] = blocks[opened[d - 1]][:-1]
+                j = opened[d - 1]
+                blocks[j] = blocks[j][:-1]
+                if fmt:
+                    shown[j] = fmt(blocks[j])
             else:
                 blocks.pop()
+                if fmt:
+                    shown.pop()
             if d < len(opened):
                 code[k] = d + 1
-                blocks[opened[d]] += (k,)
+                j = opened[d]
+                blocks[j] += (k,)
+                if fmt:
+                    shown[j] = fmt(blocks[j])
                 opened = opened[:d + 1]
                 k += 1
                 break
@@ -552,12 +580,6 @@ class Permutation(Frozen):
         for i, v in enumerate(self.image):
             inv[v - 1] = i + 1
         return Permutation(tuple(inv))
-
-    def __mul__(self, other: Permutation) -> Permutation:
-        """Composition: (self * other)(i) = self(other(i))."""
-        if len(self.image) != len(other.image):
-            raise ValueError("permutation sizes differ")
-        return Permutation(tuple(self.image[v - 1] for v in other.image))
 
     def cycles(self) -> tuple[tuple[int, ...], ...]:
         """Disjoint cycles, each starting at its least element, ordered by it."""

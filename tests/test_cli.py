@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from nclab import cli, enumerate_nc, enumerate_ncl, linked, ncl_count
+from nclab.partitions import _block_text, _nc_walk
 
 
 def run_cli(capsys, *argv):
@@ -62,6 +63,17 @@ class TestEnumerate:
                     for obj in enumerate_(n)]
             assert out.splitlines()[:-1] == want
 
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_nc_walk_forms(self, n):
+        # the walk's text and JSON rows, joined as the CLI joins them, are
+        # the forms of the `enumerate_nc` objects, line by line and in order
+        objs = list(enumerate_nc(n))
+        texts = ["".join(row) for row in _nc_walk(n, _block_text)]
+        assert texts == [p.to_text() for p in objs]
+        head = f'{{"n":{n},"blocks":['
+        jsons = [head + ",".join(row) + "]}" for row in _nc_walk(n, cli._block_json)]
+        assert jsons == [json.dumps(p.to_json_dict(), separators=(",", ":")) for p in objs]
+
     def test_limit_guard(self, capsys):
         code, _, err = run_cli(capsys, "enumerate", "nc", "13")
         assert code == 2
@@ -109,6 +121,12 @@ class TestMap:
         code, _, err = run_cli(capsys, "map", "from-pair", "{1}{2}{3}", "{1,2,3}")
         assert code == 3
         assert "block {1,2,3}: min/max not together in alpha" in err
+
+    def test_from_pair_not_refining_exit3(self, capsys):
+        code, out, err = run_cli(capsys, "map", "from-pair", "{1,2}{3,4}", "{1,2,3}{4}")
+        assert code == 3
+        assert out == ""
+        assert err == "error: {1,2}{3,4} does not endpoint-refine {1,2,3}{4}\n"
 
     def test_unparseable_is_usage(self, capsys):
         code, _, err = run_cli(capsys, "map", "to-pair", "{1,2")
@@ -281,6 +299,12 @@ class TestEnumerateDigests:
          "a62cd33c4975e5d3379ddd3adbcdea509e6514a9cf2d5910b425493e78dc0177"),
         (("enumerate", "ncl", "8", "--json"),
          "982db1e5d7b38194d3ed9e68bf3a1725efccc87eefea35df916c8e68b4f9b59d"),
+        # pinned from the writer that built a `Partition` per line, before
+        # the CLI wrote the lines of `_nc_walk`
+        (("enumerate", "nc", "12"),
+         "e78cc69225b3aeafb261b14792e8632a2a44ffd8c89cdeb00ab0e0b17e7d826a"),
+        (("enumerate", "nc", "11", "--json"),
+         "f59ca74c4ad2247fbd0eb8defa262032a5214fd2548be6afa110e184b6d81c36"),
     ])
     def test_stdout_digest(self, capsys, argv, digest):
         code, out, err = run_cli(capsys, *argv)

@@ -9,6 +9,7 @@ import nclab.partitions
 import nclab.series
 from nclab import (
     InvalidLinkedPartitionError,
+    InvalidPairError,
     LinkedPartition,
     Partition,
     catalan,
@@ -268,6 +269,20 @@ class TestPairBijection:
         b = make_partition(4, [[1, 2, 3], [4]])
         with pytest.raises(ValueError, match="does not endpoint-refine"):
             from_pair(a, b)
+
+    @pytest.mark.parametrize("a, b, message", [
+        (Partition.discrete(3), Partition.full(3),
+         "block {1,2,3}: min/max not together in alpha"),
+        (make_partition(4, [[1, 2], [3, 4]]), make_partition(4, [[1, 2, 3], [4]]),
+         "{1,2}{3,4} does not endpoint-refine {1,2,3}{4}"),
+    ], ids=["min-max-apart", "not-refining"])
+    def test_precondition_error_type(self, a, b, message):
+        # a library type that callers can catch, still a ValueError
+        with pytest.raises(InvalidPairError) as exc:
+            from_pair(a, b)
+        assert type(exc.value) is InvalidPairError
+        assert issubclass(InvalidPairError, ValueError)
+        assert str(exc.value) == message
 
     def test_public_entry_point_still_validates(self):
         # the enumerator's unchecked core is not reachable through from_pair

@@ -18,7 +18,7 @@ import nclab
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 EXPORTS = [
-    "BlockClassification", "InvalidLinkedPartitionError",
+    "BlockClassification", "InvalidLinkedPartitionError", "InvalidPairError",
     "InvalidPartitionError", "LinkedPartition", "MomentSequence", "Monomial",
     "NormalizationError", "ParseError", "Partition", "Permutation", "Polynomial",
     "TruncatedSeries", "act", "block_cycles", "catalan", "classify_blocks",
