@@ -70,6 +70,27 @@ LAYERS = {
         "from nclab.linked import enumerate_ncl, make_linked\n"
         "raw = [(p.n, p.blocks) for p in enumerate_ncl(8)]",
         "count(starmap(make_linked, raw))"),
+    # the seeded draw of `verify moments` (100 sequences at depth 8); the
+    # result counts the oracle values that equal the fast routes' (400)
+    "transform oracles x100 depth 8": (
+        "import random\n"
+        "from fractions import Fraction\n"
+        "from nclab import series\n"
+        "from nclab.verify import RANDOM_SEED\n"
+        "rng = random.Random(RANDOM_SEED)\n"
+        "ms = [series.MomentSequence.of([1] + [\n"
+        "    Fraction(rng.randint(-30, 30), rng.randint(1, 12)) for _ in range(7)])\n"
+        "    for _ in range(100)]\n"
+        "ts = [series.t_transform(m).coeffs for m in ms]\n"
+        "ks = [series.cumulants_from_moments(m) for m in ms]",
+        "sum((series.moments_from_t_by_enumeration(t, 8) == m)"
+        " + (series.cumulants_from_t_by_enumeration(t, 8) == k)"
+        " + (series.cumulants_from_moments_by_enumeration(m) == k)"
+        " + (series.moments_from_cumulants_by_enumeration(k, 8) == m)"
+        " for m, t, k in zip(ms, ts, ks))"),
+    "moment_poly_inner_outer(10)": (
+        "from nclab.polynomials import moment_poly_inner_outer",
+        "len(moment_poly_inner_outer(10).terms)"),
 }
 
 RUN = """

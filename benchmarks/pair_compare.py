@@ -6,8 +6,9 @@
 Writes BENCH_<label>.json in the current directory, with the sha256 and
 the line count of each side's `src/nclab/*.py`.  A file of that name that
 was written for the same two sources is added to, not replaced, so runs
-in different environments can share one file.  Nothing is installed;
-the checkouts get only what running them leaves behind (`.nclbench_out/`,
+in different environments can share one file; a `layers` section that
+`layers.py` wrote is kept either way.  Nothing is installed; the
+checkouts get only what running them leaves behind (`.nclbench_out/`,
 `__pycache__/`).
 
 Every comparison records each side's bytecode state when it began
@@ -187,6 +188,8 @@ def main() -> int:
         earlier = json.loads(out_path.read_text())
         if earlier.get("source_sha256") == entry["source_sha256"]:
             entry = earlier
+        elif "layers" in earlier:  # written by layers.py, which names its own sources
+            entry["layers"] = earlier["layers"]
     # written after each comparison, so that one that fails loses no other
     for spec in args.requests:
         workload, seed, reps = spec.split(":")

@@ -13,6 +13,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "partitions": (
         "BlockClassification",
+        "InvalidPairError",
         "InvalidPartitionError",
         "ParseError",
         "Partition",
@@ -35,7 +36,6 @@ _EXPORTS = {
     ),
     "linked": (
         "InvalidLinkedPartitionError",
-        "InvalidPairError",
         "LinkedPartition",
         "coloured_count",
         "enumerate_ncl",

@@ -1,8 +1,8 @@
 """Pieces shared by modules that must not load one another: the bound on
-integers read from text, the bounded quoting of rejected input for
-diagnostics, and the bases of the record classes.  It imports only
-`operator`, which `re` has already loaded at start-up, so any module can
-use it without slowing its own import."""
+integers read from text, the integer test, the bounded quoting of
+rejected input for diagnostics, and the bases of the record classes.  It
+imports only `operator`, which `re` has already loaded at start-up, so
+any module can use it without slowing its own import."""
 
 from __future__ import annotations
 
@@ -11,6 +11,11 @@ from operator import attrgetter
 # Integers read from text are bounded by their digit count before any
 # conversion: 4300 is CPython's default limit for int <-> str conversion.
 MAX_DIGITS = 4300
+
+
+def _is_int(x: object) -> bool:
+    """True for integers other than ``bool``: JSON ``true`` is not 1."""
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 _MAX_QUOTED = 60

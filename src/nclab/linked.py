@@ -28,12 +28,15 @@ from typing import Callable, Iterable, Iterator
 from ._base import _clipped, _int_text
 from .partitions import (
     BlockFamily,
+    InvalidPairError,  # raised by from_pair, and importable from here
     Partition,
     _block_shapes,
     _blocks_cross,
     _blockwise,
+    _endpoint_fault,
     _fmt_block,
     _not_covered,
+    _pair_error,
     _parse_blocks_json,
     _read_raw_blocks,
     _require_index,
@@ -41,19 +44,13 @@ from .partitions import (
     act,
     block_cycles,
     catalan,
-    endpoint_refines,
     enumerate_nc,
     parse_blocks_text,
-    refines,
 )
 
 
 class InvalidLinkedPartitionError(ValueError):
     """A block family does not form a valid non-crossing linked partition."""
-
-
-class InvalidPairError(ValueError):
-    """A pair (a, b) given to `from_pair` where a does not endpoint-refine b."""
 
 
 class LinkedPartition(BlockFamily):
@@ -212,25 +209,13 @@ def from_pair(a: Partition, b: Partition) -> LinkedPartition:
     permutation of ``b`` (giving the unlinking), then re-link each block
     whose minimum is not its host-block minimum by prepending the host
     element immediately preceding it.  A pair that is not so related
-    raises `InvalidPairError`.
+    raises `InvalidPairError`.  `enumerate_ncl` trusts `_link` too, and
+    Tier-1 checks both routes with `make_linked`, so nothing is re-checked.
     """
-    if not endpoint_refines(a, b):
-        if refines(a, b):
-            ao = a._block_of
-            for w in b.blocks:
-                if ao[w[0]] != ao[w[-1]]:
-                    raise InvalidPairError(
-                        f"block {_fmt_block(w)}: min/max not together in alpha"
-                    )
-        raise InvalidPairError(f"{_clipped(a)} does not endpoint-refine {_clipped(b)}")
-
-    result = _link(a, b.blocks, block_cycles(b).image, b._block_of)
-    try:
-        make_linked(result.n, result.blocks)
-    except InvalidLinkedPartitionError as exc:  # pragma: no cover - defect guard
-        raise AssertionError(
-            f"from_pair({_clipped(a)}, {_clipped(b)}) built an invalid object: {exc}") from exc
-    return result
+    fault = _endpoint_fault(a, b)
+    if fault is not None:
+        raise _pair_error(a, b, fault)
+    return _link(a, b.blocks, block_cycles(b).image, b._block_of)
 
 
 def _link(

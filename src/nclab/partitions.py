@@ -24,7 +24,7 @@ from functools import cached_property, lru_cache
 from itertools import chain, product
 from typing import Callable, Collection, Iterable, Iterator
 
-from ._base import MAX_DIGITS, Frozen, _clipped, _int_text, _quoted, _set_field
+from ._base import MAX_DIGITS, Frozen, _clipped, _int_text, _is_int, _quoted, _set_field
 
 
 class InvalidPartitionError(ValueError):
@@ -33,6 +33,11 @@ class InvalidPartitionError(ValueError):
 
 class ParseError(ValueError):
     """A textual or JSON encoding could not be read."""
+
+
+class InvalidPairError(ValueError):
+    """A pair (a, b) where a does not endpoint-refine b, given to a map
+    that requires it: `classify_blocks` or `linked.from_pair`."""
 
 
 _TEXT_RE = re.compile(r"(?:\{\d+(?:,\d+)*\})+\Z")
@@ -52,11 +57,6 @@ def _fmt_block(block: Iterable[int]) -> str:
 @lru_cache(maxsize=1 << 16)
 def _block_text(block: tuple[int, ...]) -> str:
     return "{" + ",".join(map(str, block)) + "}"
-
-
-def _is_int(x: object) -> bool:
-    """True for integers other than ``bool``: JSON ``true`` is not 1."""
-    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def _blocks_cross(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
@@ -313,16 +313,33 @@ def endpoint_refines(a: Partition, b: Partition) -> bool:
 
     Both partitions must be non-crossing.
     """
+    return _endpoint_fault(a, b) is None
+
+
+def _endpoint_fault(a: Partition, b: Partition) -> tuple[int, ...] | None:
+    """None if ``endpoint_refines(a, b)``, else its first fault: ``()`` if
+    ``a`` does not refine ``b``, else the first block of ``b`` whose min and
+    max ``a`` keeps apart.  Unworded, as `endpoint_refines` filters many
+    pairs; `_pair_error` words it.  Crossing input or differing ground sets
+    raise."""
     _require_same_ground(a, b)
     _require_noncrossing(a, "left")
     _require_noncrossing(b, "right")
     if not refines(a, b):
-        return False
+        return ()
     ao = a._block_of
     for w in b.blocks:
         if ao[w[0]] != ao[w[-1]]:
-            return False
-    return True
+            return w
+    return None
+
+
+def _pair_error(a: Partition, b: Partition, fault: tuple[int, ...] = ()) -> InvalidPairError:
+    """The error for a fault of ``_endpoint_fault(a, b)``: the block of ``b``
+    it names, or, for ``()``, the whole pair."""
+    if fault:
+        return InvalidPairError(f"block {_fmt_block(fault)}: min/max not together in alpha")
+    return InvalidPairError(f"{_clipped(a)} does not endpoint-refine {_clipped(b)}")
 
 
 class BlockClassification(Frozen):
@@ -346,9 +363,9 @@ class BlockClassification(Frozen):
 
 def classify_blocks(a: Partition, b: Partition) -> BlockClassification:
     """Classify the blocks of ``a`` relative to ``b``; requires
-    ``endpoint_refines(a, b)``."""
-    if not endpoint_refines(a, b):
-        raise ValueError(f"{_clipped(a)} does not endpoint-refine {_clipped(b)}")
+    ``endpoint_refines(a, b)``, else raises `InvalidPairError`."""
+    if _endpoint_fault(a, b) is not None:
+        raise _pair_error(a, b)
     ao = a._block_of
     special = frozenset(ao[w[0]] for w in b.blocks)
     return BlockClassification(special, a.inner_indices, a.outer_indices)

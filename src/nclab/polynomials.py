@@ -12,8 +12,8 @@ form `moment_poly`, by Lagrange inversion: one term per integer partition
 of each k < n.  Four enumerative routes compute the same polynomial and
 serve as its oracles.  The sums over linked partitions and over
 endpoint-refinement pairs are separate enumerations; the inner-outer and
-cumulant routes are sums over NC(n) by block type, on the tally the
-transform oracles in `series` use.  The enumerators are imported inside
+cumulant routes are sums over NC(n) by block type, and the transform
+oracles of `series` evaluate them.  The enumerators are imported inside
 the routes that use them, so the closed form loads no other module of
 the package.
 """
@@ -22,10 +22,10 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, factorial, lcm
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Sequence
 
-from ._base import Frozen, _set_field
+from ._base import Frozen, _is_int, _quoted, _set_field
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -130,19 +130,27 @@ class Polynomial(Frozen):
         return Polynomial._from_dict(_expand(dict(self.terms), other.terms))
 
     def evaluate(self, t: Sequence) -> Fraction:
-        """Substitute t[i] for ti (t[0] is unused; indices must exist)."""
+        """Substitute t[i] for ti (t[0] is unused; indices must exist).  With
+        ti = Ni / d, a term c * prod ti^ei of degree g adds c * prod Ni^ei *
+        d^(D-g) to an integer sum over d^D, D the top degree: one `Fraction`."""
+        from fractions import Fraction
+
         from .series import _frac
 
         ts = [_frac(x) for x in t]
-        total = _frac(0)
+        d = lcm(*(x.denominator for x in ts))
+        nums = [x.numerator * (d // x.denominator) for x in ts]
+        top = max((sum(e for _, e in mono.exps) for mono, _ in self.terms), default=0)
+        total = 0
         for mono, c in self.terms:
-            v = _frac(c)
+            degree = 0
             for i, e in mono.exps:
-                if i >= len(ts):
+                if i >= len(nums):
                     raise ValueError(f"missing value for t{i}")
-                v *= ts[i] ** e
-            total += v
-        return total
+                c *= nums[i] ** e
+                degree += e
+            total += c * d ** (top - degree)
+        return Fraction(total, d**top)
 
     def to_text(self) -> str:
         if not self.terms:
@@ -208,12 +216,33 @@ def _pair_monomial(a: Partition, b: Partition) -> Monomial:
     )
 
 
+_BlockType = tuple[tuple[int, bool, int], ...]
+
+
+@lru_cache(maxsize=None)
+def _nc_block_types(n: int) -> tuple[tuple[_BlockType, int], ...]:
+    """The block types of the non-crossing partitions of {1..n}, each with
+    the number of partitions that have it.
+
+    A partition's type is the multiset of (|V|, V is inner) over its blocks
+    V, given as sorted (size, inner, multiplicity) triples.  The tally is
+    taken by enumerating NC(n) once per n and process: NC(8) has 1430
+    partitions but 119 types.
+    """
+    from .partitions import enumerate_nc
+
+    tally: Counter = Counter()
+    for alpha in enumerate_nc(n):
+        inner = alpha.inner_indices
+        shape = Counter((len(b), i in inner) for i, b in enumerate(alpha.blocks))
+        tally[tuple(sorted((s, i, k) for (s, i), k in shape.items()))] += 1
+    return tuple(tally.items())
+
+
 def _nc_block_poly(n: int, weight: Callable[[int, bool], Polynomial]) -> Polynomial:
     """Sum over the non-crossing partitions of {1..n} of the product of
     weight(|V|, V is inner) over their blocks V, taken type by type from
-    `series._nc_block_types` and sorted once."""
-    from .series import _nc_block_types
-
+    `_nc_block_types` and sorted once."""
     types = _nc_block_types(n)
     keys = {(size, inner) for blocks, _ in types for size, inner, _ in blocks}
     weights = {key: weight(*key).terms for key in keys}
@@ -239,6 +268,15 @@ def _integer_partitions(k: int, smallest: int = 1) -> Iterator[tuple[tuple[int, 
                 yield ((part, mult), *rest)
 
 
+def _require_n(n: object) -> None:
+    """The size check of the routes below: a ValueError, as the enumerators
+    raise, also for ``bool`` and ``float``."""
+    if not _is_int(n):
+        raise ValueError(f"n must be an integer, got {_quoted(n)}")
+    if n < 1:
+        raise ValueError("n must be at least 1")
+
+
 def _exact_quotient(num: int, den: int) -> int:
     q, r = divmod(num, den)
     if r:
@@ -252,8 +290,7 @@ def moment_poly(n: int) -> Polynomial:
     gives m_n = (1/n) [w^(n-1)] (1 + w)^n T(w)^n.  By the binomial and
     multinomial theorems, the monomial prod t_i^(e_i) of weight k <= n - 1
     and degree d has coefficient C(n, n-1-k) n! / ((n-d)! prod e_i!) / n."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    _require_n(n)
     fact = [factorial(i) for i in range(n + 1)]
     terms = {}
     for k in range(n):
@@ -270,8 +307,7 @@ def moment_poly(n: int) -> Polynomial:
 def moment_poly_linked(n: int) -> Polynomial:
     """Moment polynomial as the sum over non-crossing linked partitions of
     the products t_{|A|-1} over blocks A."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    _require_n(n)
     from .linked import enumerate_ncl
 
     return _tally(
@@ -282,8 +318,7 @@ def moment_poly_linked(n: int) -> Polynomial:
 def moment_poly_pairs(n: int) -> Polynomial:
     """Moment polynomial as the sum over endpoint-refinement pairs (a, b) of
     t_{|U|-1} over special blocks U times t_{|V|} over the rest."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    _require_n(n)
     from .partitions import endpoint_refinements, enumerate_nc
 
     return _tally(
@@ -291,23 +326,22 @@ def moment_poly_pairs(n: int) -> Polynomial:
     )
 
 
+@lru_cache(maxsize=None, typed=True)
 def moment_poly_inner_outer(n: int) -> Polynomial:
     """Moment polynomial as a single sum over non-crossing partitions:
     outer blocks contribute t_{|U|-1}, inner blocks (t_{|V|-1} + t_{|V|}),
     expanded."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    _require_n(n)
     t = Polynomial.variable
     return _nc_block_poly(n, lambda s, inner: t(s - 1) + t(s) if inner else t(s - 1))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def cumulant_poly(n: int) -> Polynomial:
     """The n-th free cumulant as a polynomial in t1, t2, ...: for n >= 2
     the sum over non-crossing partitions of {1..n-1} of the products
     t_{|V|}; the first cumulant is the constant 1."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    _require_n(n)
     if n == 1:
         return Polynomial.one()
     return _nc_block_poly(n - 1, lambda size, inner: Polynomial.variable(size))
@@ -316,8 +350,7 @@ def cumulant_poly(n: int) -> Polynomial:
 def moment_poly_cumulants(n: int) -> Polynomial:
     """Moment polynomial via cumulants: sum over non-crossing partitions of
     the products of per-block cumulant polynomials, expanded."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    _require_n(n)
     return _nc_block_poly(n, lambda size, inner: cumulant_poly(size))
 
 
@@ -325,10 +358,9 @@ def cumulant_product_identity(b: Partition) -> bool:
     """Check, for one non-crossing partition, that the product of its
     per-block cumulant polynomials equals the classified sum over its
     endpoint refinements."""
-    from .partitions import endpoint_refinements, is_noncrossing
+    from .partitions import _require_noncrossing, endpoint_refinements
 
-    if not is_noncrossing(b):
-        raise ValueError(f"{b} is crossing")
+    _require_noncrossing(b, "input")
     lhs = Polynomial.one()
     for w in b.blocks:
         lhs = lhs * cumulant_poly(len(w))

@@ -16,11 +16,9 @@ depth n.  Each keeps its defining sum over non-crossing partitions as a
 
 from __future__ import annotations
 
-from collections import Counter
 from fractions import Fraction
-from functools import lru_cache
 from math import lcm
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from ._base import Frozen, _set_field
 
@@ -269,96 +267,51 @@ def cumulants_from_t(t: Sequence, n_max: int) -> tuple[Fraction, ...]:
     return _lagrange(TruncatedSeries(tuple(ts[:n_max])), n_max).coeffs[1:]
 
 
-# The defining sums over non-crossing partitions.  They cost Catalan time
-# and stay as the oracles that the tests and `verify` check the routes
-# above against.
-
-_BlockType = tuple[tuple[int, bool, int], ...]
-
-
-@lru_cache(maxsize=None)
-def _nc_block_types(n: int) -> tuple[tuple[_BlockType, int], ...]:
-    """The block types of the non-crossing partitions of {1..n}, each with
-    the number of partitions that have it.
-
-    A partition's type is the multiset of (|V|, V is inner) over its blocks
-    V, given as sorted (size, inner, multiplicity) triples.  The tally is
-    taken by enumerating NC(n) once per n and process: NC(8) has 1430
-    partitions but 119 types.  Its users are the four oracles below,
-    through `_nc_block_sum`, and the inner-outer and cumulant moment
-    polynomials, through `polynomials._nc_block_poly`.
-    """
-    # imported here, not at the top: the fast routes above never enumerate,
-    # and a transform request need not load `partitions` at all
-    from .partitions import enumerate_nc
-
-    tally: Counter = Counter()
-    for alpha in enumerate_nc(n):
-        inner = alpha.inner_indices
-        shape = Counter((len(b), i in inner) for i, b in enumerate(alpha.blocks))
-        tally[tuple(sorted((s, i, k) for (s, i), k in shape.items()))] += 1
-    return tuple(tally.items())
-
-
-def _nc_block_sum(n: int, weight: Callable[[int, bool], Fraction]) -> Fraction:
-    """Sum over the non-crossing partitions of {1..n} of the product of
-    weight(|V|, V is inner) over their blocks V, taken type by type.
-
-    The weights are brought to one denominator d, so a type with b blocks
-    adds count * (product of the numerators) * d^(n-b) to an integer sum
-    over d^n: exact, and without a gcd per product.
-    """
-    types = _nc_block_types(n)
-    keys = {(size, inner) for blocks, _ in types for size, inner, _ in blocks}
-    weights = {key: weight(*key) for key in keys}
-    d = lcm(*(w.denominator for w in weights.values()))
-    nums = {key: w.numerator * (d // w.denominator) for key, w in weights.items()}
-    total = 0
-    for blocks, count in types:
-        term = count * d ** (n - sum(mult for _, _, mult in blocks))
-        for size, inner, mult in blocks:
-            term *= nums[size, inner] ** mult
-        total += term
-    return Fraction(total, d**n)
+# The defining sums over non-crossing partitions: Catalan-time oracles that
+# the tests and `verify` check the routes above against.  Each evaluates the
+# polynomial of `polynomials` with the same definition, imported here so
+# that a transform request does not load that module.
 
 
 def moments_from_t_by_enumeration(t: Sequence, n_max: int) -> MomentSequence:
-    """`moments_from_t` by its definition: m_n sums, over the non-crossing
-    partitions of {1..n}, the product of t_{|U|-1} over outer blocks U and
+    """`moments_from_t` by its definition, `moment_poly_inner_outer(n)` at t:
+    m_n sums over NC(n) the product of t_{|U|-1} over outer blocks U and
     (t_{|V|-1} + t_{|V|}) over inner blocks V."""
+    from .polynomials import moment_poly_inner_outer
+
     ts = _t_coeffs(t, n_max)
-
-    def weight(size: int, inner: bool) -> Fraction:
-        return ts[size - 1] + ts[size] if inner else ts[size - 1]
-
-    return MomentSequence(tuple(_nc_block_sum(n, weight) for n in range(1, n_max + 1)))
+    return MomentSequence(tuple(
+        moment_poly_inner_outer(n).evaluate(ts) for n in range(1, n_max + 1)))
 
 
 def moments_from_cumulants_by_enumeration(kappa: Sequence, n_max: int) -> MomentSequence:
-    """`moments_from_cumulants` by its definition: m_n as the sum over
-    non-crossing partitions of the per-block cumulant products."""
-    ks = _cumulant_coeffs(kappa, n_max)
+    """`moments_from_cumulants` by its definition, `cumulant_poly(n + 1)` at
+    t_i = kappa_i: m_n sums over NC(n) the product of kappa_{|V|} over
+    blocks V."""
+    from .polynomials import cumulant_poly
+
+    ks = (0, *_cumulant_coeffs(kappa, n_max))
     return MomentSequence(tuple(
-        _nc_block_sum(n, lambda size, inner: ks[size - 1]) for n in range(1, n_max + 1)
-    ))
+        cumulant_poly(n + 1).evaluate(ks) for n in range(1, n_max + 1)))
 
 
 def cumulants_from_moments_by_enumeration(m: MomentSequence) -> tuple[Fraction, ...]:
-    """`cumulants_from_moments` by its definition, solved recursively: the
-    n-th cumulant is the n-th moment minus the contributions of all
-    non-full non-crossing partitions."""
-    kappa: list[Fraction] = []
+    """`cumulants_from_moments` by its definition, solved recursively:
+    kappa_n is m_n less `cumulant_poly(n + 1)` at t_i = kappa_i, kappa_n = 0,
+    as the one-block partition of {1..n} gives its only term in kappa_n."""
+    from .polynomials import cumulant_poly
+
+    ks = [Fraction(0)]  # t0 is not read
     for n in range(1, m.depth + 1):
-        kappa.append(Fraction(0))  # the full partition's term, kappa_n, left out
-        kappa[-1] = m.moment(n) - _nc_block_sum(n, lambda size, inner: kappa[size - 1])
-    return tuple(kappa)
+        ks.append(Fraction(0))
+        ks[n] = m.moment(n) - cumulant_poly(n + 1).evaluate(ks)
+    return tuple(ks[1:])
 
 
 def cumulants_from_t_by_enumeration(t: Sequence, n_max: int) -> tuple[Fraction, ...]:
-    """`cumulants_from_t` by its definition: the n-th cumulant sums the
-    products of t_{|V|} over the non-crossing partitions of {1..n-1}; the
-    first cumulant is 1."""
+    """`cumulants_from_t` by its definition, `cumulant_poly(n)` at t: the
+    products of t_{|V|} summed over NC(n-1) for n >= 2, and 1 for n = 1."""
+    from .polynomials import cumulant_poly
+
     ts = _t_coeffs(t, n_max)
-    return (Fraction(1),) + tuple(
-        _nc_block_sum(n - 1, lambda size, inner: ts[size]) for n in range(2, n_max + 1)
-    )
+    return tuple(cumulant_poly(n).evaluate(ts) for n in range(1, n_max + 1))

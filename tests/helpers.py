@@ -61,6 +61,18 @@ def nc(n: int) -> tuple:
     return tuple(enumerate_nc(n))
 
 
+def per_partition_sum(n: int, weight) -> object:
+    """The plain sum over NC(n) of the product of weight(|V|, V is inner)
+    over the blocks V, one partition at a time."""
+    total = 0
+    for alpha in nc(n):
+        term = 1
+        for i, block in enumerate(alpha.blocks):
+            term *= weight(len(block), i in alpha.inner_indices)
+        total += term
+    return total
+
+
 @lru_cache(maxsize=None)
 def ncl(n: int) -> tuple:
     return tuple(enumerate_ncl(n))

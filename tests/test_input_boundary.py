@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from nclab import (
     InvalidLinkedPartitionError,
+    InvalidPairError,
     InvalidPartitionError,
     LinkedPartition,
     ParseError,
@@ -20,6 +21,8 @@ from nclab import (
     catalan,
     classify_blocks,
     coloured_count,
+    cumulant_poly,
+    cumulant_product_identity,
     endpoint_refines,
     enumerate_nc,
     enumerate_ncl,
@@ -28,6 +31,11 @@ from nclab import (
     make_linked,
     make_partition,
     make_permutation,
+    moment_poly,
+    moment_poly_cumulants,
+    moment_poly_inner_outer,
+    moment_poly_linked,
+    moment_poly_pairs,
     ncl_count,
     schroder,
 )
@@ -164,6 +172,25 @@ def test_count_size(count, n, message):
     assert str(exc.value) == message
 
 
+@pytest.mark.parametrize("n, message", [
+    (0, "n must be at least 1"),
+    (-1, "n must be at least 1"),
+    (True, "n must be an integer, got True"),
+    (2.0, "n must be an integer, got 2.0"),
+    ("3", "n must be an integer, got '3'"),
+], ids=["zero", "negative", "bool", "float", "str"])
+@pytest.mark.parametrize("route", [
+    moment_poly, moment_poly_linked, moment_poly_pairs, moment_poly_inner_outer,
+    moment_poly_cumulants, cumulant_poly,
+], ids=lambda route: route.__name__)
+def test_polynomial_size(route, n, message):
+    # the cached routes hold n = 1 first: True must not read as that entry
+    assert route(1) == moment_poly(1)
+    with pytest.raises(ValueError) as exc:
+        route(n)
+    assert str(exc.value) == message
+
+
 @pytest.mark.parametrize("k, message", [
     (-1, "{} is defined for k >= 0"),
     (True, "{} index True is not an integer"),
@@ -261,19 +288,24 @@ LONG_HEAD = "{" + ",".join(map(str, range(1, 24))) + "... (13894 characters)"
     (lambda: make_linked(N_LONG, [list(range(1, N_LONG + 1)), [1, 2]]),
      InvalidLinkedPartitionError, f"blocks {LONG_HEAD} and {{1,2}} share 2 elements"),
     (lambda: from_pair(LONG, Partition.discrete(N_LONG)),
-     ValueError, f"{LONG_HEAD} does not endpoint-refine {{1}}{{2}}{{3}}{{4}}{{5}}{{6}}"
+     InvalidPairError, f"{LONG_HEAD} does not endpoint-refine {{1}}{{2}}{{3}}{{4}}{{5}}{{6}}"
                  "{7}{8}{9}{10}{11}{12}{13}{14}{15}{16}{17}{... (16893 characters)"),
     (lambda: classify_blocks(Partition.discrete(N_LONG), LONG),
-     ValueError, "{1}{2}{3}{4}{5}{6}{7}{8}{9}{10}{11}{12}{13}{14}{15}{16}{17}{... "
+     InvalidPairError, "{1}{2}{3}{4}{5}{6}{7}{8}{9}{10}{11}{12}{13}{14}{15}{16}{17}{... "
                  f"(16893 characters) does not endpoint-refine {LONG_HEAD}"),
     (lambda: endpoint_refines(make_partition(N_LONG, [range(1, N_LONG, 2),
                                                       range(2, N_LONG + 1, 2)]), LONG),
      ValueError, "left partition {1,3,5,7,9,11,13,15,17,19,21,23,25,27,29,31,33,35,37,39,41,4"
                  "... (13895 characters) is crossing"),
-], ids=["make_linked", "from_pair", "classify_blocks", "crossing"])
+    (lambda: cumulant_product_identity(make_partition(N_LONG, [range(1, N_LONG, 2),
+                                                               range(2, N_LONG + 1, 2)])),
+     ValueError, "input partition {1,3,5,7,9,11,13,15,17,19,21,23,25,27,29,31,33,35,37,39,41,4"
+                 "... (13895 characters) is crossing"),
+], ids=["make_linked", "from_pair", "classify_blocks", "crossing", "cumulant_identity"])
 def test_long_blocks_quoted_bounded(build, error, message):
     with pytest.raises(error) as exc:
         build()
+    assert type(exc.value) is error
     assert str(exc.value) == message
     assert len(str(exc.value).encode()) < 1024
 

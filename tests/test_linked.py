@@ -6,7 +6,6 @@ import pytest
 
 import nclab.linked
 import nclab.partitions
-import nclab.series
 from nclab import (
     InvalidLinkedPartitionError,
     InvalidPairError,
@@ -29,7 +28,7 @@ from nclab import (
     to_pair,
     unlink,
 )
-from helpers import cover_counts, nc, ncl, ncl_direct, restricted
+from helpers import cover_counts, nc, ncl, ncl_direct, per_partition_sum, restricted
 
 PI_11 = make_linked(11, [[1, 2, 4], [2, 3], [4, 5, 6], [6, 7], [8, 9, 11], [9, 10]])
 BETA_11 = make_partition(11, [[1, 2, 3, 4, 5, 6, 7], [8, 9, 10, 11]])
@@ -417,8 +416,9 @@ class TestEnumeration:
                 return original(*args)
             monkeypatch.setattr(module, name, wrapper)
 
+        counting(nclab.partitions, "endpoint_refines")
         for module in (nclab.linked, nclab.partitions):
-            counting(module, "endpoint_refines")
+            counting(module, "_endpoint_fault")
         counting(nclab.linked, "make_linked")
         for n in range(1, 8):
             assert sum(1 for _ in enumerate_ncl(n)) == COUNTS[n - 1]
@@ -510,7 +510,7 @@ class TestCounts:
 
     def test_weight_sum_against_block_type_oracle(self):
         # the O(n^3) recursion behind both counts, under weights that tell
-        # inner from outer blocks, against the sum over NC(n) by block type
+        # inner from outer blocks, against the plain sum over NC(n)
         rng = random.Random(83)
         for n in range(1, 11):
             for _ in range(3):
@@ -521,7 +521,7 @@ class TestCounts:
                     return w_in[size] if inner else w_out[size]
 
                 assert (nclab.linked._nc_weight_sum(n, weight)
-                        == nclab.series._nc_block_sum(n, weight))
+                        == per_partition_sum(n, weight))
 
     def test_counts_equal_schroder_to_n60(self):
         for n in range(1, 61):

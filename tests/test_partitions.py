@@ -4,6 +4,7 @@ import random
 import pytest
 
 from nclab import (
+    InvalidPairError,
     InvalidPartitionError,
     ParseError,
     Partition,
@@ -209,6 +210,17 @@ class TestClassifyBlocks:
     def test_precondition_enforced(self):
         with pytest.raises(ValueError, match="does not endpoint-refine"):
             classify_blocks(Partition.discrete(3), Partition.full(3))
+
+    @pytest.mark.parametrize("a, b", [
+        (Partition.discrete(3), Partition.full(3)),
+        (make_partition(4, [[1, 2], [3, 4]]), make_partition(4, [[1, 2, 3], [4]])),
+    ], ids=["min-max-apart", "not-refining"])
+    def test_precondition_error_type(self, a, b):
+        # the error from_pair raises for the same pairs; one message for both
+        with pytest.raises(InvalidPairError) as exc:
+            classify_blocks(a, b)
+        assert type(exc.value) is InvalidPairError
+        assert str(exc.value) == f"{a} does not endpoint-refine {b}"
 
     def test_one_special_per_coarse_block(self):
         for n in range(1, 7):

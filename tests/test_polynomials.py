@@ -7,7 +7,6 @@ import pytest
 
 import nclab.partitions
 import nclab.polynomials
-import nclab.series
 from nclab import (
     Monomial,
     Partition,
@@ -223,7 +222,8 @@ class TestBlockTypeRoutes:
             calls[n] += 1
             return original(n)
 
-        nclab.series._nc_block_types.cache_clear()
+        nclab.polynomials._nc_block_types.cache_clear()
+        moment_poly_inner_outer.cache_clear()
         cumulant_poly.cache_clear()
         monkeypatch.setattr(nclab.partitions, "enumerate_nc", counting)
         for _ in range(20):

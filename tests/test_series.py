@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nclab.partitions
-import nclab.series
+import nclab.polynomials
 from nclab import (
     MomentSequence,
     NormalizationError,
@@ -26,6 +26,7 @@ from nclab import (
     s_transform,
     t_transform,
 )
+from helpers import per_partition_sum
 
 
 def random_moments(rng, depth):
@@ -364,7 +365,7 @@ class TestEnumerationOracles:
 
         # an oracle call in an earlier test may have tallied NC(12) already;
         # the tally imports enumerate_nc from `partitions` when it runs
-        nclab.series._nc_block_types.cache_clear()
+        clear_block_type_caches()
         monkeypatch.setattr(nclab.partitions, "enumerate_nc", refuse)
         coeffs = sparse_coeffs(random.Random(59), 12)
         m = moments_from_t(coeffs, 12)
@@ -376,21 +377,17 @@ class TestEnumerationOracles:
             moments_from_t_by_enumeration(coeffs, 12)
 
 
-def per_partition_sum(n, weight):
-    """The plain sum over NC(n) of the product of weight(|V|, V is inner)."""
-    total = Fraction(0)
-    for alpha in enumerate_nc(n):
-        term = Fraction(1)
-        for i, block in enumerate(alpha.blocks):
-            term *= weight(len(block), i in alpha.inner_indices)
-        total += term
-    return total
+def clear_block_type_caches():
+    """Forget the NC(n) tallies and the polynomials summed over them."""
+    nclab.polynomials._nc_block_types.cache_clear()
+    nclab.polynomials.moment_poly_inner_outer.cache_clear()
+    nclab.polynomials.cumulant_poly.cache_clear()
 
 
 class TestBlockTypeTally:
     def test_multiplicities_sum_to_catalan(self):
         for n in range(1, 11):
-            types = nclab.series._nc_block_types(n)
+            types = nclab.polynomials._nc_block_types(n)
             assert sum(count for _, count in types) == catalan(n)
             assert len({blocks for blocks, _ in types}) == len(types)
 
@@ -439,7 +436,7 @@ class TestBlockTypeTally:
             calls[n] += 1
             return enumerate_nc(n)
 
-        nclab.series._nc_block_types.cache_clear()
+        clear_block_type_caches()
         monkeypatch.setattr(nclab.partitions, "enumerate_nc", counting)
         rng = random.Random(79)
         for _ in range(50):

@@ -69,13 +69,13 @@ UNCALLED = {
     "partitions.py:Partition.from_json_dict": "reads back what to_json_dict writes",
     "partitions.py:Permutation.from_json_dict": "reads back what to_json_dict writes",
     "partitions.py:endpoint_floor": "the bottom of a << interval",
+    "partitions.py:is_noncrossing":
+        "the public test for NC(n); library code reads the cached _noncrossing",
     "linked.py:LinkedPartition.from_text": "reads back what to_text writes",
     "linked.py:LinkedPartition.from_json_dict": "reads back what to_json_dict writes",
     "series.py:TruncatedSeries.compose": "checks comp_inverse",
     "series.py:moments_from_cumulants_by_enumeration":
         "the named enumeration oracle of moments_from_cumulants",
-    "polynomials.py:Polynomial.evaluate":
-        "pits the symbolic moment polynomials against moments_from_t",
 }
 
 
