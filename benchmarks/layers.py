@@ -33,6 +33,36 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from pair_compare import source_digest, source_lines  # noqa: E402
 
+# One seeded pair of raw block lists on {1..3000}: a non-crossing beta, in
+# which each element opens a block or joins an open one (each choice equally
+# likely), and an endpoint refinement alpha of it, drawn the same way inside
+# each block of beta.  Standard library only, so that every checkout runs it.
+PAIR_3000 = """\
+import random
+from nclab.linked import from_pair, make_linked, to_pair
+from nclab.partitions import is_noncrossing, make_partition
+
+def nc_blocks(rng, n):
+    blocks, opened = [], []
+    for k in range(1, n + 1):
+        d = rng.randrange(len(opened) + 1)
+        if d == len(opened):
+            opened.append(len(blocks))
+            blocks.append([k])
+        else:
+            del opened[d + 1:]
+            blocks[opened[d]].append(k)
+    return blocks
+
+rng = random.Random(3000)
+beta_blocks = nc_blocks(rng, 3000)
+alpha_blocks = []
+for w in beta_blocks:
+    parts = [[w[x - 1] for x in blk] for blk in nc_blocks(rng, len(w) - 1)] or [[]]
+    parts[0].append(w[-1])
+    alpha_blocks.extend(parts)
+"""
+
 # name -> (setup, expression); the expression's value is recorded as the
 # layer's result, so that the two sides can be seen to do the same work
 LAYERS = {
@@ -91,6 +121,23 @@ LAYERS = {
     "moment_poly_inner_outer(10)": (
         "from nclab.polynomials import moment_poly_inner_outer",
         "len(moment_poly_inner_outer(10).terms)"),
+    # the seeded pair at n=3000; each setup builds fresh objects, so that no
+    # cached property of an earlier step is read
+    "make_partition + is_noncrossing n=3000": (
+        PAIR_3000,
+        "is_noncrossing(make_partition(3000, beta_blocks))"),
+    "from_pair n=3000": (
+        PAIR_3000 + "alpha = make_partition(3000, alpha_blocks)\n"
+                    "beta = make_partition(3000, beta_blocks)",
+        "len(from_pair(alpha, beta).blocks)"),
+    "to_pair n=3000": (
+        PAIR_3000 + "p = from_pair(make_partition(3000, alpha_blocks),\n"
+                    "              make_partition(3000, beta_blocks))",
+        "len(to_pair(p)[0].blocks)"),
+    "make_linked n=3000": (
+        PAIR_3000 + "raw = from_pair(make_partition(3000, alpha_blocks),\n"
+                    "                make_partition(3000, beta_blocks)).blocks",
+        "len(make_linked(3000, raw).blocks)"),
 }
 
 RUN = """

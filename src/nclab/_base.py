@@ -1,6 +1,7 @@
 """Pieces shared by modules that must not load one another: the bound on
-integers read from text, the integer test, the bounded quoting of
-rejected input for diagnostics, and the bases of the record classes.  It
+integers read from text, the integer test and the check of a size, the
+bounded quoting of rejected input for diagnostics, and the bases of the
+record classes.  It
 imports only `operator`, which `re` has already loaded at start-up, so
 any module can use it without slowing its own import."""
 
@@ -40,6 +41,15 @@ def _quoted(value: object) -> str:
     if len(value) <= _MAX_QUOTED:
         return repr(value)
     return f"{value[:_MAX_QUOTED]!r}... ({len(value)} characters)"
+
+
+def _require_positive(value: object, name: str) -> None:
+    """Raise ValueError unless ``value``, the size ``name``, is an integer,
+    not ``bool``, of at least 1."""
+    if not _is_int(value):
+        raise ValueError(f"{name} must be an integer, got {_quoted(value)}")
+    if value < 1:
+        raise ValueError(f"{name} must be at least 1")
 
 
 def _int_text(x: int) -> str:

@@ -4,8 +4,8 @@ A linked partition of {1..n} covers every element once or twice.  Two
 distinct blocks are either disjoint or share exactly one element, in which
 case both blocks have at least two elements, their minima differ, and the
 shared element is the minimum of exactly one of them.  Only non-crossing
-linked partitions are modeled here; the crossing test is the same
-interleaving test used for plain partitions.
+linked partitions are modeled here; the crossing test is the sweep that
+plain partitions use, `partitions._crossing`.
 
 The central pair of maps:
 
@@ -31,8 +31,8 @@ from .partitions import (
     InvalidPairError,  # raised by from_pair, and importable from here
     Partition,
     _block_shapes,
-    _blocks_cross,
     _blockwise,
+    _crossing,
     _endpoint_fault,
     _fmt_block,
     _not_covered,
@@ -135,11 +135,10 @@ def make_linked(n: int, raw_blocks: Iterable[Iterable[int]]) -> LinkedPartition:
                 f"{_fmt_block(a)} nor {_fmt_block(b)}"
             )
 
-    for a, b in combinations(blocks, 2):
-        if _blocks_cross(a, b):
-            raise InvalidLinkedPartitionError(
-                f"blocks {_fmt_block(a)} and {_fmt_block(b)} cross"
-            )
+    crossing = _crossing(blocks)
+    if crossing:
+        a, b = (_fmt_block(blocks[i]) for i in crossing)
+        raise InvalidLinkedPartitionError(f"blocks {a} and {b} cross")
 
     if len(count) != n:
         raise InvalidLinkedPartitionError(_not_covered(n, count))

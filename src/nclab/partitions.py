@@ -19,10 +19,9 @@ from __future__ import annotations
 
 import math
 import re
-from bisect import bisect_right
 from functools import cached_property, lru_cache
 from itertools import chain, product
-from typing import Callable, Collection, Iterable, Iterator
+from typing import Callable, Collection, Iterable, Iterator, Sequence
 
 from ._base import MAX_DIGITS, Frozen, _clipped, _int_text, _is_int, _quoted, _set_field
 
@@ -59,23 +58,23 @@ def _block_text(block: tuple[int, ...]) -> str:
     return "{" + ",".join(map(str, block)) + "}"
 
 
-def _blocks_cross(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
-    """True if the two sorted blocks interleave as x < y < x' < y'."""
-    return _interleaves(a, b) or _interleaves(b, a)
-
-
-def _interleaves(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
-    # Looks for x < y < x' < y' with x, x' in a and y, y' in b.  Works for
-    # blocks sharing elements, since all four positions are distinct.
-    if a[0] >= b[-1]:
-        return False
-    for y in b:
-        if y <= a[0]:
-            continue
-        i = bisect_right(a, y)
-        if i < len(a) and b[-1] > a[i]:
-            return True
-    return False
+def _crossing(blocks: Sequence[tuple[int, ...]]) -> tuple[int, int] | None:
+    """The positions, ascending, of two sorted blocks that interleave as
+    x < y < x' < y', or None.  Blocks may share elements under the rules of
+    `linked.make_linked`.  One sweep over the elements in order: one that
+    is not the least of its block must lie in the innermost open block,
+    else the two blocks cross.  At an element two blocks share, the block
+    that continues through it goes before the block it opens."""
+    opened: list[int] = []  # positions of the open blocks, innermost last
+    for x, opens, i in sorted([(x, x == blk[0], i)
+                               for i, blk in enumerate(blocks) for x in blk]):
+        if opens:
+            opened.append(i)
+        elif opened[-1] != i:
+            return min(i, opened[-1]), max(i, opened[-1])
+        if x == blocks[i][-1]:
+            opened.pop()
+    return None
 
 
 class BlockFamily(Frozen):
@@ -129,23 +128,19 @@ class Partition(BlockFamily):
 
     @cached_property
     def _noncrossing(self) -> bool:
-        bs = self.blocks
-        for i in range(len(bs)):
-            for j in range(i + 1, len(bs)):
-                if _blocks_cross(bs[i], bs[j]):
-                    return False
-        return True
+        return _crossing(self.blocks) is None
 
     @cached_property
     def inner_indices(self) -> frozenset[int]:
-        """Indices of inner blocks: blocks strictly spanned by another block."""
-        spans = [(b[0], b[-1]) for b in self.blocks]
-        inner = set()
-        for i, (lo, hi) in enumerate(spans):
-            for lo2, hi2 in spans:
-                if lo2 < lo and hi2 > hi:
-                    inner.add(i)
-                    break
+        """Indices of inner blocks: blocks strictly spanned by another block,
+        so by an earlier one that reaches past their greatest element."""
+        inner = []
+        reach = 0  # the greatest element of the blocks so far
+        for i, blk in enumerate(self.blocks):
+            if blk[-1] < reach:
+                inner.append(i)
+            else:
+                reach = blk[-1]
         return frozenset(inner)
 
     @property
@@ -543,32 +538,21 @@ def endpoint_coarsenings(a: Partition) -> Iterator[tuple[Partition, frozenset[in
     _require_noncrossing(a, "input")
     inner = sorted(a.inner_indices)
     outer = a.outer_indices
-    spans = [(blk[0], blk[-1]) for blk in a.blocks]
     k = len(inner)
     for mask in range((1 << k) - 1, -1, -1):
-        special = set(outer)
-        special.update(inner[i] for i in range(k) if mask >> i & 1)
-        merged_into: dict[int, list[int]] = {i: [] for i in special}
-        for j in range(len(a.blocks)):
+        special = outer.union(inner[i] for i in range(k) if mask >> i & 1)
+        out: list[list[int]] = []  # the blocks of b
+        stack: list[tuple[int, list[int]]] = []  # (max, elements) of the open ones
+        for j, blk in enumerate(a.blocks):
+            while stack and stack[-1][0] < blk[0]:
+                stack.pop()
             if j in special:
-                continue
-            lo, hi = spans[j]
-            best = -1
-            for i in special:
-                if spans[i][0] < lo and spans[i][1] > hi:
-                    if best < 0 or spans[i][0] > spans[best][0]:
-                        best = i
-            # an enclosing special block always exists: the outermost
-            # enclosing block is outer, and outer blocks are all special
-            merged_into[best].append(j)
-        out = []
-        for i in special:
-            elems = list(a.blocks[i])
-            for j in merged_into[i]:
-                elems.extend(a.blocks[j])
-            out.append(tuple(sorted(elems)))
-        out.sort(key=lambda blk: blk[0])
-        yield Partition(a.n, tuple(out)), frozenset(special)
+                elems = list(blk)
+                out.append(elems)
+                stack.append((blk[-1], elems))
+            else:  # inner, so inside an outer block, which is special
+                stack[-1][1].extend(blk)
+        yield Partition(a.n, tuple(tuple(sorted(elems)) for elems in out)), special
 
 
 def count_endpoint_coarsenings(a: Partition) -> int:

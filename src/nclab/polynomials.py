@@ -21,11 +21,11 @@ the package.
 from __future__ import annotations
 
 from collections import Counter
-from functools import lru_cache
+from functools import lru_cache, wraps
 from math import comb, factorial, lcm
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Sequence
 
-from ._base import Frozen, _is_int, _quoted, _set_field
+from ._base import Frozen, _require_positive, _set_field
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -268,13 +268,18 @@ def _integer_partitions(k: int, smallest: int = 1) -> Iterator[tuple[tuple[int, 
                 yield ((part, mult), *rest)
 
 
-def _require_n(n: object) -> None:
-    """The size check of the routes below: a ValueError, as the enumerators
-    raise, also for ``bool`` and ``float``."""
-    if not _is_int(n):
-        raise ValueError(f"n must be an integer, got {_quoted(n)}")
-    if n < 1:
-        raise ValueError("n must be at least 1")
+def _cached_route(route: Callable[[int], Polynomial]) -> Callable[[int], Polynomial]:
+    """``route`` with its results cached by n, which is checked before the
+    cache hashes it: an unhashable n gets the size error too."""
+    cached = lru_cache(maxsize=None)(route)
+
+    @wraps(route)
+    def checked(n: int) -> Polynomial:
+        _require_positive(n, "n")
+        return cached(n)
+
+    checked.cache_clear = cached.cache_clear
+    return checked
 
 
 def _exact_quotient(num: int, den: int) -> int:
@@ -290,7 +295,7 @@ def moment_poly(n: int) -> Polynomial:
     gives m_n = (1/n) [w^(n-1)] (1 + w)^n T(w)^n.  By the binomial and
     multinomial theorems, the monomial prod t_i^(e_i) of weight k <= n - 1
     and degree d has coefficient C(n, n-1-k) n! / ((n-d)! prod e_i!) / n."""
-    _require_n(n)
+    _require_positive(n, "n")
     fact = [factorial(i) for i in range(n + 1)]
     terms = {}
     for k in range(n):
@@ -307,7 +312,7 @@ def moment_poly(n: int) -> Polynomial:
 def moment_poly_linked(n: int) -> Polynomial:
     """Moment polynomial as the sum over non-crossing linked partitions of
     the products t_{|A|-1} over blocks A."""
-    _require_n(n)
+    _require_positive(n, "n")
     from .linked import enumerate_ncl
 
     return _tally(
@@ -318,7 +323,7 @@ def moment_poly_linked(n: int) -> Polynomial:
 def moment_poly_pairs(n: int) -> Polynomial:
     """Moment polynomial as the sum over endpoint-refinement pairs (a, b) of
     t_{|U|-1} over special blocks U times t_{|V|} over the rest."""
-    _require_n(n)
+    _require_positive(n, "n")
     from .partitions import endpoint_refinements, enumerate_nc
 
     return _tally(
@@ -326,22 +331,20 @@ def moment_poly_pairs(n: int) -> Polynomial:
     )
 
 
-@lru_cache(maxsize=None, typed=True)
+@_cached_route
 def moment_poly_inner_outer(n: int) -> Polynomial:
     """Moment polynomial as a single sum over non-crossing partitions:
     outer blocks contribute t_{|U|-1}, inner blocks (t_{|V|-1} + t_{|V|}),
     expanded."""
-    _require_n(n)
     t = Polynomial.variable
     return _nc_block_poly(n, lambda s, inner: t(s - 1) + t(s) if inner else t(s - 1))
 
 
-@lru_cache(maxsize=None, typed=True)
+@_cached_route
 def cumulant_poly(n: int) -> Polynomial:
     """The n-th free cumulant as a polynomial in t1, t2, ...: for n >= 2
     the sum over non-crossing partitions of {1..n-1} of the products
     t_{|V|}; the first cumulant is the constant 1."""
-    _require_n(n)
     if n == 1:
         return Polynomial.one()
     return _nc_block_poly(n - 1, lambda size, inner: Polynomial.variable(size))
@@ -350,7 +353,7 @@ def cumulant_poly(n: int) -> Polynomial:
 def moment_poly_cumulants(n: int) -> Polynomial:
     """Moment polynomial via cumulants: sum over non-crossing partitions of
     the products of per-block cumulant polynomials, expanded."""
-    _require_n(n)
+    _require_positive(n, "n")
     return _nc_block_poly(n, lambda size, inner: cumulant_poly(size))
 
 

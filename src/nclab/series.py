@@ -20,7 +20,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterable, Sequence
 
-from ._base import Frozen, _set_field
+from ._base import Frozen, _require_positive, _set_field
 
 
 class NormalizationError(ValueError):
@@ -204,8 +204,7 @@ def _t_coeffs(t: Sequence, n_max: int) -> list[Fraction]:
     ts = [_frac(x) for x in t]
     if not ts or ts[0] != 1:
         raise NormalizationError("t_0 must be 1")
-    if n_max < 1:
-        raise ValueError("n_max must be at least 1")
+    _require_positive(n_max, "n_max")
     if len(ts) < n_max:
         raise ValueError(f"need coefficients t_0..t_{n_max - 1}, got {len(ts)}")
     return ts
@@ -213,8 +212,7 @@ def _t_coeffs(t: Sequence, n_max: int) -> list[Fraction]:
 
 def _cumulant_coeffs(kappa: Sequence, n_max: int) -> list[Fraction]:
     ks = [_frac(x) for x in kappa]
-    if n_max < 1:
-        raise ValueError("n_max must be at least 1")
+    _require_positive(n_max, "n_max")
     if len(ks) < n_max:
         raise ValueError(f"need cumulants 1..{n_max}, got {len(ks)}")
     return ks

@@ -123,42 +123,45 @@ def verify_counts(n_max: int) -> list[CheckResult]:
     res.detail = "oracle-counts=" + ",".join(map(str, oracle_seq))
     out.append(res)
 
+    # a << b on NC(n) by filtering, once per n, read both ways
     cap = min(n_max, 7)
+    ncs = [list(partitions.enumerate_nc(n)) for n in range(1, cap + 1)]
+    refining = {b: {a for a in ncn if partitions.endpoint_refines(a, b)}
+                for ncn in ncs for b in ncn}
+    coarsening = {a: set() for a in refining}
+    for b, lower in refining.items():
+        for a in lower:
+            coarsening[a].add(b)
+
     res = CheckResult("counts", "interval-products", f"n<={cap}", 0, True)
-    for n in range(1, cap + 1):
-        ncn = list(partitions.enumerate_nc(n))
-        for b in ncn:
-            res.checked += 1
-            filtered = {a for a in ncn if partitions.endpoint_refines(a, b)}
-            if len(filtered) != partitions.count_endpoint_refinements(b):
-                res.fail(f"{b}: filter={len(filtered)}")
-            below = list(partitions.endpoint_refinements(b))
-            if len(below) != len(filtered) or set(below) != filtered:
-                res.fail(f"{b}: blockwise enumeration mismatch")
+    for b, filtered in refining.items():
+        res.checked += 1
+        if len(filtered) != partitions.count_endpoint_refinements(b):
+            res.fail(f"{b}: filter={len(filtered)}")
+        below = list(partitions.endpoint_refinements(b))
+        if len(below) != len(filtered) or set(below) != filtered:
+            res.fail(f"{b}: blockwise enumeration mismatch")
     out.append(res)
 
     res = CheckResult("counts", "boolean-coarsenings", f"n<={cap}", 0, True)
-    for n in range(1, cap + 1):
-        ncn = list(partitions.enumerate_nc(n))
-        for a in ncn:
-            res.checked += 1
-            filtered = {b for b in ncn if partitions.endpoint_refines(a, b)}
-            if len(filtered) != partitions.count_endpoint_coarsenings(a):
-                res.fail(f"{a}: filter count {len(filtered)}")
-            produced = list(partitions.endpoint_coarsenings(a))
-            if {b for b, _ in produced} != filtered:
-                res.fail(f"{a}: constructed coarsenings differ from filter")
-            specials = [v for _, v in produced]
-            if len(set(specials)) != len(specials):
-                res.fail(f"{a}: special sets not distinct")
-            outer = a.outer_indices
-            if any(not v >= outer for v in specials):
-                res.fail(f"{a}: a special set misses an outer block")
-            # classify_blocks raises on a pair that is not endpoint-refining,
-            # so only the pairs the filter accepted are classified
-            if any(b in filtered and partitions.classify_blocks(a, b).special != v
-                   for b, v in produced):
-                res.fail(f"{a}: a special set differs from classify_blocks")
+    for a, filtered in coarsening.items():
+        res.checked += 1
+        if len(filtered) != partitions.count_endpoint_coarsenings(a):
+            res.fail(f"{a}: filter count {len(filtered)}")
+        produced = list(partitions.endpoint_coarsenings(a))
+        if {b for b, _ in produced} != filtered:
+            res.fail(f"{a}: constructed coarsenings differ from filter")
+        specials = [v for _, v in produced]
+        if len(set(specials)) != len(specials):
+            res.fail(f"{a}: special sets not distinct")
+        outer = a.outer_indices
+        if any(not v >= outer for v in specials):
+            res.fail(f"{a}: a special set misses an outer block")
+        # classify_blocks raises on a pair that is not endpoint-refining,
+        # so only the pairs the filter accepted are classified
+        if any(b in filtered and partitions.classify_blocks(a, b).special != v
+               for b, v in produced):
+            res.fail(f"{a}: a special set differs from classify_blocks")
     out.append(res)
     return out
 

@@ -1,12 +1,16 @@
-"""Shared test oracles and cached enumerations.
+"""Shared test oracles, seeded draws and cached enumerations.
 
 The oracles here are deliberately naive: all set partitions by direct
-block assignment, and order relations by definition chasing.  They exist
-so the library's cleverer routes have something independent to answer to.
+block assignment, crossing by comparing every pair of blocks, and order
+relations by definition chasing.  They exist so the library's cleverer
+routes have something independent to answer to.
 """
 
+from bisect import bisect_right
 from collections import Counter
 from functools import lru_cache
+from itertools import combinations
+from random import Random
 from typing import Iterable, Iterator
 
 from nclab import (
@@ -38,6 +42,64 @@ def all_set_partitions(n: int) -> Iterator[Partition]:
         blocks.pop()
 
     yield from rec(1)
+
+
+def blocks_cross(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
+    """True if the two sorted blocks interleave as x < y < x' < y', with x,
+    x' in one block and y, y' in the other.  Blocks may share elements, as
+    those of a linked partition do: the four positions are distinct."""
+    return _interleaves(a, b) or _interleaves(b, a)
+
+
+def _interleaves(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
+    # x < y < x' < y' with x, x' in a and y, y' in b
+    if a[0] >= b[-1]:
+        return False
+    for y in b:
+        if y <= a[0]:
+            continue
+        i = bisect_right(a, y)
+        if i < len(a) and b[-1] > a[i]:
+            return True
+    return False
+
+
+def crossing_pairs(blocks) -> list[tuple[int, int]]:
+    """The positions (i, j), i < j, of every crossing pair of blocks."""
+    return [(i, j) for (i, a), (j, b) in combinations(enumerate(blocks), 2)
+            if blocks_cross(a, b)]
+
+
+def random_nc_blocks(rng: Random, n: int) -> list[list[int]]:
+    """A seeded non-crossing partition of {1..n} as increasing blocks in
+    order of least element: each element opens a block or joins one of
+    the open blocks, closing those opened inside it, each choice equally
+    likely.  Not uniform over NC(n)."""
+    blocks: list[list[int]] = []
+    opened: list[int] = []  # indices of the open blocks, outermost first
+    for k in range(1, n + 1):
+        d = rng.randrange(len(opened) + 1)
+        if d == len(opened):
+            opened.append(len(blocks))
+            blocks.append([k])
+        else:
+            del opened[d + 1:]
+            blocks[opened[d]].append(k)
+    return blocks
+
+
+def random_pair(rng: Random, n: int) -> tuple[Partition, Partition]:
+    """A seeded pair (a, b) with ``endpoint_refines(a, b)``: b from
+    `random_nc_blocks`, and inside each block W of b a non-crossing
+    partition of all of W but max(W), which then joins the block of min(W)."""
+    b = random_nc_blocks(rng, n)
+    a = []
+    for w in b:
+        shape = random_nc_blocks(rng, len(w) - 1) if len(w) > 1 else [[]]
+        parts = [[w[x - 1] for x in blk] for blk in shape]
+        parts[0].append(w[-1])
+        a.extend(parts)
+    return make_partition(n, a), make_partition(n, b)
 
 
 def restricted(p, elements: Iterable[int]):

@@ -23,6 +23,8 @@ from nclab import (
     coloured_count,
     cumulant_poly,
     cumulant_product_identity,
+    cumulants_from_t,
+    cumulants_from_t_by_enumeration,
     endpoint_refines,
     enumerate_nc,
     enumerate_ncl,
@@ -36,6 +38,10 @@ from nclab import (
     moment_poly_inner_outer,
     moment_poly_linked,
     moment_poly_pairs,
+    moments_from_cumulants,
+    moments_from_cumulants_by_enumeration,
+    moments_from_t,
+    moments_from_t_by_enumeration,
     ncl_count,
     schroder,
 )
@@ -178,7 +184,8 @@ def test_count_size(count, n, message):
     (True, "n must be an integer, got True"),
     (2.0, "n must be an integer, got 2.0"),
     ("3", "n must be an integer, got '3'"),
-], ids=["zero", "negative", "bool", "float", "str"])
+    ([3], "n must be an integer, got [3]"),
+], ids=["zero", "negative", "bool", "float", "str", "list"])
 @pytest.mark.parametrize("route", [
     moment_poly, moment_poly_linked, moment_poly_pairs, moment_poly_inner_outer,
     moment_poly_cumulants, cumulant_poly,
@@ -188,6 +195,26 @@ def test_polynomial_size(route, n, message):
     assert route(1) == moment_poly(1)
     with pytest.raises(ValueError) as exc:
         route(n)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("n_max, message", [
+    (0, "n_max must be at least 1"),
+    (-1, "n_max must be at least 1"),
+    (True, "n_max must be an integer, got True"),
+    (2.0, "n_max must be an integer, got 2.0"),
+    ("2", "n_max must be an integer, got '2'"),
+    ([2], "n_max must be an integer, got [2]"),
+], ids=["zero", "negative", "bool", "float", "str", "list"])
+@pytest.mark.parametrize("route", [
+    moments_from_t, moments_from_cumulants, cumulants_from_t,
+    moments_from_t_by_enumeration, moments_from_cumulants_by_enumeration,
+    cumulants_from_t_by_enumeration,
+], ids=lambda route: route.__name__)
+def test_series_depth(route, n_max, message):
+    # the coefficients are valid for every route at depth 1 and 2
+    with pytest.raises(ValueError) as exc:
+        route([1, 1], n_max)
     assert str(exc.value) == message
 
 

@@ -3,6 +3,8 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import nclab.linked
 import nclab.partitions
@@ -28,7 +30,16 @@ from nclab import (
     to_pair,
     unlink,
 )
-from helpers import cover_counts, nc, ncl, ncl_direct, per_partition_sum, restricted
+from helpers import (
+    cover_counts,
+    crossing_pairs,
+    nc,
+    ncl,
+    ncl_direct,
+    per_partition_sum,
+    random_pair,
+    restricted,
+)
 
 PI_11 = make_linked(11, [[1, 2, 4], [2, 3], [4, 5, 6], [6, 7], [8, 9, 11], [9, 10]])
 BETA_11 = make_partition(11, [[1, 2, 3, 4, 5, 6, 7], [8, 9, 10, 11]])
@@ -37,6 +48,26 @@ ALPHA_11 = make_partition(11, [[1, 3, 7], [2], [4, 5], [6], [8, 10, 11], [9]])
 
 # Counts of non-crossing linked partitions for n = 1.. (Schroeder numbers)
 COUNTS = (1, 2, 6, 22, 90, 394, 1806, 8558, 41586)
+
+
+@st.composite
+def linked_families(draw):
+    """A block family covering {1..n}, n <= 9, its blocks in a drawn order:
+    the blocks of a drawn set partition, some of them given a smaller least
+    element, which another block then shares.  Many break the sharing
+    rules; many cross."""
+    n = draw(st.integers(1, 9))
+    labels = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+    blocks = [[k for k in range(1, n + 1) if labels[k - 1] == label]
+              for label in sorted(set(labels))]
+    for blk in blocks:
+        if blk[0] > 1 and draw(st.booleans()):
+            blk.insert(0, draw(st.integers(1, blk[0] - 1)))
+    return n, draw(st.permutations(blocks))
+
+
+def block_text(blk) -> str:
+    return "{" + ",".join(map(str, blk)) + "}"
 
 
 class TestMakeLinked:
@@ -88,6 +119,31 @@ class TestMakeLinked:
         # 1 < 3 < 4 < 5
         with pytest.raises(InvalidLinkedPartitionError, match="cross"):
             make_linked(5, [[1, 2, 4], [2, 3, 5]])
+
+    def test_several_crossings_name_the_first_the_sweep_meets(self):
+        # all three pairs cross; the sweep finds {1,4} and {3,6} at 4
+        with pytest.raises(InvalidLinkedPartitionError) as exc:
+            make_linked(6, [[2, 5], [1, 4], [3, 6]])
+        assert str(exc.value) == "blocks {1,4} and {3,6} cross"
+
+    @settings(max_examples=400, deadline=None)
+    @given(linked_families())
+    def test_crossing_verdict_matches_pairwise_oracle(self, family):
+        n, blocks = family
+        try:
+            make_linked(n, blocks)
+            message = None
+        except InvalidLinkedPartitionError as exc:
+            message = str(exc)
+        # families that break a sharing rule are rejected before the
+        # crossing test; every family covers {1..n}
+        assume(message is None or message.endswith(" cross"))
+        named = {f"blocks {block_text(blocks[i])} and {block_text(blocks[j])} cross"
+                 for i, j in crossing_pairs(blocks)}
+        if named:
+            assert message in named
+        else:
+            assert message is None
 
     def test_valid_link_with_nested_singleton(self):
         p = make_linked(4, [[1, 3], [3, 4], [2]])
@@ -305,6 +361,14 @@ class TestPairBijection:
             for b in nc(n):
                 for a in endpoint_refinements(b):
                     assert to_pair(from_pair(a, b)) == (a, b)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_seeded_round_trip_n1000(self, seed):
+        a, b = random_pair(random.Random(seed), 1000)
+        p = from_pair(a, b)
+        assert 2 in cover_counts(p).values()
+        assert to_pair(p) == (a, b)
+        assert make_linked(p.n, p.blocks) == p
 
     def test_round_trip_n9(self):
         count = 0

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 
@@ -25,7 +26,7 @@ from nclab import (
     make_permutation,
     refines,
 )
-from helpers import all_set_partitions, nc
+from helpers import all_set_partitions, crossing_pairs, nc, random_nc_blocks
 
 # The worked n = 11 example used throughout: a linked partition whose
 # generated partition, unlinking and cycled unlinking are all known.
@@ -124,6 +125,40 @@ class TestNoncrossing:
         for n in range(1, 7):
             expected = {p for p in all_set_partitions(n) if is_noncrossing(p)}
             assert set(nc(n)) == expected
+
+    def test_sweep_matches_pairwise_oracle_to_n8(self):
+        # every set partition of {1..n}, n <= 8: 5295 of them
+        seen = 0
+        for n in range(1, 9):
+            for p in all_set_partitions(n):
+                seen += 1
+                assert is_noncrossing(p) == (not crossing_pairs(p.blocks)), p
+        assert seen == 5295
+
+    def test_seeded_large(self):
+        rng = random.Random(3000)
+        blocks = random_nc_blocks(rng, 3000)
+        assert is_noncrossing(make_partition(3000, blocks))
+        # a block c of two or more elements nested in the last gap of a
+        # block b: swapping their greatest elements makes them cross
+        b, c = next((b, c) for b in blocks for c in blocks
+                    if len(b) > 1 and len(c) > 1 and b[-2] < c[0] < b[-1])
+        rest = [blk for blk in blocks if blk is not b and blk is not c]
+        swapped = rest + [b[:-1] + [c[-1]], c[:-1] + [b[-1]]]
+        assert not is_noncrossing(make_partition(3000, swapped))
+
+
+class TestInnerIndices:
+    def test_span_definition_on_all_set_partitions_to_n7(self):
+        # crossing partitions included: a block is inner when another block
+        # has a smaller least and a greater greatest element
+        for n in range(1, 8):
+            for p in all_set_partitions(n):
+                spans = [(blk[0], blk[-1]) for blk in p.blocks]
+                want = {i for i, (lo, hi) in enumerate(spans)
+                        if any(lo2 < lo and hi2 > hi for lo2, hi2 in spans)}
+                assert p.inner_indices == want, p
+                assert p.outer_indices == frozenset(range(len(spans))) - want
 
 
 class TestRefines:
@@ -411,6 +446,16 @@ class TestEndpointCoarsenings:
 
     def test_worked_example_count(self):
         assert count_endpoint_coarsenings(ALPHA_11) == 16
+
+    def test_yield_order_pinned(self):
+        # every (a, b, special set) in yield order over NC(n), n <= 7
+        digest = hashlib.sha256()
+        for n in range(1, 8):
+            for a in nc(n):
+                for b, special in endpoint_coarsenings(a):
+                    digest.update(f"{a} {b} {sorted(special)}\n".encode())
+        assert digest.hexdigest() == (
+            "74c769b21ba015655d10625ede434b5dc6fe8089a7ffd935cd1e044d614da2d0")
 
 
 def _subsets(items):
