@@ -63,6 +63,16 @@ for w in beta_blocks:
     alpha_blocks.extend(parts)
 """
 
+# The one-block pair on {1..n}: the endpoint floor of 1_n against 1_n.  Its
+# linked partition has n - 1 blocks, each but the first sharing its least
+# element with the block before it.
+ONE_BLOCK = """\
+from nclab.linked import from_pair, make_linked
+from nclab.partitions import endpoint_floor, make_partition
+full = make_partition({n}, [range(1, {n} + 1)])
+floor = endpoint_floor(full)
+"""
+
 # name -> (setup, expression); the expression's value is recorded as the
 # layer's result, so that the two sides can be seen to do the same work
 LAYERS = {
@@ -137,6 +147,15 @@ LAYERS = {
     "make_linked n=3000": (
         PAIR_3000 + "raw = from_pair(make_partition(3000, alpha_blocks),\n"
                     "                make_partition(3000, beta_blocks)).blocks",
+        "len(make_linked(3000, raw).blocks)"),
+    "from_pair one block n=3000": (
+        ONE_BLOCK.format(n=3000),
+        "len(from_pair(floor, full).blocks)"),
+    "from_pair one block n=12000": (
+        ONE_BLOCK.format(n=12000),
+        "len(from_pair(floor, full).blocks)"),
+    "make_linked one block n=3000": (
+        ONE_BLOCK.format(n=3000) + "raw = from_pair(floor, full).blocks",
         "len(make_linked(3000, raw).blocks)"),
 }
 

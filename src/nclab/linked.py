@@ -3,16 +3,18 @@
 A linked partition of {1..n} covers every element once or twice.  Two
 distinct blocks are either disjoint or share exactly one element, in which
 case both blocks have at least two elements, their minima differ, and the
-shared element is the minimum of exactly one of them.  Only non-crossing
-linked partitions are modeled here; the crossing test is the sweep that
-plain partitions use, `partitions._crossing`.
+shared element is the minimum of exactly one of them: of the later one in
+order of least element, as the earlier one holds a smaller element.  So
+`generated_partition`, `unlink` and `from_pair` each read the blocks once,
+in that order.  Only non-crossing linked partitions are modeled here; the
+crossing test is the sweep that plain partitions use, `partitions._crossing`.
 
 The central pair of maps:
 
 * ``generated_partition(p)`` -- the coarsest-refining plain partition with
   each block of ``p`` inside one block;
 * ``unlink(p)`` -- the plain partition obtained by deleting each
-  doubly-covered block minimum from the block it is minimal in;
+  doubly-covered element from the block it is least in;
 
 combine into ``to_pair`` / ``from_pair``, a bijection between non-crossing
 linked partitions of {1..n} and pairs (a, b) of non-crossing partitions
@@ -21,8 +23,7 @@ with ``endpoint_refines(a, b)``.
 
 from __future__ import annotations
 
-from functools import cache, cached_property
-from itertools import combinations
+from functools import cache
 from typing import Callable, Iterable, Iterator
 
 from ._base import _clipped, _int_text
@@ -62,14 +63,6 @@ class LinkedPartition(BlockFamily):
     `from_pair` or the enumerators.
     """
 
-    @cached_property
-    def _cover_count(self) -> dict[int, int]:
-        out = dict.fromkeys(range(1, self.n + 1), 0)
-        for blk in self.blocks:
-            for x in blk:
-                out[x] += 1
-        return out
-
     @classmethod
     def from_text(cls, text: str) -> LinkedPartition:
         return make_linked(*parse_blocks_text(text))
@@ -90,31 +83,33 @@ def make_linked(n: int, raw_blocks: Iterable[Iterable[int]]) -> LinkedPartition:
     get distinct diagnostics: triple coverage, overlap of two or more
     elements, a shared element that is the minimum of neither block, equal
     minima of overlapping blocks, overlap involving a singleton, crossing
-    blocks, and coverage gaps.
+    blocks, and coverage gaps.  Of several pairs of blocks that break a
+    sharing rule, the first in input order is named.
     """
     blocks: list[tuple[int, ...]] = []
-    for blk in _read_raw_blocks(n, raw_blocks, InvalidLinkedPartitionError):
-        for u, v in zip(blk, blk[1:]):
-            if u == v:
+    where: dict[int, list[int]] = {}  # element -> positions of its blocks
+    for i, blk in enumerate(_read_raw_blocks(n, raw_blocks, InvalidLinkedPartitionError)):
+        for x in blk:
+            at = where.setdefault(x, [])
+            if at and at[-1] == i:
                 raise InvalidLinkedPartitionError(
-                    f"element {_int_text(u)} repeated inside block {_fmt_block(set(blk))}"
+                    f"element {_int_text(x)} repeated inside block {_fmt_block(set(blk))}"
                 )
+            at.append(i)
         blocks.append(blk)
 
-    count: dict[int, int] = {}
-    for blk in blocks:
-        for x in blk:
-            count[x] = count.get(x, 0) + 1
-    over = [x for x, c in count.items() if c > 2]
+    over = [x for x, at in where.items() if len(at) > 2]
     if over:
         x = min(over)
         raise InvalidLinkedPartitionError(
-            f"element {_int_text(x)} covered by {count[x]} blocks")
+            f"element {_int_text(x)} covered by {len(where[x])} blocks")
 
-    for a, b in combinations(blocks, 2):
-        inter = set(a) & set(b)
-        if not inter:
-            continue
+    shared: dict[tuple[int, int], list[int]] = {}  # pair of positions -> elements
+    for x, at in where.items():
+        if len(at) == 2:
+            shared.setdefault((at[0], at[1]), []).append(x)
+    for i, j in sorted(shared):
+        a, b, inter = blocks[i], blocks[j], shared[i, j]
         if len(inter) >= 2:
             raise InvalidLinkedPartitionError(
                 f"blocks {_fmt_block(a)} and {_fmt_block(b)} share {len(inter)} elements"
@@ -128,7 +123,7 @@ def make_linked(n: int, raw_blocks: Iterable[Iterable[int]]) -> LinkedPartition:
             raise InvalidLinkedPartitionError(
                 f"overlapping blocks {_fmt_block(a)} and {_fmt_block(b)} have equal minima"
             )
-        m = inter.pop()
+        m = inter[0]
         if m != a[0] and m != b[0]:
             raise InvalidLinkedPartitionError(
                 f"shared element {_int_text(m)} is the minimum of neither "
@@ -140,8 +135,8 @@ def make_linked(n: int, raw_blocks: Iterable[Iterable[int]]) -> LinkedPartition:
         a, b = (_fmt_block(blocks[i]) for i in crossing)
         raise InvalidLinkedPartitionError(f"blocks {a} and {b} cross")
 
-    if len(count) != n:
-        raise InvalidLinkedPartitionError(_not_covered(n, count))
+    if len(where) != n:
+        raise InvalidLinkedPartitionError(_not_covered(n, where))
 
     blocks.sort(key=lambda blk: blk[0])
     return LinkedPartition(n, tuple(blocks))
@@ -149,30 +144,22 @@ def make_linked(n: int, raw_blocks: Iterable[Iterable[int]]) -> LinkedPartition:
 
 def generated_partition(p: LinkedPartition) -> Partition:
     """The coarsest-refining plain partition with every block of ``p``
-    inside one block: the transitive closure of block overlap."""
-    parent = list(range(len(p.blocks)))
+    inside one block: the transitive closure of block overlap.
 
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    owner: dict[int, int] = {}
-    for i, blk in enumerate(p.blocks):
+    One pass over the blocks in order: a block whose least element an
+    earlier block holds joins that block's group, any other block opens a
+    group.  Groups open in order of their least element."""
+    group: dict[int, list[int]] = {}  # element -> the group holding it
+    groups = []
+    for blk in p.blocks:
+        g = group.get(blk[0])
+        if g is None:
+            g = []
+            groups.append(g)
+        g.extend(blk)
         for x in blk:
-            if x in owner:
-                ri, rj = find(i), find(owner[x])
-                if ri != rj:
-                    parent[ri] = rj
-            else:
-                owner[x] = i
-
-    groups: dict[int, set[int]] = {}
-    for i, blk in enumerate(p.blocks):
-        groups.setdefault(find(i), set()).update(blk)
-    out = sorted((tuple(sorted(g)) for g in groups.values()), key=lambda blk: blk[0])
-    result = Partition(p.n, tuple(out))
+            group[x] = g
+    result = Partition(p.n, tuple(tuple(sorted(set(g))) for g in groups))
     # a theorem for valid input; an unchecked constructor call can break it
     if not result._noncrossing:
         raise InvalidLinkedPartitionError(f"generated partition of {_clipped(p)} is crossing")
@@ -180,14 +167,16 @@ def generated_partition(p: LinkedPartition) -> Partition:
 
 
 def unlink(p: LinkedPartition) -> Partition:
-    """The plain partition obtained by dropping each doubly-covered block
-    minimum from the block it is minimal in.  A doubly-covered element is
-    the minimum of exactly one of its two blocks (checked by `make_linked`),
-    so every element ends up in exactly one block."""
-    count = p._cover_count
+    """The plain partition obtained by dropping each doubly-covered element
+    from the block it is least in: in one pass over the blocks in order,
+    that is the later of its two blocks, so a block loses its least element
+    exactly when an earlier block holds it.  Every element ends up in
+    exactly one block."""
+    seen: set[int] = set()
     out = []
     for blk in p.blocks:
-        out.append(blk[1:] if count[blk[0]] == 2 else blk)
+        out.append(blk[1:] if blk[0] in seen else blk)
+        seen.update(blk)
     out.sort(key=lambda blk: blk[0])
     return Partition(p.n, tuple(out))
 
@@ -205,34 +194,35 @@ def from_pair(a: Partition, b: Partition) -> LinkedPartition:
     `to_pair`; requires ``endpoint_refines(a, b)``.
 
     Construction (`_link`): push ``a`` forward through the block-cycle
-    permutation of ``b`` (giving the unlinking), then re-link each block
-    whose minimum is not its host-block minimum by prepending the host
-    element immediately preceding it.  A pair that is not so related
-    raises `InvalidPairError`.  `enumerate_ncl` trusts `_link` too, and
-    Tier-1 checks both routes with `make_linked`, so nothing is re-checked.
+    permutation of ``b`` (giving the unlinking), then give back to each
+    block that misses the least element of its block of ``b`` the element
+    just before its own least element, which an earlier block holds.  A
+    pair that is not so related raises `InvalidPairError`.  `enumerate_ncl`
+    trusts `_link` too, and Tier-1 checks both routes with `make_linked`,
+    so nothing is re-checked.
     """
     fault = _endpoint_fault(a, b)
     if fault is not None:
         raise _pair_error(a, b, fault)
-    return _link(a, b.blocks, block_cycles(b).image, b._block_of)
+    return _link(a, block_cycles(b).image)
 
 
-def _link(
-    a: Partition,
-    b_blocks: tuple[tuple[int, ...], ...],
-    cycle: tuple[int, ...],
-    host: dict[int, int],
-) -> LinkedPartition:
+def _link(a: Partition, cycle: tuple[int, ...]) -> LinkedPartition:
     """The construction of `from_pair`, unchecked: ``a`` must
-    endpoint-refine the standard partition b with blocks ``b_blocks``,
-    ``cycle`` is the image sequence of ``block_cycles(b)`` and ``host`` is
-    ``b._block_of``."""
+    endpoint-refine the partition b whose block cycles have the image
+    sequence ``cycle``.
+
+    Inside a block W of b, the block of ``a`` that holds min(W) holds
+    max(W) too, so its image keeps min(W) as least element.  Any other
+    block of ``a`` inside W misses max(W), so the cycle moves each of its
+    elements to the next one in W: its image's least element comes just
+    after ``blk[0]``, which the image gets back as its shared least
+    element."""
     out = []
     for blk in a.blocks:
         v = sorted([cycle[x - 1] for x in blk])
-        w = b_blocks[host[v[0]]]
-        if v[0] != w[0]:
-            v.insert(0, w[w.index(v[0]) - 1])
+        if blk[0] < v[0]:
+            v.insert(0, blk[0])
         out.append(tuple(v))
     out.sort()
     return LinkedPartition(a.n, tuple(out))
@@ -262,14 +252,14 @@ def enumerate_ncl(n: int) -> Iterator[LinkedPartition]:
 
 def _linked_shapes(m: int) -> list[list[tuple[int, ...]]]:
     """The `_link` images of the `_block_shapes(m)` against the one-block
-    partition of {1..m}, in that order, as 0-based positions."""
-    one = Partition.full(m)
-    cycle = (*range(2, m + 1), 1)  # the image of block_cycles(one)
+    partition of {1..m}, in that order, as 0-based positions.  Its block
+    cycle sends each element to the next one and m to 1, so every block of
+    a shape but the one holding 1 and m gets its least element back."""
+    cycle = (*range(2, m + 1), 1)
     out = []
     for shape in _block_shapes(m):
         alpha = Partition(m, tuple(tuple(x + 1 for x in blk) for blk in shape))
-        image = _link(alpha, one.blocks, cycle, one._block_of)
-        out.append([tuple(x - 1 for x in blk) for blk in image.blocks])
+        out.append([tuple(x - 1 for x in blk) for blk in _link(alpha, cycle).blocks])
     return out
 
 

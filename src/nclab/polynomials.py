@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache, wraps
-from math import comb, factorial, lcm
+from math import comb, factorial
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Sequence
 
 from ._base import Frozen, _require_positive, _set_field
@@ -135,11 +135,9 @@ class Polynomial(Frozen):
         d^(D-g) to an integer sum over d^D, D the top degree: one `Fraction`."""
         from fractions import Fraction
 
-        from .series import _frac
+        from .series import _common_denominator, _frac
 
-        ts = [_frac(x) for x in t]
-        d = lcm(*(x.denominator for x in ts))
-        nums = [x.numerator * (d // x.denominator) for x in ts]
+        d, nums = _common_denominator([_frac(x) for x in t])
         top = max((sum(e for _, e in mono.exps) for mono, _ in self.terms), default=0)
         total = 0
         for mono, c in self.terms:

@@ -33,6 +33,13 @@ def _frac(x) -> Fraction:
     return Fraction(x)
 
 
+def _common_denominator(values: Sequence[Fraction]) -> tuple[int, list[int]]:
+    """The least common denominator d of ``values`` and their numerators
+    over it: value i is numerators[i] / d."""
+    d = lcm(*(x.denominator for x in values))
+    return d, [x.numerator * (d // x.denominator) for x in values]
+
+
 class TruncatedSeries(Frozen):
     """A power series known exactly up to z**order."""
 
@@ -127,9 +134,7 @@ def _lagrange(h: TruncatedSeries, n: int) -> TruncatedSeries:
     The powers are kept as integer numerators over d^k, d the common
     denominator of h, so the products need no gcd per operation.
     """
-    coeffs = h.truncate(n - 1).coeffs
-    d = lcm(*(c.denominator for c in coeffs))
-    power = [c.numerator * (d // c.denominator) for c in coeffs]  # h^k = power / d^k
+    d, power = _common_denominator(h.truncate(n - 1).coeffs)  # h^k = power / d^k
     base = [(j, b) for j, b in enumerate(power) if b]
     g = [Fraction(0)] * (n + 1)
     for k in range(1, n + 1):

@@ -64,6 +64,35 @@ def _interleaves(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
     return False
 
 
+def block_text(blk) -> str:
+    return "{" + ",".join(map(str, blk)) + "}"
+
+
+def sharing_faults(blocks) -> list[str]:
+    """The `make_linked` diagnostic of every pair of blocks that breaks a
+    sharing rule, pairs in `combinations` order over the input order.  The
+    blocks are sorted, with no element twice in one block and none in
+    three blocks.  Compares every pair of blocks by set intersection."""
+    faults = []
+    for a, b in combinations(blocks, 2):
+        inter = set(a) & set(b)
+        if not inter:
+            continue
+        if len(inter) >= 2:
+            faults.append(f"blocks {block_text(a)} and {block_text(b)} share "
+                          f"{len(inter)} elements")
+        elif len(a) == 1 or len(b) == 1:
+            small, big = (a, b) if len(a) == 1 else (b, a)
+            faults.append(f"singleton block {block_text(small)} overlaps {block_text(big)}")
+        elif a[0] == b[0]:
+            faults.append(f"overlapping blocks {block_text(a)} and {block_text(b)} "
+                          "have equal minima")
+        elif inter.isdisjoint((a[0], b[0])):
+            faults.append(f"shared element {min(inter)} is the minimum of neither "
+                          f"{block_text(a)} nor {block_text(b)}")
+    return faults
+
+
 def crossing_pairs(blocks) -> list[tuple[int, int]]:
     """The positions (i, j), i < j, of every crossing pair of blocks."""
     return [(i, j) for (i, a), (j, b) in combinations(enumerate(blocks), 2)

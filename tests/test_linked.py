@@ -31,6 +31,7 @@ from nclab import (
     unlink,
 )
 from helpers import (
+    block_text,
     cover_counts,
     crossing_pairs,
     nc,
@@ -39,6 +40,7 @@ from helpers import (
     per_partition_sum,
     random_pair,
     restricted,
+    sharing_faults,
 )
 
 PI_11 = make_linked(11, [[1, 2, 4], [2, 3], [4, 5, 6], [6, 7], [8, 9, 11], [9, 10]])
@@ -64,10 +66,6 @@ def linked_families(draw):
         if blk[0] > 1 and draw(st.booleans()):
             blk.insert(0, draw(st.integers(1, blk[0] - 1)))
     return n, draw(st.permutations(blocks))
-
-
-def block_text(blk) -> str:
-    return "{" + ",".join(map(str, blk)) + "}"
 
 
 class TestMakeLinked:
@@ -144,6 +142,42 @@ class TestMakeLinked:
             assert message in named
         else:
             assert message is None
+
+    def test_sharing_fault_matches_pairwise_oracle(self):
+        # seeded families whose blocks overlap often: make_linked names the
+        # first faulty pair in input order, as the pairwise oracle does
+        rng = random.Random(16)
+        several = 0
+        for _ in range(3000):
+            n = rng.randint(2, 8)
+            blocks = [sorted(rng.sample(range(1, n + 1), rng.randint(1, min(n, 4))))
+                      for _ in range(rng.randint(2, 6))]
+            if max(Counter(x for blk in blocks for x in blk).values()) > 2:
+                continue
+            faults = sharing_faults(blocks)
+            if not faults:
+                continue
+            several += len(faults) > 1
+            with pytest.raises(InvalidLinkedPartitionError) as exc:
+                make_linked(n, blocks)
+            assert str(exc.value) == faults[0]
+        assert several > 100
+
+    @pytest.mark.parametrize("n, blocks, message", [
+        # the first faulty pair shares 5; a later one shares 1
+        (6, [[3, 5], [4, 5], [1, 2], [1, 6]],
+         "shared element 5 is the minimum of neither {3,5} nor {4,5}"),
+        (7, [[2, 7], [1, 2, 3, 4], [3, 4, 6], [5], [5, 6]],
+         "blocks {1,2,3,4} and {3,4,6} share 2 elements"),
+        (6, [[4, 6], [6], [1, 3, 5], [2, 5]], "singleton block {6} overlaps {4,6}"),
+        (8, [[6, 7, 8], [2, 8], [1, 2, 3], [1, 4]],
+         "shared element 8 is the minimum of neither {6,7,8} nor {2,8}"),
+    ])
+    def test_several_sharing_faults_name_the_first_pair(self, n, blocks, message):
+        assert sharing_faults(blocks)[0] == message
+        with pytest.raises(InvalidLinkedPartitionError) as exc:
+            make_linked(n, blocks)
+        assert str(exc.value) == message
 
     def test_valid_link_with_nested_singleton(self):
         p = make_linked(4, [[1, 3], [3, 4], [2]])
@@ -252,6 +286,10 @@ class TestUnlink:
                 u = unlink(p)
                 assert is_noncrossing(u)
                 assert refines(u, generated_partition(p))
+                # by definition: drop each block minimum that two blocks cover
+                count = cover_counts(p)
+                assert u.blocks == tuple(sorted(
+                    blk[1:] if count[blk[0]] == 2 else blk for blk in p.blocks))
 
 
 class TestRestrict:

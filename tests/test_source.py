@@ -65,6 +65,8 @@ UNCALLED = {
         "element lookup; the boundary tests of kept members are built on it",
     "partitions.py:Partition.discrete":
         "the bottom of NC(n); the boundary tests of kept members are built on it",
+    "partitions.py:Partition.full":
+        "the top 1_n of NC(n); the tests of kept members are built on it",
     "partitions.py:Partition.from_text": "reads back what to_text writes",
     "partitions.py:Partition.from_json_dict": "reads back what to_json_dict writes",
     "partitions.py:Permutation.from_json_dict": "reads back what to_json_dict writes",
