@@ -1,9 +1,10 @@
 """Pieces shared by modules that must not load one another: the bound on
 integers read from text, the integer test and the check of a size, the
-bounded quoting of rejected input for diagnostics, and the bases of the
-record classes.  It
-imports only `operator`, which `re` has already loaded at start-up, so
-any module can use it without slowing its own import."""
+bounded quoting of rejected input for diagnostics, the bases of the
+record classes, and `NormalizationError`, which `series` raises and the
+CLI maps to its own exit code without loading `series`.  It imports only
+`operator`, which `re` has already loaded at start-up, so any module can
+use it without slowing its own import."""
 
 from __future__ import annotations
 
@@ -12,6 +13,10 @@ from operator import attrgetter
 # Integers read from text are bounded by their digit count before any
 # conversion: 4300 is CPython's default limit for int <-> str conversion.
 MAX_DIGITS = 4300
+
+
+class NormalizationError(ValueError):
+    """First moment or constant coefficient differs from the required 1."""
 
 
 def _is_int(x: object) -> bool:

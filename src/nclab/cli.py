@@ -2,8 +2,12 @@
 
 Subcommands: enumerate, map, count, moments, transform, verify.  Human
 output is meant for eyes; ``--json`` emits one JSON object per line and is
-byte-deterministic.  Exit codes: 0 success, 1 verification failure, 2 usage
-error, 3 domain precondition failure, 4 normalization failure.
+byte-deterministic.  Each handler computes its result once and hands both
+forms to one writer, `_emit`, which picks one; only ``enumerate`` streams
+its objects past it.  Exit codes: 0 success, 1 verification failure, 2
+usage error, 3 domain precondition failure, 4 normalization failure
+(`NormalizationError`, which `_base` defines so that catching it loads
+nothing).
 
 Sizes are guarded by a limit (default 12) to prevent accidental
 combinatorial explosion; override with ``--limit`` or the NCLAB_LIMIT
@@ -25,7 +29,7 @@ import sys
 from functools import cache
 from itertools import islice
 
-from ._base import MAX_DIGITS, _clipped, _quoted
+from ._base import MAX_DIGITS, NormalizationError, _clipped, _quoted
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -65,15 +69,21 @@ def _parse_rational_list(text: str) -> list[Fraction]:
 @cache
 def _json_encoder():
     """The ``encode`` of one encoder for every JSON line, built on first
-    use: only ``--json`` output loads `json`.  What it encodes is built
-    here and holds no cycles, so the circular-reference check is skipped."""
+    use: only ``--json`` output loads `json`.  An object of the library
+    is encoded as its ``to_json_dict()``, so a handler can pass the object
+    and only the form written is built.  What it encodes holds no cycles,
+    so the circular-reference check is skipped."""
     import json
 
-    return json.JSONEncoder(separators=(",", ":"), check_circular=False).encode
+    return json.JSONEncoder(separators=(",", ":"), check_circular=False,
+                            default=lambda obj: obj.to_json_dict()).encode
 
 
-def _emit_json(obj) -> None:
-    print(_json_encoder()(obj))
+def _emit(args, record, text) -> None:
+    """Write one result: ``record`` as a compact JSON line under ``--json``,
+    else ``text``, or an object whose ``str`` is the text.  Neither form is
+    formatted unless it is written."""
+    print(_json_encoder()(record) if args.json else text)
 
 
 def _resolve_limit(flag_value: int | None) -> int:
@@ -216,7 +226,7 @@ def _cmd_enumerate(args, limit: int) -> int:
     while chunk := list(islice(lines, _CHUNK_LINES)):
         count += len(chunk)
         sys.stdout.write("\n".join(chunk) + "\n")
-    print(_json_encoder()({"count": count}) if args.json else f"count={count}")
+    _emit(args, {"count": count}, f"count={count}")
     return EXIT_OK
 
 
@@ -228,31 +238,21 @@ def _cmd_map(args, limit: int) -> int:
             raise UsageError("to-pair takes exactly one linked partition")
         p = _read_blocks(args.objects[0], limit, linked.make_linked)
         alpha, beta = linked.to_pair(p)
-        fields = [("alpha", alpha), ("beta", beta)]
-        if args.details:
-            fields[:0] = [("unlinking", linked.unlink(p)),
-                          ("permutation", partitions.block_cycles(beta))]
+        result = record = {"alpha": alpha, "beta": beta}
+        details = {"unlinking": linked.unlink(p),
+                   "permutation": partitions.block_cycles(beta)} if args.details else {}
     else:
         if len(args.objects) != 2:
             raise UsageError("from-pair takes exactly two partitions: alpha beta")
         a, b = (_read_blocks(text, limit, partitions.make_partition) for text in args.objects)
         p = linked.from_pair(a, b)
-        fields = [("linked", p)]
-        if args.details:
-            fields[:0] = [("permutation", partitions.block_cycles(b)),
-                          ("unlinking", linked.unlink(p))]
-    if args.json:
-        record = {}
-        for label, obj in fields:
-            # a linked partition's own JSON form carries "linked": true
-            if label == "linked":
-                record.update(obj.to_json_dict())
-            else:
-                record[label] = obj.to_json_dict()
-        _emit_json(record)
-    else:
-        for label, obj in fields:
-            print(f"{label}: {obj}" if args.details else obj)
+        result = {"linked": p}
+        record = p.to_json_dict()  # a linked partition's JSON form carries "linked": true
+        details = {"permutation": partitions.block_cycles(b),
+                   "unlinking": linked.unlink(p)} if args.details else {}
+    text = "\n".join(f"{label}: {obj}" if args.details else str(obj)
+                     for label, obj in {**details, **result}.items())
+    _emit(args, {**details, **record}, text)
     return EXIT_OK
 
 
@@ -278,10 +278,7 @@ def _cmd_count(args, limit: int) -> int:
             value = partitions.count_endpoint_refinements(p)
         else:
             value = partitions.count_endpoint_coarsenings(p)
-    if args.json:
-        _emit_json({"count": value})
-    else:
-        print(value)
+    _emit(args, {"count": value}, value)
     return EXIT_OK
 
 
@@ -294,10 +291,7 @@ def _cmd_moments(args, limit: int) -> int:
         from .polynomials import moment_poly
 
         poly = moment_poly(args.symbolic)
-        if args.json:
-            _emit_json(poly.to_json_dict())
-        else:
-            print(poly.to_text())
+        _emit(args, poly, poly)
         return EXIT_OK
     if len(sources) != 1:
         raise UsageError("pass exactly one of --t, --cumulants, --symbolic")
@@ -314,10 +308,7 @@ def _cmd_moments(args, limit: int) -> int:
         m = series.moments_from_t(coeffs, args.n_max)
     else:
         m = series.moments_from_cumulants(coeffs, args.n_max)
-    if args.json:
-        _emit_json({"moments": [str(v) for v in m.values]})
-    else:
-        print(str(m))
+    _emit(args, {"moments": [str(v) for v in m.values]}, m)
     return EXIT_OK
 
 
@@ -328,27 +319,16 @@ def _cmd_transform(args, limit: int) -> int:
     _check_size(len(values), limit, "depth")
     m = series.MomentSequence.of(values)
     if args.to == "r":
-        kappa = series.cumulants_from_moments(m)
-        if args.order is not None:
-            if not 0 <= args.order <= m.depth:
-                raise UsageError(f"--order must be 0..{m.depth} for r")
-            kappa = kappa[: args.order]
-        if args.json:
-            _emit_json({"order": len(kappa),
-                        "coeffs": ["0"] + [str(k) for k in kappa]})
-        else:
-            print(", ".join(str(k) for k in kappa))
-        return EXIT_OK
-    s = series.s_transform(m) if args.to == "s" else series.t_transform(m)
+        s = series.TruncatedSeries.of(0, *series.cumulants_from_moments(m))
+    else:
+        s = series.s_transform(m) if args.to == "s" else series.t_transform(m)
     if args.order is not None:
         if not 0 <= args.order <= s.order:
             raise UsageError(f"--order must be 0..{s.order} "
-                             f"for depth {m.depth}")
+                             + ("for r" if args.to == "r" else f"for depth {m.depth}"))
         s = s.truncate(args.order)
-    if args.json:
-        _emit_json(s.to_json_dict())
-    else:
-        print(str(s))
+    # the R-transform's text leaves out its zero constant term
+    _emit(args, s, ", ".join(map(str, s.coeffs[1:])) if args.to == "r" else s)
     return EXIT_OK
 
 
@@ -357,37 +337,21 @@ def _cmd_verify(args, limit: int) -> int:
     from .verify import run_suite
 
     results = run_suite(args.suite, args.n)
-    failed = 0
+    failed = sum(not r.passed for r in results)
     for r in results:
-        if not r.passed:
-            failed += 1
-        if args.json:
-            record = {
-                "suite": r.suite,
-                "identity": r.identity,
-                "range": r.scope,
-                "checked": r.checked,
-                "pass": r.passed,
-            }
-            if r.detail:
-                record["detail"] = r.detail
-            if r.failures:
-                record["failures"] = r.failures
-            _emit_json(record)
-        else:
-            line = (f"{'PASS' if r.passed else 'FAIL'} {r.suite}.{r.identity} "
-                    f"{r.scope} checked={r.checked}")
-            if r.detail:
-                line += f" {r.detail}"
-            print(line)
-            for msg in r.failures:
-                print(f"    {msg}")
-    if args.json:
-        _emit_json({"summary": {"checks": len(results),
-                                "passed": len(results) - failed,
-                                "failed": failed}})
-    else:
-        print(f"summary: {len(results)} checks, {len(results) - failed} passed")
+        record = {"suite": r.suite, "identity": r.identity, "range": r.scope,
+                  "checked": r.checked, "pass": r.passed}
+        line = (f"{'PASS' if r.passed else 'FAIL'} {r.suite}.{r.identity} "
+                f"{r.scope} checked={r.checked}")
+        if r.detail:
+            record["detail"] = r.detail
+            line += f" {r.detail}"
+        if r.failures:
+            record["failures"] = r.failures
+        _emit(args, record, "\n".join([line, *(f"    {msg}" for msg in r.failures)]))
+    _emit(args, {"summary": {"checks": len(results), "passed": len(results) - failed,
+                             "failed": failed}},
+          f"summary: {len(results)} checks, {len(results) - failed} passed")
     return EXIT_VERIFY_FAILED if failed else EXIT_OK
 
 
@@ -408,15 +372,13 @@ def main(argv: list[str] | None = None) -> int:
         limit = _resolve_limit(args.limit)
         return _DISPATCH[args.command](args, limit)
     except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        code, message = EXIT_USAGE, exc
+    except NormalizationError as exc:
+        code, message = EXIT_NORMALIZATION, exc
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        # a NormalizationError can only come from a loaded `series`
-        series = sys.modules.get(f"{__package__}.series")
-        if series is not None and isinstance(exc, series.NormalizationError):
-            return EXIT_NORMALIZATION
-        return EXIT_DOMAIN
+        code, message = EXIT_DOMAIN, exc
+    print(f"error: {message}", file=sys.stderr)
+    return code
 
 
 def run() -> None:  # console-script entry point

@@ -418,36 +418,35 @@ def enumerate_nc(n: int) -> Iterator[Partition]:
         yield Partition(n, tuple(blocks))
 
 
-def _nc_walk(n: int, fmt: Callable[[tuple], str] | None = None) -> Iterator[list]:
+def _nc_walk(n: int, fmt: Callable[[tuple], object] = tuple) -> Iterator[list]:
     """Walk NC(n), n >= 1, in `enumerate_nc` order by one backtracking loop.
-    Yields one live list per partition: its blocks, or ``fmt(block)`` for
-    each block, where ``fmt`` is called only on the blocks the walk opens,
-    extends or shrinks, amortised O(1) calls per partition.  The list
-    changes in place at the next step, so copy or join it first."""
+    Yields one live list per partition: ``fmt(block)`` for each block, the
+    blocks themselves under the default ``tuple``, where ``fmt`` is called
+    only on the blocks the walk opens, extends or shrinks, amortised O(1)
+    calls per partition.  The list changes in place at the next step, so
+    copy or join it first."""
     blocks: list[tuple[int, ...]] = []
-    shown = [] if fmt else blocks  # what is yielded
+    shown = []  # what is yielded
     # indices of the open blocks, outermost first; a new list on each change,
     # so that ``arrived[k]`` keeps those open when element k < n came
     opened: list[int] = []
     arrived: list[list[int]] = [opened] * n
     code = [0] * n  # the choice code of each element k < n
-    last = fmt((n,)) if fmt else (n,)
+    last = fmt((n,))
     k = 1
     while True:
         while k < n:  # elements k..n-1 open new blocks
             arrived[k], code[k] = opened, 0
             opened = [*opened, len(blocks)]
             blocks.append((k,))
-            if fmt:
-                shown.append(fmt((k,)))
+            shown.append(fmt((k,)))
             k += 1
         shown.append(last)  # n alone
         yield shown
         shown.pop()
         for i in opened:  # n joins an open block
             saved = shown[i]
-            grown = blocks[i] + (n,)
-            shown[i] = fmt(grown) if fmt else grown
+            shown[i] = fmt(blocks[i] + (n,))
             yield shown
             shown[i] = saved
         k = n - 1  # undo choices back to the last element k < n with one left
@@ -456,18 +455,15 @@ def _nc_walk(n: int, fmt: Callable[[tuple], str] | None = None) -> Iterator[list
             if d:
                 j = opened[d - 1]
                 blocks[j] = blocks[j][:-1]
-                if fmt:
-                    shown[j] = fmt(blocks[j])
+                shown[j] = fmt(blocks[j])
             else:
                 blocks.pop()
-                if fmt:
-                    shown.pop()
+                shown.pop()
             if d < len(opened):
                 code[k] = d + 1
                 j = opened[d]
                 blocks[j] += (k,)
-                if fmt:
-                    shown[j] = fmt(blocks[j])
+                shown[j] = fmt(blocks[j])
                 opened = opened[:d + 1]
                 k += 1
                 break

@@ -20,11 +20,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterable, Sequence
 
-from ._base import Frozen, _require_positive, _set_field
-
-
-class NormalizationError(ValueError):
-    """First moment or constant coefficient differs from the required 1."""
+from ._base import Frozen, NormalizationError, _require_positive, _set_field
 
 
 def _frac(x) -> Fraction:

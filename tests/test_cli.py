@@ -1,5 +1,6 @@
 import hashlib
 import json
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -362,6 +363,100 @@ class TestVerifyDigests:
         assert code == 0
         assert err == ""
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def _flag_sets(*flags):
+    """Every subset of ``flags``, the empty one first."""
+    sets = [[]]
+    for flag in flags:
+        sets += [s + [flag] for s in sets]
+    return sets
+
+
+def _transform_grid():
+    rng = random.Random(17)
+    for depth in (1, 2, 4, 8):
+        moments = ",".join(["1"] + [f"{rng.randint(-9, 9)}/{rng.randint(1, 9)}"
+                                    for _ in range(depth - 1)])
+        for to in ("r", "s", "t"):
+            for order in dict.fromkeys((None, 0, 1, depth - 1, depth, depth + 1)):
+                argv = ["transform", "--moments", moments, "--to", to]
+                if order is not None:
+                    argv += ["--order", str(order)]
+                yield from (argv + flags for flags in _flag_sets("--json"))
+    for to in ("r", "s", "t"):  # m1 != 1
+        yield from (["transform", "--moments", "2,5,14", "--to", to] + flags
+                    for flags in _flag_sets("--json"))
+
+
+def _count_grid():
+    for kind in ("nc", "ncl", "coloured"):
+        for size in ("1", "2", "5", "12", "0", "13", "x"):
+            yield from (["count", kind, size] + flags for flags in _flag_sets("--json"))
+    for kind in ("below-ll", "above-ll"):
+        for text in ("{1}", "{1,2,3,4}", "{1,4}{2,3}", "{1,2,3}{4}", "{1,6}{2,3,5}{4}",
+                     "{1,3}{2,4}", "{1,3}{2", "{1,2}{2,3}"):
+            yield from (["count", kind, text] + flags for flags in _flag_sets("--json"))
+
+
+def _moments_grid():
+    for source in ("--t", "--cumulants"):
+        for values in ("1", "1,1", "1,1/2,3", "1,-1,2/3,0,5"):
+            for n in ("1", "4", "8"):
+                yield from (["moments", source, values, "--n", n] + flags
+                            for flags in _flag_sets("--json"))
+    for n in ("1", "3", "6"):
+        yield from (["moments", "--symbolic", n] + flags for flags in _flag_sets("--json"))
+    for argv in (["--t", "2,1", "--n", "3"], ["--cumulants", "2", "--n", "2"],
+                 ["--t", "1", "--cumulants", "1", "--n", "2"], ["--t", "1"],
+                 ["--symbolic", "3", "--n", "2"], ["--n", "3"]):
+        yield from (["moments"] + argv + flags for flags in _flag_sets("--json"))
+
+
+def _map_grid():
+    rng = random.Random(17)
+    for n in range(1, 7):
+        objs = list(enumerate_ncl(n))
+        for p in rng.sample(objs, min(3, len(objs))):
+            alpha, beta = linked.to_pair(p)
+            for flags in _flag_sets("--details", "--json"):
+                yield ["map", "to-pair", str(p)] + flags
+                yield ["map", "from-pair", str(alpha), str(beta)] + flags
+    for objects in (["from-pair", "{1,3}{2,4}", "{1,2,3,4}"],  # crossing
+                    ["from-pair", "{1}{2}{3}", "{1,2,3}"],  # min and max apart
+                    ["from-pair", "{1,2}{3,4}", "{1,2,3}{4}"],  # not refining
+                    ["to-pair", "{1,3}{2,4}"], ["to-pair", "{1,3}{2,3}"],
+                    ["to-pair", "{1}", "{1}"], ["from-pair", "{1}"]):
+        yield from (["map"] + objects + flags for flags in _flag_sets("--details", "--json"))
+
+
+def _verify_grid():
+    for suite in ("bijection", "counts", "moments", "all"):
+        for n in ("1", "4"):
+            yield from (["verify", suite, n] + flags for flags in _flag_sets("--json"))
+
+
+class TestRequestGridDigests:
+    # sha256 over (argv, exit code, stdout, stderr) of every request of a
+    # seeded grid, pinned before the handlers shared one writer
+    @pytest.mark.parametrize("grid, digest", [
+        (_transform_grid,
+         "0653e40edc82496bef26171858941a848ca0d928143508ef0bb2e8bd3288d82c"),
+        (_count_grid,
+         "3151fcd5cb990da35efbfa39a7981585d5fa566f58a86e093e037c6210975178"),
+        (_moments_grid,
+         "f8e2a346f8bfc33bf765ed7da9194bf22e12f1f440a1210bad6fe6459ebc1c38"),
+        (_map_grid,
+         "d86bce8583e3f5e8ddc7bd621b73ee252e1b5c1057d2e66426a7dbf749c24349"),
+        (_verify_grid,
+         "9dfd167d9dc18de141e4a1b430a4f09e208d15fef9952053787744d1412f98ae"),
+    ], ids=["transform", "count", "moments", "map", "verify"])
+    def test_grid_digest(self, capsys, grid, digest):
+        h = hashlib.sha256()
+        for argv in grid():
+            code, out, err = run_cli(capsys, *argv)
+            h.update(json.dumps([argv, code, out, err]).encode() + b"\n")
+        assert h.hexdigest() == digest
 
 
 class TestBoundedArgparseEcho:

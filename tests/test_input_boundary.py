@@ -2,9 +2,12 @@
 go into `parse_blocks_text`, `make_partition` and `make_linked`.  Every
 rejection is a library error with a short message, and every accepted
 object round-trips through its text and JSON forms.  Raw blocks and sizes
-also draw values that are not integers: ``bool``, strings and ``None``."""
+also draw values that are not integers: ``bool``, strings and ``None``.
+The CLI's rational parser reads exactly what `Fraction` reads, or rejects
+the text as a usage error."""
 
 import json
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -45,6 +48,7 @@ from nclab import (
     ncl_count,
     schroder,
 )
+from nclab.cli import UsageError, _parse_rational, _parse_rational_list
 from nclab.partitions import parse_blocks_text
 from helpers import nc, ncl_direct
 
@@ -383,3 +387,50 @@ def test_permutation_rejects_with_a_short_message(build, message):
         build()
     assert str(exc.value) == message
     assert len(str(exc.value).encode()) < 1024
+
+
+fifty_digits = st.integers(-(10**50 - 1), 10**50 - 1)
+positive_fifty_digits = st.integers(1, 10**50 - 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(p=fifty_digits, q=positive_fifty_digits)
+def test_rational_reads_p_over_q(p, q):
+    assert _parse_rational(f"{p}/{q}") == Fraction(p, q)
+    assert _parse_rational(str(p)) == p
+    assert _parse_rational_list(f"{p},{p}/{q}") == [p, Fraction(p, q)]
+
+
+rational_texts = st.one_of(
+    st.text(max_size=12),
+    st.text(alphabet="0123456789+-/.eE_ ", max_size=12),
+    # past the digit bound, and long rejects
+    st.builds(str.__mul__, st.sampled_from(["9", "1/", "x", "1."]), st.integers(2000, 5000)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=rational_texts)
+def test_rational_text_parses_exactly_or_is_a_usage_error(text):
+    try:
+        value = _parse_rational(text)
+    except UsageError as exc:
+        assert "\n" not in str(exc)
+        assert len(str(exc).encode()) < 1024
+    else:
+        assert value == Fraction(text)
+
+
+@settings(max_examples=100, deadline=None)
+@given(p=fifty_digits, q=positive_fifty_digits, k=st.integers(0, 99), data=st.data())
+def test_rational_rejects(p, q, k, data):
+    # decimals, exponents and zero denominators, which `Fraction` reads or
+    # fails on with its own error, are usage errors; so is an empty item
+    for text in (f"{p}.{q}", f"{p}/{q}.5", f"{p}e{k}", f"{p}E-{k}", f"{p}/{q}e{k}",
+                 f"{p}/0", f"{p}/{'0' * (k + 1)}"):
+        with pytest.raises(UsageError):
+            _parse_rational(text)
+    items = [f"{p}/{q}"] * data.draw(st.integers(0, 3))
+    items.insert(data.draw(st.integers(0, len(items))), "")
+    with pytest.raises(UsageError):
+        _parse_rational_list(",".join(items))

@@ -54,6 +54,13 @@ class TestSurface:
         assert set(EXPORTS) <= set(namespace)
         assert all(namespace[name] is getattr(nclab, name) for name in EXPORTS)
 
+    def test_normalization_error_is_one_class(self):
+        # the CLI catches the class that `_base` defines, without `series`
+        from nclab import _base, series
+
+        assert nclab.NormalizationError is series.NormalizationError is _base.NormalizationError
+        assert issubclass(nclab.NormalizationError, ValueError)
+
     def test_dir_covers_all(self):
         assert set(EXPORTS) <= set(dir(nclab))
 

@@ -112,3 +112,42 @@ def test_public_members_have_a_caller():
             uncalled.append(key)
     assert sorted(set(uncalled) - set(UNCALLED)) == []
     assert sorted(set(UNCALLED) - set(uncalled)) == []  # called now: drop the entry
+
+
+def _top_level_calls():
+    """(module file name, enclosing top-level function or None, call node)
+    for every call in the library."""
+    for path in sorted(SRC.glob("*.py")):
+        for top in ast.parse(path.read_text(), filename=str(path)).body:
+            owner = top.name if isinstance(top, ast.FunctionDef) else None
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call):
+                    yield path.name, owner, node
+
+
+def test_one_stdout_writer():
+    # a result is written by `cli._emit`, which picks its JSON or text form
+    # once; only `enumerate` streams its objects past it, in chunks
+    prints, writes = set(), set()
+    for module, owner, call in _top_level_calls():
+        if (isinstance(call.func, ast.Name) and call.func.id == "print"
+                and not any(kw.arg == "file" for kw in call.keywords)):
+            prints.add(f"{module}:{owner}")
+        elif ast.unparse(call.func) == "sys.stdout.write":
+            writes.add(f"{module}:{owner}")
+    assert prints == {"cli.py:_emit"}
+    assert writes == {"cli.py:_cmd_enumerate"}
+
+
+def test_no_module_table_lookups():
+    # what a module needs it imports; an error class is caught by class, not
+    # looked up among the loaded modules
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Attribute) and ast.unparse(node) == "sys.modules":
+                found.append(f"{path.name}:{node.lineno}")
+            elif (isinstance(node, ast.ImportFrom) and node.module == "sys"
+                    and any(alias.name == "modules" for alias in node.names)):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
