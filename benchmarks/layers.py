@@ -7,7 +7,8 @@ fresh interpreter with DIR/src first on its path: it does the setup, then
 times the expression with `time.perf_counter`.  The runs of the checkouts
 alternate, and each layer keeps the median of REPS runs per checkout.  A
 layer that a checkout cannot run (a name it does not have) is recorded as
-null for it.
+null for it, and one whose run takes more than BUDGET_S seconds as over
+the budget, after that one run.
 
 Writes BENCH_<label>.json in the current directory, or extends it: the
 `layers` section gets one entry per checkout named by --src NAME (the
@@ -73,6 +74,31 @@ full = make_partition({n}, [range(1, {n} + 1)])
 floor = endpoint_floor(full)
 """
 
+# Seeded moments at one depth: m_1 = 1, then numerators in -30..30 over
+# denominators 1..12, the draw of `verify moments` carried to that depth.
+# The same values serve as t_0..t_(depth-1) and as free cumulants.
+SEEDED_MOMENTS = """\
+import random
+from fractions import Fraction
+from nclab import series
+rng = random.Random({depth})
+values = [1] + [Fraction(rng.randint(-30, 30), rng.randint(1, 12)) for _ in range({depth} - 1)]
+m = series.MomentSequence.of(values)
+"""
+
+# the conversions at depth d, each with the digest of its output as result
+TRANSFORM_LAYERS = {
+    f"{route} depth {depth}": (SEEDED_MOMENTS.format(depth=depth), expression.format(depth=depth))
+    for route, expression in [
+        ("t_transform", "digest(series.t_transform(m).coeffs)"),
+        ("s_transform", "digest(series.s_transform(m).coeffs)"),
+        ("cumulants_from_moments", "digest(series.cumulants_from_moments(m))"),
+        ("moments_from_t", "digest(series.moments_from_t(values, {depth}).values)"),
+        ("moments_from_cumulants", "digest(series.moments_from_cumulants(values, {depth}).values)"),
+    ]
+    for depth in (40, 100, 200)
+}
+
 # name -> (setup, expression); the expression's value is recorded as the
 # layer's result, so that the two sides can be seen to do the same work
 LAYERS = {
@@ -128,6 +154,19 @@ LAYERS = {
         " + (series.cumulants_from_moments_by_enumeration(m) == k)"
         " + (series.moments_from_cumulants_by_enumeration(k, 8) == m)"
         " for m, t, k in zip(ms, ts, ks))"),
+    # the whole transform-roundtrips check of `verify moments` on its draw,
+    # oracle polynomials built cold as in one request
+    "check_transform_roundtrips x100 depth 8": (
+        "import random\n"
+        "from fractions import Fraction\n"
+        "from nclab import series\n"
+        "from nclab.verify import RANDOM_SEED, check_transform_roundtrips\n"
+        "rng = random.Random(RANDOM_SEED)\n"
+        "ms = [series.MomentSequence.of([1] + [\n"
+        "    Fraction(rng.randint(-30, 30), rng.randint(1, 12)) for _ in range(7)])\n"
+        "    for _ in range(100)]",
+        "check_transform_roundtrips(ms).checked"),
+    **TRANSFORM_LAYERS,
     "moment_poly_inner_outer(10)": (
         "from nclab.polynomials import moment_poly_inner_outer",
         "len(moment_poly_inner_outer(10).terms)"),
@@ -160,12 +199,15 @@ LAYERS = {
 }
 
 RUN = """
-import json, os, sys, time
+import hashlib, json, os, sys, time
 from itertools import starmap
 sys.path.insert(0, {src!r})
 
 def count(items):
     return sum(1 for _ in items)
+
+def digest(values):
+    return hashlib.sha256(", ".join(map(str, values)).encode()).hexdigest()[:16]
 
 try:
 {setup}
@@ -179,11 +221,21 @@ print(json.dumps([elapsed, result]), file=sys.__stdout__)
 """
 
 
-def run_layer(checkout: Path, setup: str, expression: str) -> list | None:
+# A run still going after this many seconds is stopped and recorded as over
+# the budget, and that checkout's later runs of the layer are skipped: the
+# Fraction-arithmetic transforms of older checkouts take minutes at depth 200.
+BUDGET_S = 60
+OVER_BUDGET = "over budget"
+
+
+def run_layer(checkout: Path, setup: str, expression: str) -> list | str | None:
     indented = "".join(f"    {line}\n" for line in setup.splitlines())
     code = RUN.format(src=str(checkout / "src"), setup=indented, expression=expression)
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          check=True)
+    try:
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              check=True, timeout=BUDGET_S)
+    except subprocess.TimeoutExpired:
+        return OVER_BUDGET
     return json.loads(proc.stdout.splitlines()[-1])
 
 
@@ -206,7 +258,8 @@ def main() -> int:
         order = list(sides) if rep % 2 == 0 else list(sides)[::-1]
         for name, (setup, expression) in LAYERS.items():
             for side in order:
-                runs[side][name].append(run_layer(sides[side], setup, expression))
+                if OVER_BUDGET not in runs[side][name]:
+                    runs[side][name].append(run_layer(sides[side], setup, expression))
     out_path = Path(f"BENCH_{args.label}.json")
     data = json.loads(out_path.read_text()) if out_path.is_file() else {"label": args.label}
     section = data.setdefault("layers", {})
@@ -214,6 +267,7 @@ def main() -> int:
         "how": "one fresh interpreter per run, time.perf_counter around the expression "
                "after its setup; checkouts alternating; median of the runs",
         "python": platform.python_version(), "nproc": os.cpu_count(), "reps": args.reps,
+        "budget_s": BUDGET_S,
         "expressions": {name: expression for name, (_, expression) in LAYERS.items()},
     })
     for side, checkout in sides.items():
@@ -222,12 +276,15 @@ def main() -> int:
             if any(g is None for g in got):
                 results[name] = None
                 continue
+            if OVER_BUDGET in got:
+                results[name] = {"over_budget_s": BUDGET_S}
+                continue
             values = [elapsed for elapsed, _ in got]
             results[name] = {"median_s": statistics.median(values), "values": values,
                              "result": got[0][1]}
         section[side] = {"source_sha256": source_digest(checkout),
                          "source_lines": source_lines(checkout), "results": results}
-        print(json.dumps({side: {name: r and round(r["median_s"], 4)
+        print(json.dumps({side: {name: round(r["median_s"], 4) if r and "median_s" in r else r
                                  for name, r in results.items()}}), flush=True)
     out_path.write_text(json.dumps(data, indent=1) + "\n")
     return 0

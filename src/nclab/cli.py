@@ -81,9 +81,17 @@ def _json_encoder():
 
 def _emit(args, record, text) -> None:
     """Write one result: ``record`` as a compact JSON line under ``--json``,
-    else ``text``, or an object whose ``str`` is the text.  Neither form is
-    formatted unless it is written."""
-    print(_json_encoder()(record) if args.json else text)
+    else ``text``: a string, an object whose ``str`` is the text, or a
+    function that returns it.  Neither form is formatted unless it is
+    written, and it is written with CPython's int-to-str digit limit lifted:
+    input is bounded by MAX_DIGITS before it is parsed, but an answer such
+    as the Catalan number of 8000 has more digits."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        print(_json_encoder()(record) if args.json else text() if callable(text) else text)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def _resolve_limit(flag_value: int | None) -> int:
@@ -308,7 +316,7 @@ def _cmd_moments(args, limit: int) -> int:
         m = series.moments_from_t(coeffs, args.n_max)
     else:
         m = series.moments_from_cumulants(coeffs, args.n_max)
-    _emit(args, {"moments": [str(v) for v in m.values]}, m)
+    _emit(args, m, m)
     return EXIT_OK
 
 
@@ -328,7 +336,7 @@ def _cmd_transform(args, limit: int) -> int:
                              + ("for r" if args.to == "r" else f"for depth {m.depth}"))
         s = s.truncate(args.order)
     # the R-transform's text leaves out its zero constant term
-    _emit(args, s, ", ".join(map(str, s.coeffs[1:])) if args.to == "r" else s)
+    _emit(args, s, (lambda: ", ".join(map(str, s.coeffs[1:]))) if args.to == "r" else s)
     return EXIT_OK
 
 

@@ -21,7 +21,7 @@ the package.
 from __future__ import annotations
 
 from collections import Counter
-from functools import lru_cache, wraps
+from functools import cached_property, lru_cache, wraps
 from math import comb, factorial
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -129,6 +129,14 @@ class Polynomial(Frozen):
     def __mul__(self, other: Polynomial) -> Polynomial:
         return Polynomial._from_dict(_expand(dict(self.terms), other.terms))
 
+    @cached_property
+    def _graded_terms(self) -> tuple[int, tuple]:
+        """The top degree D and, per term, its exponents, its coefficient
+        and D less its degree."""
+        degrees = [sum(e for _, e in mono.exps) for mono, _ in self.terms]
+        top = max(degrees, default=0)
+        return top, tuple((mono.exps, c, top - g) for (mono, c), g in zip(self.terms, degrees))
+
     def evaluate(self, t: Sequence) -> Fraction:
         """Substitute t[i] for ti (t[0] is unused; indices must exist).  With
         ti = Ni / d, a term c * prod ti^ei of degree g adds c * prod Ni^ei *
@@ -138,17 +146,18 @@ class Polynomial(Frozen):
         from .series import _common_denominator, _frac
 
         d, nums = _common_denominator([_frac(x) for x in t])
-        top = max((sum(e for _, e in mono.exps) for mono, _ in self.terms), default=0)
+        top, terms = self._graded_terms
+        powers = [1]
+        for _ in range(top):
+            powers.append(powers[-1] * d)
         total = 0
-        for mono, c in self.terms:
-            degree = 0
-            for i, e in mono.exps:
+        for exps, c, rest in terms:
+            for i, e in exps:
                 if i >= len(nums):
                     raise ValueError(f"missing value for t{i}")
                 c *= nums[i] ** e
-                degree += e
-            total += c * d ** (top - degree)
-        return Fraction(total, d**top)
+            total += c * powers[rest]
+        return Fraction(total, powers[top])
 
     def to_text(self) -> str:
         if not self.terms:

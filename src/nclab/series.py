@@ -8,22 +8,29 @@ inputs, so nothing beyond the order is ever read as a silent zero.
 The moment calculus assumes the standing normalization: the first moment
 is 1.  Inputs violating it raise `NormalizationError`.
 
-The conversions between moment, t- and cumulant sequences solve their
-functional equations by Lagrange inversion, in O(n^3) exact operations at
-depth n.  Each keeps its defining sum over non-crossing partitions as a
-``*_by_enumeration`` oracle, which costs Catalan time.
+The products, reciprocals, compositions and the conversions between
+moment, t- and cumulant sequences run on one integer core, the graded
+series below: no `Fraction` is built inside their loops, only for the
+coefficients they return.  The conversions solve their functional
+equations by Lagrange inversion, in O(n^3) integer operations at depth n.
+Each keeps its defining sum over non-crossing partitions as a
+``*_by_enumeration`` oracle, which costs Catalan time and does not use the
+core.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 from ._base import Frozen, NormalizationError, _require_positive, _set_field
 
 
 def _frac(x) -> Fraction:
+    if type(x) is Fraction:
+        return x
     if isinstance(x, float):
         raise TypeError("float coefficients are not exact; pass Fraction, int or 'p/q'")
     return Fraction(x)
@@ -34,6 +41,93 @@ def _common_denominator(values: Sequence[Fraction]) -> tuple[int, list[int]]:
     over it: value i is numerators[i] / d."""
     d = lcm(*(x.denominator for x in values))
     return d, [x.numerator * (d // x.denominator) for x in values]
+
+
+# The graded core.  A graded series is a triple (nums, e, c) of integers,
+# e and c positive: coefficient j is nums[j] / (c * e**j).  A series read
+# from fractions has grade 1 and c their common denominator; the grade
+# grows where the denominators compound, by the constant term of a
+# reciprocal, so that products, reciprocals with constant term 1 and
+# Lagrange powers stay in integers, and a route passes its graded steps on
+# without reducing them.
+_Graded = tuple[list[int], int, int]
+
+
+def _graded(coeffs: Sequence[Fraction]) -> _Graded:
+    """``coeffs`` over their common denominator, at grade 1."""
+    c, nums = _common_denominator(coeffs)
+    return nums, 1, c
+
+
+def _fractions(g: _Graded) -> tuple[Fraction, ...]:
+    """The coefficients of a graded series, one `Fraction` each."""
+    nums, e, scale = g
+    out = []
+    for a in nums:
+        out.append(Fraction(a, scale))
+        scale *= e
+    return tuple(out)
+
+
+def _rescaled(nums: list[int], r: int, first: int = 1) -> list[int]:
+    """nums[j] * first * r**j: the same series over grade e*r when first is 1."""
+    if r == 1 and first == 1:
+        return nums
+    out = []
+    for a in nums:
+        out.append(a * first)
+        first *= r
+    return out
+
+
+def _convolve(a: list[int], b: list[int], n: int) -> list[int]:
+    """The first n + 1 coefficients of the product of two integer series,
+    b given to at least z^n."""
+    return [sum(map(mul, a[: k + 1], reversed(b[: k + 1]))) for k in range(n + 1)]
+
+
+def _reciprocal(g: _Graded) -> _Graded:
+    """1/g.  With g = (a_0/c) u, u_0 = 1, the reciprocal of u has b_k =
+    -sum_{j>=1} u_j b_{k-j}: no division.  u_j = a_j / (a_0 e^j) is on
+    grade |a_0| e, which is e when a_0 is 1."""
+    a, e, c = g
+    a0 = a[0]
+    u = [1] + _rescaled(a[1:], abs(a0), 1 if a0 > 0 else -1)
+    v = [1]
+    for k in range(1, len(u)):
+        v.append(-sum(map(mul, u[1 : k + 1], reversed(v))))
+    d = gcd(c, a0) if a0 > 0 else -gcd(c, a0)  # 1/g = (c/a_0) / u
+    return _rescaled(v, 1, c // d), e * abs(a0), a0 // d
+
+
+def _lagrange(h: _Graded, n: int) -> _Graded:
+    """g/z for the series g = z*h(g) at order n, i.e. the compositional
+    inverse of z/h(z); h needs a nonzero constant term and order at least
+    n - 1.
+
+    Lagrange inversion: [z^k] g = [w^(k-1)] h^k / k.  With h_j = a_j /
+    (c e^j), that is [w^(k-1)] a^k / (k c^k e^(k-1)), and k divides the
+    integer [w^(k-1)] a^k (by the cycle lemma it is k times a sum over
+    plane trees), so g/z has grade c*e and factor c.  Each power a^k is
+    built up to w^(k-1) by Miller's recurrence m a_0 p_m = sum_j ((k+1)j -
+    m) a_j p_(m-j), whose divisions are exact: n^3/6 products in all.
+    """
+    a, e, c = h
+    a0, tail = a[0], a[1:n]
+    q = []
+    for k in range(1, n + 1):
+        p = [a0**k]
+        for m in range(1, k):
+            weighted = map(mul, range(k + 1 - m, k * m + 1, k + 1), tail)
+            p.append(sum(map(mul, weighted, reversed(p))) // (m * a0))
+        q.append(p[-1] // k)
+    return q, c * e, c
+
+
+def _one_plus_z(g: _Graded) -> _Graded:
+    """(1 + z) g, at the order of g."""
+    nums, e, c = g
+    return [nums[0]] + [a + e * b for a, b in zip(nums[1:], nums)], e, c
 
 
 class TruncatedSeries(Frozen):
@@ -65,38 +159,29 @@ class TruncatedSeries(Frozen):
 
     def __mul__(self, other: TruncatedSeries) -> TruncatedSeries:
         n = min(self.order, other.order)
-        out = [Fraction(0)] * (n + 1)
-        for i, a in enumerate(self.coeffs[: n + 1]):
-            if a == 0:
-                continue
-            for j in range(n + 1 - i):
-                out[i + j] += a * other.coeffs[j]
-        return TruncatedSeries(tuple(out))
+        a, _, ca = _graded(self.coeffs[: n + 1])
+        b, _, cb = _graded(other.coeffs[: n + 1])
+        return TruncatedSeries(_fractions((_convolve(a, b, n), 1, ca * cb)))
 
     def reciprocal(self) -> TruncatedSeries:
         """Multiplicative inverse up to the truncation order."""
-        f = self.coeffs
-        if f[0] == 0:
+        if self.coeffs[0] == 0:
             raise ValueError("series with zero constant term has no reciprocal")
-        n = self.order
-        g = [1 / f[0]] + [Fraction(0)] * n
-        for k in range(1, n + 1):
-            acc = Fraction(0)
-            for j in range(1, k + 1):
-                acc += f[j] * g[k - j]
-            g[k] = -acc / f[0]
-        return TruncatedSeries(tuple(g))
+        return TruncatedSeries(_fractions(_reciprocal(_graded(self.coeffs))))
 
     def compose(self, inner: TruncatedSeries) -> TruncatedSeries:
         """self(inner(z)); the inner series must have zero constant term."""
         if inner.coeffs[0] != 0:
             raise ValueError("composition needs an inner series with zero constant term")
         n = min(self.order, inner.order)
-        zeros = (Fraction(0),) * n
-        result = TruncatedSeries((self.coeffs[n],) + zeros)
-        for c in reversed(self.coeffs[:n]):  # Horner: result * inner + c
-            result = result * inner + TruncatedSeries((c,) + zeros)
-        return result
+        a, _, ca = _graded(self.coeffs[: n + 1])
+        b, _, cb = _graded(inner.coeffs[: n + 1])
+        v = [0] + _rescaled(b[1:], cb)  # inner over grade cb: b_k cb^(k-1) / cb^k
+        result = [a[n]]
+        for c in reversed(a[:n]):  # Horner: result * v + c
+            result = _convolve(result, v, n)
+            result[0] += c
+        return TruncatedSeries(_fractions((result, cb, ca)))
 
     def comp_inverse(self) -> TruncatedSeries:
         """Compositional inverse g with self(g(z)) = z up to the order.
@@ -109,7 +194,8 @@ class TruncatedSeries(Frozen):
             raise ValueError("compositional inverse needs zero constant term")
         if self.order < 1 or f[1] == 0:
             raise ValueError("compositional inverse needs a nonzero linear coefficient")
-        return _lagrange(TruncatedSeries(f[1:]).reciprocal(), self.order)
+        g = _lagrange(_reciprocal(_graded(f[1:])), self.order)
+        return TruncatedSeries((Fraction(0),) + _fractions(g))
 
     def __str__(self) -> str:
         return ", ".join(str(c) for c in self.coeffs)
@@ -119,32 +205,6 @@ class TruncatedSeries(Frozen):
 
     def to_json_dict(self) -> dict:
         return {"order": self.order, "coeffs": [str(c) for c in self.coeffs]}
-
-
-def _lagrange(h: TruncatedSeries, n: int) -> TruncatedSeries:
-    """The series g = z*h(g) at order n, i.e. the compositional inverse of
-    z/h(z); h needs a nonzero constant term and order at least n - 1.
-
-    Lagrange inversion: [z^k] g = [w^(k-1)] h^k / k, with the powers of h
-    built one after another -- n products of order n - 1, O(n^3) in all.
-    The powers are kept as integer numerators over d^k, d the common
-    denominator of h, so the products need no gcd per operation.
-    """
-    d, power = _common_denominator(h.truncate(n - 1).coeffs)  # h^k = power / d^k
-    base = [(j, b) for j, b in enumerate(power) if b]
-    g = [Fraction(0)] * (n + 1)
-    for k in range(1, n + 1):
-        g[k] = Fraction(power[k - 1], k * d**k)
-        if k < n:
-            nxt = [0] * n
-            for i, a in enumerate(power):
-                if a:
-                    for j, b in base:
-                        if i + j >= n:
-                            break
-                        nxt[i + j] += a * b
-            power = nxt
-    return TruncatedSeries(tuple(g))
 
 
 class MomentSequence(Frozen):
@@ -178,27 +238,30 @@ class MomentSequence(Frozen):
     def __repr__(self) -> str:
         return f"MomentSequence.of([{', '.join(repr(str(v)) for v in self.values)}])"
 
+    def to_json_dict(self) -> dict:
+        return {"moments": [str(v) for v in self.values]}
+
 
 def moment_series(m: MomentSequence) -> TruncatedSeries:
     """The series m_1 z + m_2 z^2 + ... at order depth."""
     return TruncatedSeries((Fraction(0),) + m.values)
 
 
+def _s_graded(m: MomentSequence) -> _Graded:
+    """The s-transform as a graded series: (1+z) times the compositional
+    inverse of z*M(z) over z, with M(z) = m_1 + m_2 z + ..."""
+    return _one_plus_z(_lagrange(_reciprocal(_graded(m.values)), m.depth))
+
+
 def s_transform(m: MomentSequence) -> TruncatedSeries:
     """(1+z)/z times the compositional inverse of the moment series,
     truncated at order depth - 1.  The constant term is always 1."""
-    inv = moment_series(m).comp_inverse()
-    shifted = inv.coeffs[1:]  # divide by z
-    n = len(shifted)
-    out = list(shifted)
-    for k in range(1, n):
-        out[k] += shifted[k - 1]
-    return TruncatedSeries(tuple(out))
+    return TruncatedSeries(_fractions(_s_graded(m)))
 
 
 def t_transform(m: MomentSequence) -> TruncatedSeries:
     """Reciprocal of the s-transform; its constant coefficient is 1."""
-    return s_transform(m).reciprocal()
+    return TruncatedSeries(_fractions(_reciprocal(_s_graded(m))))
 
 
 def _t_coeffs(t: Sequence, n_max: int) -> list[Fraction]:
@@ -227,9 +290,8 @@ def moments_from_t(t: Sequence, n_max: int) -> MomentSequence:
     inversion on h = (1+z)T(z).  `moments_from_t_by_enumeration` is the
     defining sum over non-crossing partitions.
     """
-    ts = _t_coeffs(t, n_max)
-    h = (ts[0],) + tuple(ts[k] + ts[k - 1] for k in range(1, n_max))
-    return MomentSequence(_lagrange(TruncatedSeries(h), n_max).coeffs[1:])
+    h = _one_plus_z(_graded(_t_coeffs(t, n_max)[:n_max]))
+    return MomentSequence(_fractions(_lagrange(h, n_max)))
 
 
 def moments_from_cumulants(kappa: Sequence, n_max: int) -> MomentSequence:
@@ -240,17 +302,16 @@ def moments_from_cumulants(kappa: Sequence, n_max: int) -> MomentSequence:
     `moments_from_cumulants_by_enumeration` is the defining sum over
     non-crossing partitions.
     """
-    ks = _cumulant_coeffs(kappa, n_max)
-    c = TruncatedSeries((Fraction(1),) + tuple(ks[:n_max]))
-    return MomentSequence(_lagrange(c, n_max + 1).coeffs[2:])
+    c = _graded([Fraction(1), *_cumulant_coeffs(kappa, n_max)[:n_max]])
+    return MomentSequence(_fractions(_lagrange(c, n_max + 1))[1:])
 
 
 def cumulants_from_moments(m: MomentSequence) -> tuple[Fraction, ...]:
     """Free cumulants 1..depth: C(w) = w / P^{<-1>}(w) with P(z) = zM(z),
     from M(z) = C(zM(z)).  Two-sided inverse of `moments_from_cumulants`;
     `cumulants_from_moments_by_enumeration` is the defining recursion."""
-    p_inv = TruncatedSeries((Fraction(0), Fraction(1)) + m.values).comp_inverse()
-    return TruncatedSeries(p_inv.coeffs[1:]).reciprocal().coeffs[1:]
+    p_inv = _lagrange(_reciprocal(_graded((Fraction(1),) + m.values)), m.depth + 1)
+    return _fractions(_reciprocal(p_inv))[1:]
 
 
 def cumulants_from_t(t: Sequence, n_max: int) -> tuple[Fraction, ...]:
@@ -262,8 +323,7 @@ def cumulants_from_t(t: Sequence, n_max: int) -> tuple[Fraction, ...]:
     `moments_from_t`; `cumulants_from_t_by_enumeration` is the sum over
     non-crossing partitions.
     """
-    ts = _t_coeffs(t, n_max)
-    return _lagrange(TruncatedSeries(tuple(ts[:n_max])), n_max).coeffs[1:]
+    return _fractions(_lagrange(_graded(_t_coeffs(t, n_max)[:n_max]), n_max))
 
 
 # The defining sums over non-crossing partitions: Catalan-time oracles that

@@ -4,6 +4,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -527,6 +528,44 @@ class TestBoundedEcho:
         assert code == 2
         assert out == ""
         assert err == err_line + "\n"
+
+
+EPS = Fraction(1, 10**4000)
+
+
+class TestPastTheDigitLimit:
+    # (argv, values, JSON record of the values): answers with integers of
+    # more than CPython's default limit of 4300 digits for int <-> str.  The
+    # values come from math.comb and the low-order moment and cumulant
+    # formulas, not from nclab.
+    CASES = {
+        "count": (("--limit", "10000", "count", "nc", "8000"),
+                  [comb(16000, 8000) // 8001],
+                  lambda values: {"count": values[0]}),
+        "moments": (("moments", "--t", f"1,1/{10**4000}", "--n", "3"),
+                    [1, 1 + EPS, EPS**2 + 3 * EPS + 1],
+                    lambda values: {"moments": [str(v) for v in values]}),
+        "transform": (("transform", "--moments", f"1,1/{10**4000},0,0", "--to", "r"),
+                      [1, EPS - 1, 2 - 3 * EPS, 10 * EPS - 2 * EPS**2 - 5],
+                      lambda values: {"order": 4, "coeffs": ["0", *map(str, values)]}),
+    }
+
+    @pytest.mark.parametrize("json_form", [False, True], ids=["text", "json"])
+    @pytest.mark.parametrize("case", CASES)
+    def test_written_in_full(self, capsys, case, json_form):
+        argv, values, record = self.CASES[case]
+        limit = sys.get_int_max_str_digits()
+        code, out, err = run_cli(capsys, *argv, *(["--json"] if json_form else []))
+        assert sys.get_int_max_str_digits() == limit
+        assert (code, err) == (0, "")
+        sys.set_int_max_str_digits(0)
+        try:
+            if json_form:
+                assert json.loads(out) == record(values)
+            else:
+                assert out == ", ".join(map(str, values)) + "\n"
+        finally:
+            sys.set_int_max_str_digits(limit)
 
 
 class TestMoments:

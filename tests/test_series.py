@@ -1,3 +1,4 @@
+import hashlib
 import random
 from collections import Counter
 from fractions import Fraction
@@ -52,6 +53,100 @@ def sparse_coeffs(rng, depth):
     ] + [Fraction(0)] * rng.randint(0, 2)
 
 
+def seeded_fractions(seed, count, max_den):
+    rng = random.Random(seed)
+    return [Fraction(rng.randint(-30, 30), rng.randint(1, max_den)) for _ in range(count)]
+
+
+def series_route(name, depth, max_den):
+    """One series operation or conversion on seeded inputs of the given
+    depth, with denominators up to max_den."""
+    a = seeded_fractions(depth, depth, max_den)
+    b = seeded_fractions(depth + 1, depth, max_den)
+    seq = [1, *a[: depth - 1]]
+    routes = {
+        "reciprocal": lambda: TruncatedSeries.of(1, *a).reciprocal().coeffs,
+        "reciprocal 3/7": lambda: TruncatedSeries.of("3/7", *a).reciprocal().coeffs,
+        "reciprocal -2": lambda: TruncatedSeries.of(-2, *a).reciprocal().coeffs,
+        "mul": lambda: (TruncatedSeries.of(*a, 1) * TruncatedSeries.of(1, *b)).coeffs,
+        "mul 3/7 by -2, orders differ": lambda: (
+            TruncatedSeries.of("3/7", *a) * TruncatedSeries.of(-2, *b[: depth // 2])).coeffs,
+        "compose": lambda: TruncatedSeries.of(1, *a).compose(TruncatedSeries.of(0, *b)).coeffs,
+        "compose 3/7": lambda: (
+            TruncatedSeries.of("3/7", *a).compose(TruncatedSeries.of(0, *b))).coeffs,
+        "comp_inverse": lambda: TruncatedSeries.of(0, 1, *a[: depth - 1]).comp_inverse().coeffs,
+        "comp_inverse -5/3": lambda: (
+            TruncatedSeries.of(0, "-5/3", *a[: depth - 1]).comp_inverse().coeffs),
+        "s_transform": lambda: s_transform(MomentSequence.of(seq)).coeffs,
+        "t_transform": lambda: t_transform(MomentSequence.of(seq)).coeffs,
+        "cumulants_from_moments": lambda: cumulants_from_moments(MomentSequence.of(seq)),
+        "moments_from_t": lambda: moments_from_t(seq, depth).values,
+        "moments_from_cumulants": lambda: moments_from_cumulants(seq, depth).values,
+        "cumulants_from_t": lambda: cumulants_from_t(seq, depth),
+    }
+    return routes[name]()
+
+
+def digest(values):
+    return hashlib.sha256(", ".join(map(str, values)).encode()).hexdigest()[:16]
+
+
+# Digests of the values above, taken with the Fraction arithmetic that the
+# integer core replaced; keyed by (route, depth, largest input denominator).
+PINNED = {
+    ('reciprocal', 12, 12): '3065de60cee8ffa6',
+    ('mul', 12, 12): '9dcfa442b3e4d8d2',
+    ('compose', 12, 12): '8b280b98477b6e55',
+    ('comp_inverse', 12, 12): '36eb3c098ac404d3',
+    ('s_transform', 12, 12): 'd3e58e93365bfe0a',
+    ('t_transform', 12, 12): '54fbc23111b3bc4e',
+    ('cumulants_from_moments', 12, 12): '267af672c2c6f597',
+    ('moments_from_t', 12, 12): '5d0bb20195bbeafe',
+    ('moments_from_cumulants', 12, 12): '82054ce6b1144f72',
+    ('cumulants_from_t', 12, 12): 'ace9a0d4bfa549d9',
+    ('reciprocal', 40, 12): 'aa8d2adb5376ea53',
+    ('mul', 40, 12): '04405bb32e0b0001',
+    ('compose', 40, 12): 'be968a22017bcf6d',
+    ('comp_inverse', 40, 12): '610d10fda623d007',
+    ('s_transform', 40, 12): '76339b143a2a389b',
+    ('t_transform', 40, 12): 'a56817b46fdadd4b',
+    ('cumulants_from_moments', 40, 12): 'c95b6ea531a2f818',
+    ('moments_from_t', 40, 12): '9aa3ee18d5eb2afb',
+    ('moments_from_cumulants', 40, 12): '9c5666f2fda98ce6',
+    ('cumulants_from_t', 40, 12): '9b2f52bec62ff221',
+    ('reciprocal', 100, 12): '0ab8665ee88dc558',
+    ('mul', 100, 12): '4dd516b4d226918f',
+    ('compose', 100, 12): '6bd4a06b35a59169',
+    ('comp_inverse', 100, 12): '66d104e5ced4e3b0',
+    ('s_transform', 100, 12): 'a486b6d2689aa397',
+    ('t_transform', 100, 12): '4286ad12d3af4e5e',
+    ('cumulants_from_moments', 100, 12): 'c2bcbe4647efc7a9',
+    ('moments_from_t', 100, 12): '865d5f047f485d49',
+    ('moments_from_cumulants', 100, 12): '81e2536d6fc40a11',
+    ('cumulants_from_t', 100, 12): 'e29c0cc843d001b4',
+    ('reciprocal', 40, 1000000): '284fbce812b07ada',
+    ('mul', 40, 1000000): '910bf0ca6f092dc5',
+    ('compose', 40, 1000000): '790c68f5fdaee6a0',
+    ('comp_inverse', 40, 1000000): 'ce8a2c850a1d0279',
+    ('s_transform', 40, 1000000): 'f39f783ec2cecb2b',
+    ('t_transform', 40, 1000000): '729421768232167b',
+    ('cumulants_from_moments', 40, 1000000): 'd910950bb81239b6',
+    ('moments_from_t', 40, 1000000): '12d5ab32a3030cd7',
+    ('moments_from_cumulants', 40, 1000000): 'a60c27ed3d430bbc',
+    ('cumulants_from_t', 40, 1000000): 'ddcc9637f398cb22',
+    ('reciprocal 3/7', 40, 12): 'e650275c06217c93',
+    ('reciprocal -2', 40, 12): 'c51a026a5355883c',
+    ('mul 3/7 by -2, orders differ', 40, 12): '333fe58aa04919bb',
+    ('compose 3/7', 40, 12): 'b0c38cf168310ea0',
+    ('comp_inverse -5/3', 40, 12): '0b9cd717f1bacbfd',
+}
+
+
+@pytest.mark.parametrize("key", PINNED, ids=lambda key: f"{key[0]}@{key[1]}/{key[2]}")
+def test_outputs_pinned_before_the_integer_core(key):
+    assert digest(series_route(*key)) == PINNED[key]
+
+
 class TestArithmetic:
     def test_add_zero_and_mul_one(self):
         f = TruncatedSeries.of(2, -1, Fraction(1, 3))
@@ -66,9 +161,13 @@ class TestArithmetic:
         assert (f * g).coeffs == (1, 0, -1)
 
     def test_hand_cauchy_product(self):
-        f = TruncatedSeries.of(0, 1, 1, 1)
-        g = TruncatedSeries.of(0, 1, -1, 1)
-        assert (f * g).coeffs == (0, 0, 1, 0)
+        for f, g, want in [
+            ((0, 1, 1, 1), (0, 1, -1, 1), (0, 0, 1, 0)),
+            # constant terms other than 1, orders 2 and 3
+            (("3/7", 1, 1), (-2, "1/2", 0, 5), ("-6/7", "-25/14", "-3/2")),
+        ]:
+            product = TruncatedSeries.of(*f) * TruncatedSeries.of(*g)
+            assert product == TruncatedSeries.of(*want)
 
     def test_min_order_propagation(self):
         f = TruncatedSeries.of(1, 2, 3, 4, 5)
@@ -106,12 +205,13 @@ class TestReciprocal:
     def test_identity_property(self):
         rng = random.Random(3)
         one = TruncatedSeries.of(*([1] + [0] * 8))
-        for _ in range(25):
-            f = TruncatedSeries.of(
-                *[Fraction(rng.randint(1, 9), rng.randint(1, 9))]
-                + [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(8)]
-            )
-            assert f * f.reciprocal() == one
+        for constant in [None, Fraction(3, 7), Fraction(-2)]:
+            for _ in range(25):
+                f = TruncatedSeries.of(
+                    *[constant or Fraction(rng.randint(1, 9), rng.randint(1, 9))]
+                    + [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(8)]
+                )
+                assert f * f.reciprocal() == one
 
     def test_zero_constant_rejected(self):
         with pytest.raises(ValueError, match="zero constant term"):
@@ -130,14 +230,15 @@ class TestComposeInverse:
     def test_round_trip_random_order8(self):
         rng = random.Random(5)
         z = TruncatedSeries.of(*([0, 1] + [0] * 7))
-        for _ in range(25):
-            f = TruncatedSeries.of(
-                *[0, Fraction(rng.randint(1, 6), rng.randint(1, 6))]
-                + [Fraction(rng.randint(-6, 6), rng.randint(1, 6)) for _ in range(7)]
-            )
-            g = f.comp_inverse()
-            assert f.compose(g) == z
-            assert g.compose(f) == z
+        for linear in [None, Fraction(-5, 3)]:
+            for _ in range(25):
+                f = TruncatedSeries.of(
+                    *[0, linear or Fraction(rng.randint(1, 6), rng.randint(1, 6))]
+                    + [Fraction(rng.randint(-6, 6), rng.randint(1, 6)) for _ in range(7)]
+                )
+                g = f.comp_inverse()
+                assert f.compose(g) == z
+                assert g.compose(f) == z
 
     def test_round_trip_random_order40(self):
         rng = random.Random(7)
@@ -375,6 +476,20 @@ class TestEnumerationOracles:
         t_transform(m)
         with pytest.raises(AssertionError, match="enumerate_nc"):
             moments_from_t_by_enumeration(coeffs, 12)
+
+    def test_oracles_never_run_the_integer_core(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("an oracle ran the integer core")
+
+        for name in ("_lagrange", "_reciprocal", "_convolve"):
+            monkeypatch.setattr(nclab.series, name, refuse)
+        coeffs = sparse_coeffs(random.Random(83), 8)
+        moments_from_t_by_enumeration(coeffs, 8)
+        moments_from_cumulants_by_enumeration(coeffs, 8)
+        cumulants_from_t_by_enumeration(coeffs, 8)
+        cumulants_from_moments_by_enumeration(MomentSequence.of(coeffs[:8]))
+        with pytest.raises(AssertionError, match="integer core"):
+            moments_from_t(coeffs, 8)
 
 
 def clear_block_type_caches():

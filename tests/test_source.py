@@ -76,6 +76,11 @@ UNCALLED = {
     "linked.py:LinkedPartition.from_text": "reads back what to_text writes",
     "linked.py:LinkedPartition.from_json_dict": "reads back what to_json_dict writes",
     "series.py:TruncatedSeries.compose": "checks comp_inverse",
+    "series.py:TruncatedSeries.reciprocal":
+        "the series operation; the routes run its integer core on graded steps",
+    "series.py:TruncatedSeries.comp_inverse":
+        "the series operation; the routes run its integer core on graded steps",
+    "series.py:moment_series": "the moment series that s_transform is defined on",
     "series.py:moments_from_cumulants_by_enumeration":
         "the named enumeration oracle of moments_from_cumulants",
 }
