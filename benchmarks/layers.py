@@ -167,9 +167,27 @@ LAYERS = {
         "    for _ in range(100)]",
         "check_transform_roundtrips(ms).checked"),
     **TRANSFORM_LAYERS,
+    # the sums over NC(n) by block weights, built cold
     "moment_poly_inner_outer(10)": (
         "from nclab.polynomials import moment_poly_inner_outer",
         "len(moment_poly_inner_outer(10).terms)"),
+    "moment_poly_inner_outer(12)": (
+        "from nclab.polynomials import moment_poly_inner_outer",
+        "len(moment_poly_inner_outer(12).terms)"),
+    "moment_poly_cumulants(10)": (
+        "from nclab.polynomials import moment_poly_cumulants",
+        "len(moment_poly_cumulants(10).terms)"),
+    "cumulant_poly(12)": (
+        "from nclab.polynomials import cumulant_poly",
+        "len(cumulant_poly(12).terms)"),
+    "moments_from_t_by_enumeration depth 12": (
+        SEEDED_MOMENTS.format(depth=12),
+        "digest(series.moments_from_t_by_enumeration(values, 12).values)"),
+    # moments read back from a t-transform, whose denominators compound with
+    # the depth, at depth 100
+    "moments_from_t of t_transform depth 100": (
+        SEEDED_MOMENTS.format(depth=100) + "t = series.t_transform(m).coeffs",
+        "digest(series.moments_from_t(t, 100).values)"),
     # the seeded pair at n=3000; each setup builds fresh objects, so that no
     # cached property of an earlier step is read
     "make_partition + is_noncrossing n=3000": (

@@ -24,7 +24,8 @@ with ``endpoint_refines(a, b)``.
 from __future__ import annotations
 
 from functools import cache
-from typing import Callable, Iterable, Iterator
+from itertools import islice
+from typing import Iterable, Iterator
 
 from ._base import _clipped, _int_text
 from .partitions import (
@@ -36,6 +37,7 @@ from .partitions import (
     _crossing,
     _endpoint_fault,
     _fmt_block,
+    _nc_weight_sums,
     _not_covered,
     _pair_error,
     _parse_blocks_json,
@@ -312,45 +314,12 @@ def enumerate_ncl_direct(n: int) -> Iterator[LinkedPartition]:
     yield from rec(1)
 
 
-def _nc_weight_sum(n: int, weight: Callable[[int, bool], int]) -> int:
-    """The sum over NC(n) of the product over blocks V of
-    ``weight(|V|, V is inner)``, in O(n^3) integer operations.
-
-    Split by the block V of element 1, |V| = k: each of its k - 1 gaps
-    holds a non-crossing partition whose blocks are all inner, and the
-    stretch after max(V) stays at the outer level.  ``inner[m]`` is the
-    sum over NC(m) with every block weighted as inner, ``gaps[k][m]`` the
-    sum over the ways to fill k consecutive gaps with m elements in all,
-    and ``outer[m]`` the sum over NC(m) itself.
-    """
-    w_in = [0] + [weight(k, True) for k in range(1, n + 1)]
-    w_out = [0] + [weight(k, False) for k in range(1, n + 1)]
-    inner = [1] + [0] * n
-    gaps = [[1] + [0] * n] + [[0] * (n + 1) for _ in range(n)]
-    for m in range(n + 1):
-        if m:
-            # the block of the first element has k elements and k - 1 gaps
-            # inside; the stretch after it is inner too
-            inner[m] = sum(w_in[k] * gaps[k][m - k] for k in range(1, m + 1))
-        for k in range(1, n + 1):
-            prev = gaps[k - 1]
-            gaps[k][m] = sum(inner[i] * prev[m - i] for i in range(m + 1))
-    outer = [1] + [0] * n
-    for m in range(1, n + 1):
-        outer[m] = sum(
-            w_out[k] * gaps[k - 1][j] * outer[m - k - j]
-            for k in range(1, m + 1)
-            for j in range(m - k + 1)
-        )
-    return outer[n]
-
-
 def ncl_count(n: int) -> int:
     """Number of non-crossing linked partitions of {1..n}: the sum over
     non-crossing partitions of the per-block Catalan products C(|W| - 1),
     one term per endpoint-refinement pair, computed in polynomial time."""
     _require_size(n)
-    return _nc_weight_sum(n, lambda k, inner: catalan(k - 1))
+    return next(islice(_nc_weight_sums(lambda k, inner: catalan(k - 1)), n, None))
 
 
 def coloured_count(n: int) -> int:
@@ -358,7 +327,7 @@ def coloured_count(n: int) -> int:
     with all outer blocks red: the sum of 2**(inner blocks), computed in
     polynomial time.  Equals `ncl_count(n)`."""
     _require_size(n)
-    return _nc_weight_sum(n, lambda k, inner: 2 if inner else 1)
+    return next(islice(_nc_weight_sums(lambda k, inner: 2 if inner else 1), n, None))
 
 
 def schroder(k: int) -> int:

@@ -20,14 +20,15 @@ from __future__ import annotations
 import math
 import re
 from functools import cached_property, lru_cache
-from itertools import chain, product
-from typing import Callable, Collection, Iterable, Iterator, Sequence
+from itertools import chain, count, product
+from typing import Any, Callable, Collection, Iterable, Iterator, Sequence
 
 from ._base import MAX_DIGITS, Frozen, _clipped, _int_text, _is_int, _quoted, _set_field
 
 
 class InvalidPartitionError(ValueError):
-    """A block family does not form a valid partition."""
+    """A block family does not form a valid partition, or a partition
+    given where a non-crossing one is required is crossing."""
 
 
 class ParseError(ValueError):
@@ -35,8 +36,9 @@ class ParseError(ValueError):
 
 
 class InvalidPairError(ValueError):
-    """A pair (a, b) where a does not endpoint-refine b, given to a map
-    that requires it: `classify_blocks` or `linked.from_pair`."""
+    """A pair (a, b) of partitions on different ground sets, or one where a
+    does not endpoint-refine b given to a map that requires it:
+    `classify_blocks` or `linked.from_pair`."""
 
 
 _TEXT_RE = re.compile(r"(?:\{\d+(?:,\d+)*\})+\Z")
@@ -119,13 +121,6 @@ class Partition(BlockFamily):
                 out[x] = i
         return out
 
-    def block_of(self, element: int) -> tuple[int, ...]:
-        try:
-            return self.blocks[self._block_of[element]]
-        except KeyError:
-            raise ValueError(
-                f"element {_int_text(element)} is not in the ground set") from None
-
     @cached_property
     def _noncrossing(self) -> bool:
         return _crossing(self.blocks) is None
@@ -146,16 +141,6 @@ class Partition(BlockFamily):
     @property
     def outer_indices(self) -> frozenset[int]:
         return frozenset(range(len(self.blocks))) - self.inner_indices
-
-    @classmethod
-    def discrete(cls, n: int) -> Partition:
-        """The partition of {1..n} into n singletons."""
-        return make_partition(n, [[k] for k in range(1, n + 1)])
-
-    @classmethod
-    def full(cls, n: int) -> Partition:
-        """The partition of {1..n} into a single block."""
-        return make_partition(n, [list(range(1, n + 1))])
 
     @classmethod
     def from_text(cls, text: str) -> Partition:
@@ -282,12 +267,12 @@ def is_noncrossing(p: Partition) -> bool:
 
 def _require_noncrossing(p: Partition, role: str) -> None:
     if not p._noncrossing:
-        raise ValueError(f"{role} partition {_clipped(p)} is crossing")
+        raise InvalidPartitionError(f"{role} partition {_clipped(p)} is crossing")
 
 
 def _require_same_ground(a: Partition, b: Partition) -> None:
     if a.n != b.n:
-        raise ValueError(f"ground sets differ ({a.n} vs {b.n} elements)")
+        raise InvalidPairError(f"ground sets differ ({a.n} vs {b.n} elements)")
 
 
 def refines(a: Partition, b: Partition) -> bool:
@@ -470,6 +455,37 @@ def _nc_walk(n: int, fmt: Callable[[tuple], object] = tuple) -> Iterator[list]:
             k -= 1
         else:
             return
+
+
+def _nc_weight_sums(weight: Callable[[int, bool], Any]) -> Iterator:
+    """Yield, for m = 0, 1, 2, ..., the sum over NC(m) of the product over
+    blocks V of ``weight(|V|, V is inner)``, 1 for m = 0.  Weights need only
+    add and multiply, with ints too; up to m = n this takes O(n^3) of those
+    operations and enumerates nothing.
+
+    Split by the block V of element 1, |V| = k: its k - 1 gaps hold
+    partitions with all blocks inner, and the stretch after max(V) stays
+    at V's level.  ``inner[m]`` sums over NC(m) with every block inner,
+    ``gaps[k][j]`` over the fillings of k gaps with j elements in all, and
+    ``first[m]`` over an outer block of element 1 with its gaps, m elements
+    in all.  Step m makes gaps[k][j] for k + j = m, then inner[m], first[m]
+    and outer[m], each from values made before it.
+    """
+    inner, outer, first, gaps = [1], [1], [0], [[1]]
+    w_in, w_out = [0], [0]
+    yield 1
+    for m in count(1):
+        w_in.append(weight(m, True))
+        w_out.append(weight(m, False))
+        gaps[0].append(0)
+        gaps.append([])
+        for k in range(1, m + 1):  # k + j = m
+            prev, j = gaps[k - 1], m - k
+            gaps[k].append(sum(inner[i] * prev[j - i] for i in range(j + 1)))
+        inner.append(sum(w_in[k] * gaps[k][m - k] for k in range(1, m + 1)))
+        first.append(sum(w_out[k] * gaps[k - 1][m - k] for k in range(1, m + 1)))
+        outer.append(sum(first[r] * outer[m - r] for r in range(1, m + 1)))
+        yield outer[m]
 
 
 @lru_cache(maxsize=32)

@@ -12,17 +12,18 @@ form `moment_poly`, by Lagrange inversion: one term per integer partition
 of each k < n.  Four enumerative routes compute the same polynomial and
 serve as its oracles.  The sums over linked partitions and over
 endpoint-refinement pairs are separate enumerations; the inner-outer and
-cumulant routes are sums over NC(n) by block type, and the transform
-oracles of `series` evaluate them.  The enumerators are imported inside
-the routes that use them, so the closed form loads no other module of
-the package.
+cumulant routes are sums over NC(n) by block weights, in O(n^3) products
+by `partitions._nc_weight_sums`, and the transform oracles of `series`
+evaluate them.  The partition code is imported inside the routes that
+use it, so the closed form loads no other module of the package.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from functools import cached_property, lru_cache, wraps
+from functools import cached_property
 from math import comb, factorial
+from threading import Lock
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Sequence
 
 from ._base import Frozen, _require_positive, _set_field
@@ -61,10 +62,7 @@ class Monomial(Frozen):
         return sum(i * e for i, e in self.exps)
 
     def __mul__(self, other: Monomial) -> Monomial:
-        merged: dict[int, int] = dict(self.exps)
-        for i, e in other.exps:
-            merged[i] = merged.get(i, 0) + e
-        return Monomial(tuple(sorted(merged.items())))
+        return Monomial(_mono_product(self.exps, other.exps))
 
     def __str__(self) -> str:
         if not self.exps:
@@ -78,11 +76,42 @@ class Monomial(Frozen):
         return f"Monomial({str(self)!r})"
 
 
-_MONO_ONE = Monomial(())
+def _mono_product(a: tuple, b: tuple) -> tuple:
+    """The `Monomial.exps` of the product of two monomials given by theirs."""
+    if not (a and b):
+        return a or b
+    merged = dict(a)
+    for i, e in b:
+        merged[i] = merged.get(i, 0) + e
+    return tuple(sorted(merged.items()))
 
 
-def _term_key(m: Monomial) -> tuple:
-    return (m.weight, tuple(sorted(m.exps, reverse=True)))
+class _Terms(dict):
+    """A polynomial while it is summed, `Monomial.exps` -> coefficient; adds
+    and multiplies with ints too, as `partitions._nc_weight_sums` needs."""
+
+    def __add__(self, other: _Terms | int) -> _Terms:
+        out = _Terms(self)
+        for mono, c in _as_terms(other).items():
+            out[mono] = out.get(mono, 0) + c
+        return out
+
+    __radd__ = __add__
+
+    def __mul__(self, other: _Terms | int) -> _Terms:
+        out = _Terms()
+        theirs = _as_terms(other).items()
+        for a, c in self.items():
+            for b, d in theirs:
+                mono = _mono_product(a, b)
+                out[mono] = out.get(mono, 0) + c * d
+        return out
+
+    __rmul__ = __mul__
+
+
+def _as_terms(x: _Terms | int) -> _Terms:
+    return x if isinstance(x, _Terms) else _Terms({(): x} if x else {})
 
 
 def _mono_from_sizes(indices: Iterable[int]) -> Monomial:
@@ -102,14 +131,18 @@ class Polynomial(Frozen):
         _set_field(self, "terms", terms)
 
     @classmethod
-    def _from_dict(cls, d: Mapping[Monomial, int]) -> Polynomial:
-        items = [(m, c) for m, c in d.items() if c != 0]
-        items.sort(key=lambda mc: _term_key(mc[0]), reverse=True)
-        return cls(tuple(items))
+    def _of(cls, terms: Mapping[tuple, int]) -> Polynomial:
+        """The polynomial of the nonzero ``terms``, keyed by `Monomial.exps`."""
+        items = sorted((mc for mc in terms.items() if mc[1]), reverse=True, key=lambda mc: (
+            sum(i * e for i, e in mc[0]), sorted(mc[0], reverse=True)))
+        return cls(tuple((Monomial(exps), c) for exps, c in items))
+
+    def _terms(self) -> _Terms:
+        return _Terms({mono.exps: c for mono, c in self.terms})
 
     @classmethod
     def constant(cls, c: int) -> Polynomial:
-        return cls._from_dict({_MONO_ONE: c})
+        return cls._of({(): c})
 
     @classmethod
     def one(cls) -> Polynomial:
@@ -117,17 +150,13 @@ class Polynomial(Frozen):
 
     @classmethod
     def variable(cls, i: int) -> Polynomial:
-        if i == 0:
-            return cls.one()
-        return cls._from_dict({Monomial.of({i: 1}): 1})
+        return cls._of({Monomial.of({i: 1}).exps if i else (): 1})
 
     def __add__(self, other: Polynomial) -> Polynomial:
-        d = Counter(dict(self.terms))
-        d.update(dict(other.terms))
-        return Polynomial._from_dict(d)
+        return Polynomial._of(self._terms() + other._terms())
 
     def __mul__(self, other: Polynomial) -> Polynomial:
-        return Polynomial._from_dict(_expand(dict(self.terms), other.terms))
+        return Polynomial._of(self._terms() * other._terms())
 
     @cached_property
     def _graded_terms(self) -> tuple[int, tuple]:
@@ -196,18 +225,9 @@ class Polynomial(Frozen):
         return f"Polynomial({self.to_text()!r})"
 
 
-def _expand(d: Mapping[Monomial, int], terms: Iterable[tuple[Monomial, int]]) -> Counter:
-    """The product of two polynomials given by their terms, unsorted."""
-    out: Counter = Counter()
-    for m1, c1 in d.items():
-        for m2, c2 in terms:
-            out[m1 * m2] += c1 * c2
-    return out
-
-
 def _tally(monomials: Iterable[Monomial]) -> Polynomial:
     """The sum of the given monomials, each with coefficient 1."""
-    return Polynomial._from_dict(Counter(monomials))
+    return Polynomial._of(Counter(mono.exps for mono in monomials))
 
 
 def _pair_monomial(a: Partition, b: Partition) -> Monomial:
@@ -223,46 +243,6 @@ def _pair_monomial(a: Partition, b: Partition) -> Monomial:
     )
 
 
-_BlockType = tuple[tuple[int, bool, int], ...]
-
-
-@lru_cache(maxsize=None)
-def _nc_block_types(n: int) -> tuple[tuple[_BlockType, int], ...]:
-    """The block types of the non-crossing partitions of {1..n}, each with
-    the number of partitions that have it.
-
-    A partition's type is the multiset of (|V|, V is inner) over its blocks
-    V, given as sorted (size, inner, multiplicity) triples.  The tally is
-    taken by enumerating NC(n) once per n and process: NC(8) has 1430
-    partitions but 119 types.
-    """
-    from .partitions import enumerate_nc
-
-    tally: Counter = Counter()
-    for alpha in enumerate_nc(n):
-        inner = alpha.inner_indices
-        shape = Counter((len(b), i in inner) for i, b in enumerate(alpha.blocks))
-        tally[tuple(sorted((s, i, k) for (s, i), k in shape.items()))] += 1
-    return tuple(tally.items())
-
-
-def _nc_block_poly(n: int, weight: Callable[[int, bool], Polynomial]) -> Polynomial:
-    """Sum over the non-crossing partitions of {1..n} of the product of
-    weight(|V|, V is inner) over their blocks V, taken type by type from
-    `_nc_block_types` and sorted once."""
-    types = _nc_block_types(n)
-    keys = {(size, inner) for blocks, _ in types for size, inner, _ in blocks}
-    weights = {key: weight(*key).terms for key in keys}
-    total: Counter = Counter()
-    for blocks, count in types:
-        term = {_MONO_ONE: count}
-        for size, inner, mult in blocks:
-            for _ in range(mult):
-                term = _expand(term, weights[size, inner])
-        total.update(term)
-    return Polynomial._from_dict(total)
-
-
 def _integer_partitions(k: int, smallest: int = 1) -> Iterator[tuple[tuple[int, int], ...]]:
     """The partitions of k into parts of at least ``smallest``, each as
     (part, multiplicity) pairs with the parts ascending."""
@@ -275,18 +255,24 @@ def _integer_partitions(k: int, smallest: int = 1) -> Iterator[tuple[tuple[int, 
                 yield ((part, mult), *rest)
 
 
-def _cached_route(route: Callable[[int], Polynomial]) -> Callable[[int], Polynomial]:
-    """``route`` with its results cached by n, which is checked before the
-    cache hashes it: an unhashable n gets the size error too."""
-    cached = lru_cache(maxsize=None)(route)
+class _NCSums:
+    """`partitions._nc_weight_sums` under one polynomial weight, run on as
+    far as a call needs and kept, so a family's sizes are built in one
+    pass, asked for in any order: the sum over NC(m) is ``self(m)``."""
 
-    @wraps(route)
-    def checked(n: int) -> Polynomial:
-        _require_positive(n, "n")
-        return cached(n)
+    def __init__(self, weight: Callable[[int, bool], Polynomial]) -> None:
+        self._weight, self._lock = weight, Lock()
+        self._polys: list[Polynomial] = []
 
-    checked.cache_clear = cached.cache_clear
-    return checked
+    def __call__(self, m: int) -> Polynomial:
+        with self._lock:
+            if not self._polys:
+                from .partitions import _nc_weight_sums
+
+                self._sums = _nc_weight_sums(lambda k, inner: self._weight(k, inner)._terms())
+            while len(self._polys) <= m:
+                self._polys.append(Polynomial._of(_as_terms(next(self._sums))))
+        return self._polys[m]
 
 
 def _exact_quotient(num: int, den: int) -> int:
@@ -312,8 +298,8 @@ def moment_poly(n: int) -> Polynomial:
             for _, e in exps:
                 den *= fact[e]
             multinomial = _exact_quotient(fact[n], den)
-            terms[Monomial(exps)] = _exact_quotient(binom * multinomial, n)
-    return Polynomial._from_dict(terms)
+            terms[exps] = _exact_quotient(binom * multinomial, n)
+    return Polynomial._of(terms)
 
 
 def moment_poly_linked(n: int) -> Polynomial:
@@ -338,30 +324,35 @@ def moment_poly_pairs(n: int) -> Polynomial:
     )
 
 
-@_cached_route
+_t = Polynomial.variable
+_INNER_OUTER = _NCSums(lambda size, inner: _t(size - 1) + _t(size) if inner else _t(size - 1))
+_CUMULANTS = _NCSums(lambda size, inner: _t(size))
+
+
 def moment_poly_inner_outer(n: int) -> Polynomial:
     """Moment polynomial as a single sum over non-crossing partitions:
     outer blocks contribute t_{|U|-1}, inner blocks (t_{|V|-1} + t_{|V|}),
     expanded."""
-    t = Polynomial.variable
-    return _nc_block_poly(n, lambda s, inner: t(s - 1) + t(s) if inner else t(s - 1))
+    _require_positive(n, "n")
+    return _INNER_OUTER(n)
 
 
-@_cached_route
 def cumulant_poly(n: int) -> Polynomial:
     """The n-th free cumulant as a polynomial in t1, t2, ...: for n >= 2
     the sum over non-crossing partitions of {1..n-1} of the products
     t_{|V|}; the first cumulant is the constant 1."""
-    if n == 1:
-        return Polynomial.one()
-    return _nc_block_poly(n - 1, lambda size, inner: Polynomial.variable(size))
+    _require_positive(n, "n")
+    return _CUMULANTS(n - 1)
+
+
+_BY_CUMULANTS = _NCSums(lambda size, inner: cumulant_poly(size))
 
 
 def moment_poly_cumulants(n: int) -> Polynomial:
     """Moment polynomial via cumulants: sum over non-crossing partitions of
     the products of per-block cumulant polynomials, expanded."""
     _require_positive(n, "n")
-    return _nc_block_poly(n, lambda size, inner: cumulant_poly(size))
+    return _BY_CUMULANTS(n)
 
 
 def cumulant_product_identity(b: Partition) -> bool:

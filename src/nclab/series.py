@@ -14,8 +14,10 @@ series below: no `Fraction` is built inside their loops, only for the
 coefficients they return.  The conversions solve their functional
 equations by Lagrange inversion, in O(n^3) integer operations at depth n.
 Each keeps its defining sum over non-crossing partitions as a
-``*_by_enumeration`` oracle, which costs Catalan time and does not use the
-core.
+``*_by_enumeration`` oracle.  The oracles evaluate polynomials that
+`partitions._nc_weight_sums` sums over NC(n) by the block of element 1,
+in O(n^3) polynomial products rather than Catalan time, with no Lagrange
+inversion and no use of the core.
 """
 
 from __future__ import annotations
@@ -326,16 +328,20 @@ def cumulants_from_t(t: Sequence, n_max: int) -> tuple[Fraction, ...]:
     return _fractions(_lagrange(_graded(_t_coeffs(t, n_max)[:n_max]), n_max))
 
 
-# The defining sums over non-crossing partitions: Catalan-time oracles that
-# the tests and `verify` check the routes above against.  Each evaluates the
-# polynomial of `polynomials` with the same definition, imported here so
-# that a transform request does not load that module.
+# The defining sums over non-crossing partitions: the oracles that the tests
+# and `verify` check the routes above against.  Each evaluates the
+# polynomial of `polynomials` with the same definition, a sum over NC(n)
+# taken by the recursion on the block of element 1 rather than by Lagrange
+# inversion, so it shares no step with the integer core.  The polynomials
+# are imported here so that a transform request does not load that module.
 
 
 def moments_from_t_by_enumeration(t: Sequence, n_max: int) -> MomentSequence:
     """`moments_from_t` by its definition, `moment_poly_inner_outer(n)` at t:
     m_n sums over NC(n) the product of t_{|U|-1} over outer blocks U and
-    (t_{|V|-1} + t_{|V|}) over inner blocks V."""
+    (t_{|V|-1} + t_{|V|}) over inner blocks V.  The polynomials
+    take O(n_max^3) polynomial products, once per process, not Catalan
+    time; independent of the integer core."""
     from .polynomials import moment_poly_inner_outer
 
     ts = _t_coeffs(t, n_max)
@@ -346,7 +352,9 @@ def moments_from_t_by_enumeration(t: Sequence, n_max: int) -> MomentSequence:
 def moments_from_cumulants_by_enumeration(kappa: Sequence, n_max: int) -> MomentSequence:
     """`moments_from_cumulants` by its definition, `cumulant_poly(n + 1)` at
     t_i = kappa_i: m_n sums over NC(n) the product of kappa_{|V|} over
-    blocks V."""
+    blocks V.  The polynomials take
+    O(n_max^3) polynomial products, once per process, not Catalan time;
+    independent of the integer core."""
     from .polynomials import cumulant_poly
 
     ks = (0, *_cumulant_coeffs(kappa, n_max))
@@ -357,7 +365,9 @@ def moments_from_cumulants_by_enumeration(kappa: Sequence, n_max: int) -> Moment
 def cumulants_from_moments_by_enumeration(m: MomentSequence) -> tuple[Fraction, ...]:
     """`cumulants_from_moments` by its definition, solved recursively:
     kappa_n is m_n less `cumulant_poly(n + 1)` at t_i = kappa_i, kappa_n = 0,
-    as the one-block partition of {1..n} gives its only term in kappa_n."""
+    as the one-block partition of {1..n} gives its only term in kappa_n.
+    The polynomials take O(depth^3) polynomial products, once per process,
+    not Catalan time; independent of the integer core."""
     from .polynomials import cumulant_poly
 
     ks = [Fraction(0)]  # t0 is not read
@@ -369,7 +379,9 @@ def cumulants_from_moments_by_enumeration(m: MomentSequence) -> tuple[Fraction, 
 
 def cumulants_from_t_by_enumeration(t: Sequence, n_max: int) -> tuple[Fraction, ...]:
     """`cumulants_from_t` by its definition, `cumulant_poly(n)` at t: the
-    products of t_{|V|} summed over NC(n-1) for n >= 2, and 1 for n = 1."""
+    products of t_{|V|} summed over NC(n-1) for n >= 2, and 1 for n = 1.
+    The polynomials take O(n_max^3) polynomial products, once per process,
+    not Catalan time; independent of the integer core."""
     from .polynomials import cumulant_poly
 
     ts = _t_coeffs(t, n_max)

@@ -13,6 +13,7 @@ from itertools import combinations
 from random import Random
 from typing import Iterable, Iterator
 
+import nclab.polynomials
 from nclab import (
     LinkedPartition,
     Partition,
@@ -147,21 +148,48 @@ def cover_counts(p) -> Counter:
     return Counter(x for blk in p.blocks for x in blk)
 
 
+def discrete(n: int) -> Partition:
+    """The bottom of NC(n): n singletons."""
+    return make_partition(n, [[k] for k in range(1, n + 1)])
+
+
+def full(n: int) -> Partition:
+    """The top 1_n of NC(n): one block."""
+    return make_partition(n, [range(1, n + 1)])
+
+
+def block_of(p: Partition, element: int) -> tuple[int, ...]:
+    """The block of ``p`` that holds ``element``, read from its cached
+    element-to-block map."""
+    return p.blocks[p._block_of[element]]
+
+
 @lru_cache(maxsize=None)
 def nc(n: int) -> tuple:
     return tuple(enumerate_nc(n))
 
 
-def per_partition_sum(n: int, weight) -> object:
+def per_partition_sum(n: int, weight, zero=0, one=1) -> object:
     """The plain sum over NC(n) of the product of weight(|V|, V is inner)
-    over the blocks V, one partition at a time."""
-    total = 0
+    over the blocks V, one partition at a time; ``zero`` and ``one`` are
+    the empty sum and the empty product."""
+    total = zero
     for alpha in nc(n):
-        term = 1
+        term = one
         for i, block in enumerate(alpha.blocks):
             term *= weight(len(block), i in alpha.inner_indices)
         total += term
     return total
+
+
+def fresh_families(monkeypatch) -> None:
+    """Give the polynomial routes summed over NC(n) new, empty families of
+    sums, so that they run their recursion afresh instead of reading what
+    an earlier test built."""
+    for name in ("_INNER_OUTER", "_CUMULANTS", "_BY_CUMULANTS"):
+        family = getattr(nclab.polynomials, name)
+        monkeypatch.setattr(nclab.polynomials, name,
+                            nclab.polynomials._NCSums(family._weight))
 
 
 @lru_cache(maxsize=None)

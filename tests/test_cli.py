@@ -130,6 +130,14 @@ class TestMap:
         assert out == ""
         assert err == "error: {1,2}{3,4} does not endpoint-refine {1,2,3}{4}\n"
 
+    @pytest.mark.parametrize("alpha, beta, message", [
+        ("{1,3}{2,4}", "{1,2,3,4}", "left partition {1,3}{2,4} is crossing"),
+        ("{1}{2}", "{1,2,3}", "ground sets differ (2 vs 3 elements)"),
+    ], ids=["crossing", "ground-sets"])
+    def test_typed_domain_errors_exit3(self, capsys, alpha, beta, message):
+        code, out, err = run_cli(capsys, "map", "from-pair", alpha, beta)
+        assert (code, out, err) == (3, "", f"error: {message}\n")
+
     def test_unparseable_is_usage(self, capsys):
         code, _, err = run_cli(capsys, "map", "to-pair", "{1,2")
         assert code == 2

@@ -1,6 +1,7 @@
 import json
 import random
 from collections import Counter
+from itertools import islice
 
 import pytest
 from hypothesis import assume, given, settings
@@ -11,8 +12,8 @@ import nclab.partitions
 from nclab import (
     InvalidLinkedPartitionError,
     InvalidPairError,
+    InvalidPartitionError,
     LinkedPartition,
-    Partition,
     catalan,
     coloured_count,
     endpoint_refinements,
@@ -31,9 +32,12 @@ from nclab import (
     unlink,
 )
 from helpers import (
+    block_of,
     block_text,
     cover_counts,
     crossing_pairs,
+    discrete,
+    full,
     nc,
     ncl,
     ncl_direct,
@@ -249,7 +253,7 @@ class TestGenerated:
             assert generated_partition(make_linked(5, p.blocks)) == p
 
     def test_simple_link(self):
-        assert generated_partition(make_linked(3, [[1, 2], [2, 3]])) == Partition.full(3)
+        assert generated_partition(make_linked(3, [[1, 2], [2, 3]])) == full(3)
 
     def test_coarsest_refining_property(self):
         # the generated partition is the least upper bound containing each
@@ -259,11 +263,11 @@ class TestGenerated:
                 beta = generated_partition(p)
                 assert is_noncrossing(beta)
                 assert all(
-                    len({beta.block_of(x) for x in blk}) == 1 for blk in p.blocks
+                    len({block_of(beta, x) for x in blk}) == 1 for blk in p.blocks
                 )
                 for other in nc(n):
                     if all(
-                        len({other.block_of(x) for x in blk}) == 1
+                        len({block_of(other, x) for x in blk}) == 1
                         for blk in p.blocks
                     ):
                         assert refines(beta, other)
@@ -317,7 +321,7 @@ class TestCycledUnlink:
 
     def test_discrete_fixed(self):
         d = make_linked(3, [[1], [2], [3]])
-        assert to_pair(d)[0] == Partition.discrete(3)
+        assert to_pair(d)[0] == discrete(3)
 
     def test_simple_link(self):
         assert to_pair(make_linked(3, [[1, 2], [2, 3]]))[0] == make_partition(
@@ -340,22 +344,22 @@ class TestPairBijection:
         assert from_pair(ALPHA_11, BETA_11) == PI_11
 
     def test_discrete_pair(self):
-        d = Partition.discrete(4)
+        d = discrete(4)
         assert from_pair(d, d) == make_linked(4, d.blocks)
         assert to_pair(make_linked(4, d.blocks)) == (d, d)
 
     def test_simple_link_pair(self):
         assert to_pair(make_linked(3, [[1, 2], [2, 3]])) == (
             make_partition(3, [[1, 3], [2]]),
-            Partition.full(3),
+            full(3),
         )
         assert from_pair(
-            make_partition(3, [[1, 3], [2]]), Partition.full(3)
+            make_partition(3, [[1, 3], [2]]), full(3)
         ) == make_linked(3, [[1, 2], [2, 3]])
 
     def test_precondition_named_block(self):
         with pytest.raises(ValueError, match=r"block \{1,2,3\}: min/max not together"):
-            from_pair(Partition.discrete(3), Partition.full(3))
+            from_pair(discrete(3), full(3))
 
     def test_precondition_not_refining(self):
         a = make_partition(4, [[1, 2], [3, 4]])
@@ -364,7 +368,7 @@ class TestPairBijection:
             from_pair(a, b)
 
     @pytest.mark.parametrize("a, b, message", [
-        (Partition.discrete(3), Partition.full(3),
+        (discrete(3), full(3),
          "block {1,2,3}: min/max not together in alpha"),
         (make_partition(4, [[1, 2], [3, 4]]), make_partition(4, [[1, 2, 3], [4]]),
          "{1,2}{3,4} does not endpoint-refine {1,2,3}{4}"),
@@ -375,6 +379,20 @@ class TestPairBijection:
             from_pair(a, b)
         assert type(exc.value) is InvalidPairError
         assert issubclass(InvalidPairError, ValueError)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("a, b, error, message", [
+        (make_partition(4, [[1, 3], [2, 4]]), full(4), InvalidPartitionError,
+         "left partition {1,3}{2,4} is crossing"),
+        (full(4), make_partition(4, [[1, 3], [2, 4]]), InvalidPartitionError,
+         "right partition {1,3}{2,4} is crossing"),
+        (discrete(2), full(3), InvalidPairError, "ground sets differ (2 vs 3 elements)"),
+    ], ids=["left-crossing", "right-crossing", "ground-sets"])
+    def test_input_error_types(self, a, b, error, message):
+        # the two faults `map from-pair` meets before the pair is read
+        with pytest.raises(error) as exc:
+            from_pair(a, b)
+        assert type(exc.value) is error
         assert str(exc.value) == message
 
     def test_public_entry_point_still_validates(self):
@@ -433,7 +451,7 @@ class TestPairBijection:
                 covers = cover_counts(p)
                 beta = generated_partition(p)
                 for blk in p.blocks:
-                    host = beta.block_of(blk[0])
+                    host = block_of(beta, blk[0])
                     assert (covers[blk[0]] == 1) == (blk[0] == host[0])
 
 
@@ -450,7 +468,7 @@ class TestRestrictionFactorization:
                 m: sum(
                     1
                     for q in ncl_direct(m)
-                    if generated_partition(q) == Partition.full(m)
+                    if generated_partition(q) == full(m)
                 )
                 for m in range(1, n + 1)
             }
@@ -459,7 +477,7 @@ class TestRestrictionFactorization:
                 for p in ps:
                     t = tuple(restricted(p, w) for w in beta.blocks)
                     for piece, w in zip(t, beta.blocks):
-                        assert generated_partition(piece) == Partition.full(len(w))
+                        assert generated_partition(piece) == full(len(w))
                     tuples.add(t)
                 assert len(tuples) == len(ps)
                 expected = 1
@@ -475,11 +493,11 @@ class TestOneBlockFamilies:
         for n in range(2, 9):
             family = [
                 p for p in ncl_direct(n)
-                if generated_partition(p) == Partition.full(n)
+                if generated_partition(p) == full(n)
             ]
             images = {unlink(p) for p in family}
             assert len(images) == len(family)
-            expected = {a for a in nc(n) if a.block_of(1) == a.block_of(2)}
+            expected = {a for a in nc(n) if block_of(a, 1) == block_of(a, 2)}
             assert images == expected
             assert len(images) == catalan(n - 1)
 
@@ -622,7 +640,7 @@ class TestCounts:
                 def weight(size, inner):
                     return w_in[size] if inner else w_out[size]
 
-                assert (nclab.linked._nc_weight_sum(n, weight)
+                assert (next(islice(nclab.partitions._nc_weight_sums(weight), n, None))
                         == per_partition_sum(n, weight))
 
     def test_counts_equal_schroder_to_n60(self):

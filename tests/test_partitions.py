@@ -26,7 +26,15 @@ from nclab import (
     make_permutation,
     refines,
 )
-from helpers import all_set_partitions, crossing_pairs, nc, random_nc_blocks
+from helpers import (
+    all_set_partitions,
+    block_of,
+    crossing_pairs,
+    discrete,
+    full,
+    nc,
+    random_nc_blocks,
+)
 
 # The worked n = 11 example used throughout: a linked partition whose
 # generated partition, unlinking and cycled unlinking are all known.
@@ -110,8 +118,8 @@ class TestTextJson:
 class TestNoncrossing:
     def test_extremes(self):
         for n in (1, 2, 5):
-            assert is_noncrossing(Partition.discrete(n))
-            assert is_noncrossing(Partition.full(n))
+            assert is_noncrossing(discrete(n))
+            assert is_noncrossing(full(n))
 
     def test_minimal_crossing(self):
         assert not is_noncrossing(make_partition(4, [[1, 3], [2, 4]]))
@@ -164,8 +172,8 @@ class TestInnerIndices:
 class TestRefines:
     def test_extremes(self):
         for p in nc(4):
-            assert refines(Partition.discrete(4), p)
-            assert refines(p, Partition.full(4))
+            assert refines(discrete(4), p)
+            assert refines(p, full(4))
 
     def test_worked_example(self):
         assert refines(UNLINK_11, BETA_11)
@@ -177,7 +185,38 @@ class TestRefines:
 
     def test_size_mismatch(self):
         with pytest.raises(ValueError, match="ground sets differ"):
-            refines(Partition.full(3), Partition.full(4))
+            refines(full(3), full(4))
+
+
+class TestTypedErrors:
+    # a crossing partition where a non-crossing one is needed, and a pair
+    # on two ground sets, raise the library's classes; both stay ValueErrors
+    CROSSING = make_partition(4, [[1, 3], [2, 4]])
+
+    @pytest.mark.parametrize("call", [
+        lambda p: endpoint_refines(p, full(4)),
+        lambda p: endpoint_refines(discrete(4), p),
+        lambda p: classify_blocks(p, full(4)),
+        endpoint_floor,
+        lambda p: list(endpoint_refinements(p)),
+        count_endpoint_refinements,
+        lambda p: list(endpoint_coarsenings(p)),
+        count_endpoint_coarsenings,
+    ])
+    def test_crossing_input(self, call):
+        with pytest.raises(InvalidPartitionError) as exc:
+            call(self.CROSSING)
+        assert str(exc.value).endswith("partition {1,3}{2,4} is crossing")
+
+    @pytest.mark.parametrize("call", [refines, endpoint_refines, classify_blocks])
+    def test_ground_sets_differ(self, call):
+        with pytest.raises(InvalidPairError) as exc:
+            call(discrete(2), full(3))
+        assert str(exc.value) == "ground sets differ (2 vs 3 elements)"
+
+    def test_both_are_value_errors(self):
+        assert issubclass(InvalidPartitionError, ValueError)
+        assert issubclass(InvalidPairError, ValueError)
 
 
 class TestEndpointRefines:
@@ -187,7 +226,7 @@ class TestEndpointRefines:
                 assert endpoint_refines(a, a)
 
     def test_discrete_below_full_fails(self):
-        assert not endpoint_refines(Partition.discrete(3), Partition.full(3))
+        assert not endpoint_refines(discrete(3), full(3))
 
     def test_worked_example(self):
         assert endpoint_refines(ALPHA_11, BETA_11)
@@ -195,13 +234,13 @@ class TestEndpointRefines:
     def test_crossing_input_rejected(self):
         crossing = make_partition(4, [[1, 3], [2, 4]])
         with pytest.raises(ValueError, match="crossing"):
-            endpoint_refines(crossing, Partition.full(4))
+            endpoint_refines(crossing, full(4))
         with pytest.raises(ValueError, match="crossing"):
-            endpoint_refines(Partition.discrete(4), crossing)
+            endpoint_refines(discrete(4), crossing)
 
     def test_size_mismatch(self):
         with pytest.raises(ValueError, match="ground sets differ"):
-            endpoint_refines(Partition.full(3), Partition.full(4))
+            endpoint_refines(full(3), full(4))
 
     def test_implies_refines_and_floor_interval(self):
         # endpoint_refines(a, b) is exactly: floor(b) <= a <= b
@@ -237,17 +276,17 @@ class TestClassifyBlocks:
 
     def test_nested_doubleton(self):
         a = make_partition(4, [[1, 4], [2, 3]])
-        cls = classify_blocks(a, Partition.full(4))
+        cls = classify_blocks(a, full(4))
         assert {a.blocks[i] for i in cls.special} == {(1, 4)}
         assert {a.blocks[i] for i in cls.outer} == {(1, 4)}
         assert {a.blocks[i] for i in cls.inner} == {(2, 3)}
 
     def test_precondition_enforced(self):
         with pytest.raises(ValueError, match="does not endpoint-refine"):
-            classify_blocks(Partition.discrete(3), Partition.full(3))
+            classify_blocks(discrete(3), full(3))
 
     @pytest.mark.parametrize("a, b", [
-        (Partition.discrete(3), Partition.full(3)),
+        (discrete(3), full(3)),
         (make_partition(4, [[1, 2], [3, 4]]), make_partition(4, [[1, 2, 3], [4]])),
     ], ids=["min-max-apart", "not-refining"])
     def test_precondition_error_type(self, a, b):
@@ -270,7 +309,7 @@ class TestClassifyBlocks:
 
 class TestEndpointFloor:
     def test_full_4(self):
-        assert endpoint_floor(Partition.full(4)).blocks == ((1, 4), (2,), (3,))
+        assert endpoint_floor(full(4)).blocks == ((1, 4), (2,), (3,))
 
     def test_small_blocks_intact(self):
         b = make_partition(4, [[1, 2], [3], [4]])
@@ -293,7 +332,7 @@ class TestEndpointFloor:
 
 class TestEnumerateNC:
     def test_n1(self):
-        assert list(enumerate_nc(1)) == [Partition.full(1)]
+        assert list(enumerate_nc(1)) == [full(1)]
 
     def test_documented_order_n3(self):
         texts = [p.to_text() for p in enumerate_nc(3)]
@@ -305,7 +344,7 @@ class TestEnumerateNC:
             # outside and closes every block opened inside it
             codes, open_mins = [], []
             for k in range(1, p.n + 1):
-                lo = p.block_of(k)[0]
+                lo = block_of(p, k)[0]
                 if lo == k:
                     codes.append(0)
                     open_mins.append(k)
@@ -367,13 +406,13 @@ class TestEnumerateNC:
 class TestEndpointRefinements:
     def test_discrete_is_fixed(self):
         for n in (1, 3, 5):
-            assert list(endpoint_refinements(Partition.discrete(n))) == [
-                Partition.discrete(n)
+            assert list(endpoint_refinements(discrete(n))) == [
+                discrete(n)
             ]
 
     def test_full_3(self):
-        got = set(endpoint_refinements(Partition.full(3)))
-        assert got == {Partition.full(3), make_partition(3, [[1, 3], [2]])}
+        got = set(endpoint_refinements(full(3)))
+        assert got == {full(3), make_partition(3, [[1, 3], [2]])}
 
     def test_worked_example_count(self):
         below = list(endpoint_refinements(BETA_11))
@@ -394,28 +433,28 @@ class TestEndpointRefinements:
                 assert set(got) == expected
 
     def test_counts(self):
-        assert count_endpoint_refinements(Partition.full(4)) == 5
-        assert count_endpoint_refinements(Partition.discrete(6)) == 1
+        assert count_endpoint_refinements(full(4)) == 5
+        assert count_endpoint_refinements(discrete(6)) == 1
         assert count_endpoint_refinements(BETA_11) == 132 * 5
 
 
 class TestEndpointCoarsenings:
     def test_full_is_fixed(self):
         for n in (1, 2, 4):
-            got = list(endpoint_coarsenings(Partition.full(n)))
-            assert len(got) == 1 == count_endpoint_coarsenings(Partition.full(n))
-            assert got[0][0] == Partition.full(n)
+            got = list(endpoint_coarsenings(full(n)))
+            assert len(got) == 1 == count_endpoint_coarsenings(full(n))
+            assert got[0][0] == full(n)
 
     def test_nested_doubletons(self):
         a = make_partition(4, [[1, 4], [2, 3]])
         got = list(endpoint_coarsenings(a))
-        assert [b for b, _ in got] == [a, Partition.full(4)]
+        assert [b for b, _ in got] == [a, full(4)]
         assert count_endpoint_coarsenings(a) == 2
 
     def test_discrete_3_by_oracle(self):
         # no block of the discrete partition spans another, so nothing is
         # inner and the only endpoint-coarsening is the partition itself
-        a = Partition.discrete(3)
+        a = discrete(3)
         got = list(endpoint_coarsenings(a))
         expected = {b for b in nc(3) if endpoint_refines(a, b)}
         assert {b for b, _ in got} == expected == {a}
@@ -472,7 +511,7 @@ class TestPermutation:
         assert perm.to_cycle_text() == "(1,2,3,4,5,6,7)(8,9,10,11)"
 
     def test_block_cycles_discrete_is_identity(self):
-        assert block_cycles(Partition.discrete(5)) == make_permutation(5, range(1, 6))
+        assert block_cycles(discrete(5)) == make_permutation(5, range(1, 6))
 
     def test_block_cycles_two_cycle(self):
         assert block_cycles(make_partition(3, [[1, 3], [2]])).image == (3, 2, 1)
@@ -527,7 +566,7 @@ class TestAct:
 
     def test_size_mismatch(self):
         with pytest.raises(ValueError, match="sizes differ"):
-            act(make_permutation(3, range(1, 4)), Partition.full(4))
+            act(make_permutation(3, range(1, 4)), full(4))
 
     def test_cycle_action_preserves_order_ideal(self):
         # the inverse block-cycle permutation of b maps {a : a <= b} into itself

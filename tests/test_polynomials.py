@@ -1,5 +1,7 @@
+import hashlib
 import random
-from collections import Counter
+import sys
+import threading
 from fractions import Fraction
 from functools import lru_cache
 
@@ -9,7 +11,6 @@ import nclab.partitions
 import nclab.polynomials
 from nclab import (
     Monomial,
-    Partition,
     Polynomial,
     classify_blocks,
     cumulant_poly,
@@ -26,7 +27,7 @@ from nclab import (
 )
 from nclab.polynomials import _exact_quotient, _mono_from_sizes
 from nclab.verify import verify_moments
-from helpers import nc
+from helpers import discrete, fresh_families, full, nc, per_partition_sum
 
 T1 = Polynomial.variable(1)
 T2 = Polynomial.variable(2)
@@ -149,6 +150,58 @@ class TestCumulantPolys:
         assert expanded.to_text() == LOW_ORDER[3]
 
 
+# sha256 of to_text(), first 16 hex digits, for n = 1..12, pinned from the
+# output of the tally of NC(n) by block type that the recursion replaced.
+# Every moment route gives the moment polynomial; the enumerating routes
+# are pinned up to n = 9, where they still take under a second.
+MOMENT_POLY_DIGESTS = (
+    "6b86b273ff34fce1",
+    "1183bf282ddd6719",
+    "493706576bc02f60",
+    "4db13e0e3b518cc1",
+    "a52bfbf1e720930c",
+    "3f89f79f524a3b9c",
+    "67bdf2e138f55002",
+    "2fa93a8133fa5ee4",
+    "ebd708fbf6926a85",
+    "7a98cb47384cf530",
+    "e604240c3caca582",
+    "abdd6b666cf76d48",
+)
+CUMULANT_POLY_DIGESTS = (
+    "6b86b273ff34fce1",
+    "628b49d96dcde97a",
+    "82ee60721dd86a52",
+    "63fe030a32782ec1",
+    "4d4bf6e363709bca",
+    "32d1ed62bf1216eb",
+    "677f5713015e0272",
+    "18ff3578e2b623f6",
+    "36520c54212c354f",
+    "fd4b08e34f4b3491",
+    "ce3d3f876422725a",
+    "d9b973f086057479",
+)
+
+
+def text_digest(p: Polynomial) -> str:
+    return hashlib.sha256(p.to_text().encode()).hexdigest()[:16]
+
+
+class TestPinnedDigests:
+    @pytest.mark.parametrize("route, top", [
+        (moment_poly, 12), (moment_poly_inner_outer, 12), (moment_poly_cumulants, 12),
+        (moment_poly_linked, 9), (moment_poly_pairs, 9),
+    ], ids=lambda x: getattr(x, "__name__", str(x)))
+    def test_moment_routes(self, route, top):
+        assert [text_digest(route(n)) for n in range(1, top + 1)] == list(
+            MOMENT_POLY_DIGESTS[:top])
+
+    def test_cumulant_poly(self):
+        assert [text_digest(cumulant_poly(n)) for n in range(1, 13)] == list(
+            CUMULANT_POLY_DIGESTS)
+
+
 class TestFourRoutes:
     def test_equal_to_n8(self):
         for n in range(1, 9):
@@ -214,25 +267,47 @@ class TestClosedForm:
 
 
 class TestBlockTypeRoutes:
-    def test_each_nc_k_enumerated_at_most_once(self, monkeypatch):
-        calls = Counter()
-        original = nclab.partitions.enumerate_nc
+    def test_routes_equal_per_partition_sums(self):
+        # the recursion behind the three routes, under their polynomial
+        # weights, against the plain sum over NC(n)
+        t = Polynomial.variable
+        zero = Polynomial(())
+        for n in range(1, 9):
+            assert moment_poly_inner_outer(n) == per_partition_sum(
+                n, lambda size, inner: t(size - 1) + t(size) if inner else t(size - 1),
+                zero, ONE)
+            assert cumulant_poly(n + 1) == per_partition_sum(
+                n, lambda size, inner: t(size), zero, ONE)
+            assert moment_poly_cumulants(n) == per_partition_sum(
+                n, lambda size, inner: cumulant_poly(size), zero, ONE)
 
-        def counting(n):
-            calls[n] += 1
-            return original(n)
+    def test_threads_share_one_family(self, monkeypatch):
+        # a route keeps one running recursion per process; two threads must
+        # not advance it at once, nor read a size another thread skipped
+        fresh_families(monkeypatch)
+        results, errors = {}, []
 
-        nclab.polynomials._nc_block_types.cache_clear()
-        moment_poly_inner_outer.cache_clear()
-        cumulant_poly.cache_clear()
-        monkeypatch.setattr(nclab.partitions, "enumerate_nc", counting)
-        for _ in range(20):
-            for n in range(1, 9):
-                moment_poly_inner_outer(n)
-                moment_poly_cumulants(n)
-                cumulant_poly(n)
-        assert set(calls) == set(range(1, 9))
-        assert max(calls.values()) == 1
+        def work(k):
+            try:
+                for n in (range(12, 0, -1) if k % 2 else range(1, 13)):
+                    results[k, n] = moment_poly_inner_outer(n)
+            except Exception as exc:  # reported by the assertion below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert len(results) == 72
+        assert all(p == moment_poly(n) for (_, n), p in results.items())
 
     def test_pair_monomials_not_revalidated(self, monkeypatch):
         def refuse(*args):
@@ -264,12 +339,12 @@ class TestTermBijection:
 class TestPerPartitionIdentity:
     def test_discrete(self):
         for n in (1, 3, 5):
-            assert cumulant_product_identity(Partition.discrete(n))
+            assert cumulant_product_identity(discrete(n))
 
     def test_full_3_sides(self):
         # product side = kappa_3; sum side has contributions t2 and t1*t1
         assert cumulant_poly(3) == T2 + T1 * T1
-        assert cumulant_product_identity(Partition.full(3))
+        assert cumulant_product_identity(full(3))
 
     def test_exhaustive_to_n6(self):
         for n in range(1, 7):

@@ -1,7 +1,7 @@
 import hashlib
 import random
-from collections import Counter
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -14,11 +14,14 @@ from nclab import (
     NormalizationError,
     TruncatedSeries,
     catalan,
+    cumulant_poly,
     cumulants_from_moments,
     cumulants_from_moments_by_enumeration,
     cumulants_from_t,
     cumulants_from_t_by_enumeration,
-    enumerate_nc,
+    moment_poly_cumulants,
+    moment_poly_inner_outer,
+    moment_poly_pairs,
     moment_series,
     moments_from_cumulants,
     moments_from_cumulants_by_enumeration,
@@ -27,7 +30,7 @@ from nclab import (
     s_transform,
     t_transform,
 )
-from helpers import per_partition_sum
+from helpers import fresh_families, per_partition_sum
 
 
 def random_moments(rng, depth):
@@ -464,9 +467,8 @@ class TestEnumerationOracles:
         def refuse(n):
             raise AssertionError(f"enumerate_nc({n}) called by a fast route")
 
-        # an oracle call in an earlier test may have tallied NC(12) already;
-        # the tally imports enumerate_nc from `partitions` when it runs
-        clear_block_type_caches()
+        # an enumerating route imports enumerate_nc from `partitions` when
+        # it runs, so the control below meets the refusal
         monkeypatch.setattr(nclab.partitions, "enumerate_nc", refuse)
         coeffs = sparse_coeffs(random.Random(59), 12)
         m = moments_from_t(coeffs, 12)
@@ -475,7 +477,7 @@ class TestEnumerationOracles:
         cumulants_from_moments(m)
         t_transform(m)
         with pytest.raises(AssertionError, match="enumerate_nc"):
-            moments_from_t_by_enumeration(coeffs, 12)
+            moment_poly_pairs(4)
 
     def test_oracles_never_run_the_integer_core(self, monkeypatch):
         def refuse(*args):
@@ -492,19 +494,11 @@ class TestEnumerationOracles:
             moments_from_t(coeffs, 8)
 
 
-def clear_block_type_caches():
-    """Forget the NC(n) tallies and the polynomials summed over them."""
-    nclab.polynomials._nc_block_types.cache_clear()
-    nclab.polynomials.moment_poly_inner_outer.cache_clear()
-    nclab.polynomials.cumulant_poly.cache_clear()
-
-
 class TestBlockTypeTally:
-    def test_multiplicities_sum_to_catalan(self):
-        for n in range(1, 11):
-            types = nclab.polynomials._nc_block_types(n)
-            assert sum(count for _, count in types) == catalan(n)
-            assert len({blocks for blocks, _ in types}) == len(types)
+    def test_unit_weights_count_nc(self):
+        # every partition of NC(m) weighs 1, so the sums are the sizes of NC(m)
+        sums = nclab.partitions._nc_weight_sums(lambda size, inner: 1)
+        assert list(islice(sums, 41)) == [catalan(m) for m in range(41)]
 
     def test_moments_from_t_oracle_is_the_per_partition_sum(self):
         rng = random.Random(61)
@@ -544,24 +538,23 @@ class TestBlockTypeTally:
                     n, lambda size, inner: kappa[size - 1])
             assert cumulants_from_moments_by_enumeration(m) == tuple(kappa)
 
-    def test_each_nc_k_enumerated_at_most_once(self, monkeypatch):
-        calls = Counter()
+    def test_routes_and_oracles_never_enumerate(self, monkeypatch):
+        def refuse(n):
+            raise AssertionError(f"enumerate_nc({n}) called by a sum over NC(n)")
 
-        def counting(n):
-            calls[n] += 1
-            return enumerate_nc(n)
-
-        clear_block_type_caches()
-        monkeypatch.setattr(nclab.partitions, "enumerate_nc", counting)
-        rng = random.Random(79)
-        for _ in range(50):
-            coeffs = sparse_coeffs(rng, 8)
-            moments_from_t_by_enumeration(coeffs, 8)
-            moments_from_cumulants_by_enumeration(coeffs, 8)
-            cumulants_from_t_by_enumeration(coeffs, 8)
-            cumulants_from_moments_by_enumeration(MomentSequence.of(coeffs[:8]))
-        assert set(calls) == set(range(1, 9))
-        assert max(calls.values()) == 1
+        fresh_families(monkeypatch)
+        monkeypatch.setattr(nclab.partitions, "enumerate_nc", refuse)
+        coeffs = sparse_coeffs(random.Random(79), 10)
+        moments_from_t_by_enumeration(coeffs, 10)
+        moments_from_cumulants_by_enumeration(coeffs, 10)
+        cumulants_from_t_by_enumeration(coeffs, 10)
+        cumulants_from_moments_by_enumeration(MomentSequence.of(coeffs[:10]))
+        for n in range(1, 11):
+            moment_poly_inner_outer(n)
+            moment_poly_cumulants(n)
+            cumulant_poly(n)
+        with pytest.raises(AssertionError, match="enumerate_nc"):
+            moment_poly_pairs(4)
 
 
 rational = st.fractions(min_value=-20, max_value=20, max_denominator=12)

@@ -61,12 +61,6 @@ def test_value_semantics_only_in_the_record_bases():
 # Public members that no other code of the library calls, each kept for a
 # reason of its own.
 UNCALLED = {
-    "partitions.py:Partition.block_of":
-        "element lookup; the boundary tests of kept members are built on it",
-    "partitions.py:Partition.discrete":
-        "the bottom of NC(n); the boundary tests of kept members are built on it",
-    "partitions.py:Partition.full":
-        "the top 1_n of NC(n); the tests of kept members are built on it",
     "partitions.py:Partition.from_text": "reads back what to_text writes",
     "partitions.py:Partition.from_json_dict": "reads back what to_json_dict writes",
     "partitions.py:Permutation.from_json_dict": "reads back what to_json_dict writes",

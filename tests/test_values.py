@@ -37,7 +37,7 @@ from nclab import (
 )
 from nclab.partitions import BlockFamily
 from nclab.verify import CheckResult
-from helpers import nc, ncl_direct
+from helpers import block_of, nc, ncl_direct
 
 # (class, field names, a factory for one value, a factory for a different one)
 FROZEN = [
@@ -163,7 +163,7 @@ def test_partition_never_equals_linked_partition():
 def test_cached_properties_on_frozen_values():
     p = make_partition(4, [[1, 4], [2, 3]])
     assert p.inner_indices == frozenset({1})
-    assert p.block_of(3) == (2, 3)
+    assert block_of(p, 3) == (2, 3)
 
 
 def test_default_reprs():
