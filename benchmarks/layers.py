@@ -99,9 +99,35 @@ TRANSFORM_LAYERS = {
     for depth in (40, 100, 200)
 }
 
+# One canonical command line per command, as the CLI reads it without
+# argparse; the setup imports argparse, so that the argparse layer times
+# building the parser and parsing on both sides, as each request does.
+CLI_PARSE = """\
+import argparse
+from nclab import cli
+argvs = [["enumerate", "nc", "3"],
+         ["map", "from-pair", "{1,3}{2}", "{1,2,3}", "--details", "--json"],
+         ["--limit", "13", "count", "nc", "13"],
+         ["moments", "--t", "1,1/2,3", "--n", "8"],
+         ["transform", "--moments", "1,2,5,14", "--to", "t", "--order", "2"],
+         ["verify", "counts", "2", "--json"]]
+"""
+
 # name -> (setup, expression); the expression's value is recorded as the
 # layer's result, so that the two sides can be seen to do the same work
 LAYERS = {
+    # start-up: the CLI imported in a fresh interpreter, and the parse step
+    # of the six canonical command lines, by a fresh argparse parser each
+    # and by the fast parser, which older checkouts do not have
+    "import nclab.cli": (
+        "import importlib",
+        "importlib.import_module('nclab.cli').__name__"),
+    "cli parse x6 argparse": (
+        CLI_PARSE,
+        "digest(sorted(vars(cli.build_parser().parse_args(a)).items()) for a in argvs)"),
+    "cli parse x6 fast": (
+        CLI_PARSE + "parse = cli._fast_args",
+        "digest(sorted(vars(parse(a)).items()) for a in argvs)"),
     "enumerate_nc(12)": (
         "from nclab.partitions import enumerate_nc",
         "count(enumerate_nc(12))"),

@@ -18,6 +18,7 @@ _EXPORTS = {
         "ParseError",
         "Partition",
         "Permutation",
+        "SizeError",
         "act",
         "block_cycles",
         "catalan",

@@ -1,8 +1,9 @@
 """Pieces shared by modules that must not load one another: the bound on
 integers read from text, the integer test and the check of a size, the
 bounded quoting of rejected input for diagnostics, the bases of the
-record classes, and `NormalizationError`, which `series` raises and the
-CLI maps to its own exit code without loading `series`.  It imports only
+record classes, `SizeError`, which the checks of a size or an index
+raise, and `NormalizationError`, which `series` raises and the CLI maps
+to its own exit code without loading `series`.  It imports only
 `operator`, which `re` has already loaded at start-up, so any module can
 use it without slowing its own import."""
 
@@ -17,6 +18,11 @@ MAX_DIGITS = 4300
 
 class NormalizationError(ValueError):
     """First moment or constant coefficient differs from the required 1."""
+
+
+class SizeError(ValueError):
+    """A size or an index given to the library is not an integer, or is
+    below its least value."""
 
 
 def _is_int(x: object) -> bool:
@@ -49,12 +55,12 @@ def _quoted(value: object) -> str:
 
 
 def _require_positive(value: object, name: str) -> None:
-    """Raise ValueError unless ``value``, the size ``name``, is an integer,
+    """Raise SizeError unless ``value``, the size ``name``, is an integer,
     not ``bool``, of at least 1."""
     if not _is_int(value):
-        raise ValueError(f"{name} must be an integer, got {_quoted(value)}")
+        raise SizeError(f"{name} must be an integer, got {_quoted(value)}")
     if value < 1:
-        raise ValueError(f"{name} must be at least 1")
+        raise SizeError(f"{name} must be at least 1")
 
 
 def _int_text(x: int) -> str:

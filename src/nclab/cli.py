@@ -13,6 +13,14 @@ Sizes are guarded by a limit (default 12) to prevent accidental
 combinatorial explosion; override with ``--limit`` or the NCLAB_LIMIT
 environment variable.
 
+The command line's grammar is one table, `_GRAMMAR`.  `_fast_args` reads
+a command line in its canonical form straight from the table: the
+options of ``nclab`` itself, the command, all of its positionals, then
+its options, each once and spelled in full.  Any other command line goes
+to the argparse parser that `build_parser` builds from the table, so
+argparse alone writes help and usage errors, and a well-formed request
+does not pay for importing argparse and building its parsers.
+
 Each command loads only the library modules it uses, inside its handler:
 a request is mostly interpreter start-up and import, so ``moments --t``,
 ``moments --cumulants`` and ``transform`` load `series` alone, and
@@ -22,12 +30,12 @@ a request is mostly interpreter start-up and import, so ``moments --t``,
 
 from __future__ import annotations
 
-import argparse
 import os
 import re
 import sys
 from functools import cache
 from itertools import islice
+from types import SimpleNamespace
 
 from ._base import MAX_DIGITS, NormalizationError, _clipped, _quoted
 
@@ -131,73 +139,165 @@ def _read_blocks(text: str, limit: int, make):
 
 _MAX_MESSAGE = 200
 
-
-class _ArgumentParser(argparse.ArgumentParser):
-    """argparse quotes a rejected argument whole; a message longer than
-    _MAX_MESSAGE characters is cut to that prefix plus its length, so that
-    stderr does not grow with the input.  Subparsers use the same class."""
-
-    def error(self, message: str):
-        super().error(_clipped(message, _MAX_MESSAGE))
+# The grammar of the command line, written once: under None the top-level
+# parser's description and its options, which come before the command;
+# then each command, in the order of the help text, with its help and its
+# arguments in order.  An argument is a positional's dest or an option's
+# flag, with its `add_argument` settings.  `build_parser` builds argparse's
+# parser from it, and `_fast_args` reads canonical command lines by it.
+_FLAG = dict(action="store_true")
+_GRAMMAR = {
+    None: ("Non-crossing (linked) partition combinatorics and the exact "
+           "moment-transform calculus built on them.", [
+        ("--limit", dict(type=int, default=None,
+                         help=f"size guard for all n arguments (default {DEFAULT_LIMIT}; "
+                         "env NCLAB_LIMIT)")),
+    ]),
+    "enumerate": ("list all objects of a given size", [
+        ("kind", dict(choices=["nc", "ncl"],
+                      help="nc: non-crossing partitions; ncl: non-crossing linked")),
+        ("n", dict(type=int)),
+        ("--json", _FLAG),
+    ]),
+    "map": ("apply the linked-partition bijection", [
+        ("direction", dict(choices=["to-pair", "from-pair"])),
+        ("objects", dict(nargs="+", metavar="OBJECT",
+                         help="to-pair: one linked partition; from-pair: alpha beta")),
+        ("--details", dict(action="store_true",
+                           help="also print the unlinking and the block-cycle permutation")),
+        ("--json", _FLAG),
+    ]),
+    "count": ("exact counts", [
+        ("kind", dict(choices=["nc", "ncl", "coloured", "below-ll", "above-ll"])),
+        ("argument", dict(help="a size for nc/ncl/coloured, a partition for the rest")),
+        ("--json", _FLAG),
+    ]),
+    "moments": ("moment sequences and moment polynomials", [
+        ("--t", dict(dest="t_coeffs", metavar="LIST",
+                     help="reciprocal-s coefficients t0,t1,... (t0 must be 1; "
+                     "missing tail coefficients are taken as 0)")),
+        ("--cumulants", dict(metavar="LIST",
+                             help="free cumulants k1,k2,... (missing tail taken as 0)")),
+        ("--symbolic", dict(type=int, metavar="N",
+                            help="print the N-th moment polynomial in t1, t2, ...")),
+        ("--n", dict(dest="n_max", type=int, help="number of moments")),
+        ("--json", _FLAG),
+    ]),
+    "transform": ("convert a moment sequence", [
+        ("--moments", dict(required=True, metavar="LIST")),
+        ("--to", dict(required=True, choices=["s", "t", "r"])),
+        ("--order", dict(type=int, default=None)),
+        ("--json", _FLAG),
+    ]),
+    "verify": ("run the exhaustive identity suites", [
+        ("suite", dict(choices=["bijection", "counts", "moments", "all"])),
+        ("n", dict(type=int, help="largest ground-set size to check")),
+        ("--json", _FLAG),
+    ]),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _ArgumentParser(
-        prog="nclab",
-        description="Non-crossing (linked) partition combinatorics and the "
-        "exact moment-transform calculus built on them.",
-    )
-    parser.add_argument(
-        "--limit", type=int, default=None,
-        help=f"size guard for all n arguments (default {DEFAULT_LIMIT}; "
-        "env NCLAB_LIMIT)",
-    )
+    """argparse's parser of `_GRAMMAR`.  It reads every command line that
+    `_fast_args` leaves, so it alone writes help and usage errors; it is
+    also the oracle that `_fast_args` is tested against."""
+    import argparse
+
+    class _ArgumentParser(argparse.ArgumentParser):
+        """argparse quotes a rejected argument whole; a message longer than
+        _MAX_MESSAGE characters is cut to that prefix plus its length, so
+        that stderr does not grow with the input.  Subparsers use the same
+        class."""
+
+        def error(self, message: str):
+            super().error(_clipped(message, _MAX_MESSAGE))
+
+    description, options = _GRAMMAR[None]
+    parser = _ArgumentParser(prog="nclab", description=description)
+    for flag, settings in options:
+        parser.add_argument(flag, **settings)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("enumerate", help="list all objects of a given size")
-    p.add_argument("kind", choices=["nc", "ncl"],
-                   help="nc: non-crossing partitions; ncl: non-crossing linked")
-    p.add_argument("n", type=int)
-    p.add_argument("--json", action="store_true")
-
-    p = sub.add_parser("map", help="apply the linked-partition bijection")
-    p.add_argument("direction", choices=["to-pair", "from-pair"])
-    p.add_argument("objects", nargs="+", metavar="OBJECT",
-                   help="to-pair: one linked partition; from-pair: alpha beta")
-    p.add_argument("--details", action="store_true",
-                   help="also print the unlinking and the block-cycle permutation")
-    p.add_argument("--json", action="store_true")
-
-    p = sub.add_parser("count", help="exact counts")
-    p.add_argument("kind",
-                   choices=["nc", "ncl", "coloured", "below-ll", "above-ll"])
-    p.add_argument("argument",
-                   help="a size for nc/ncl/coloured, a partition for the rest")
-    p.add_argument("--json", action="store_true")
-
-    p = sub.add_parser("moments", help="moment sequences and moment polynomials")
-    p.add_argument("--t", dest="t_coeffs", metavar="LIST",
-                   help="reciprocal-s coefficients t0,t1,... (t0 must be 1; "
-                   "missing tail coefficients are taken as 0)")
-    p.add_argument("--cumulants", metavar="LIST",
-                   help="free cumulants k1,k2,... (missing tail taken as 0)")
-    p.add_argument("--symbolic", type=int, metavar="N",
-                   help="print the N-th moment polynomial in t1, t2, ...")
-    p.add_argument("--n", dest="n_max", type=int, help="number of moments")
-    p.add_argument("--json", action="store_true")
-
-    p = sub.add_parser("transform", help="convert a moment sequence")
-    p.add_argument("--moments", required=True, metavar="LIST")
-    p.add_argument("--to", required=True, choices=["s", "t", "r"])
-    p.add_argument("--order", type=int, default=None)
-    p.add_argument("--json", action="store_true")
-
-    p = sub.add_parser("verify", help="run the exhaustive identity suites")
-    p.add_argument("suite", choices=["bijection", "counts", "moments", "all"])
-    p.add_argument("n", type=int, help="largest ground-set size to check")
-    p.add_argument("--json", action="store_true")
-
+    for command, (help_text, arguments) in _GRAMMAR.items():
+        if command is not None:
+            p = sub.add_parser(command, help=help_text)
+            for name, settings in arguments:
+                p.add_argument(name, **settings)
     return parser
+
+
+def _fast_args(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace `build_parser`'s parser makes of ``argv``, read by
+    `_GRAMMAR` without argparse, when ``argv`` has the canonical form: the
+    top-level options, the command, all of its positionals, then its
+    options.  Each option comes at most once and spelled in full, no value
+    starts with "-", every value converts to its type and is among its
+    choices, and every required option is there.  Else None, and argparse
+    reads ``argv``."""
+    args: dict = {}
+    at = _fast_options(_GRAMMAR[None][1], argv, 0, args)
+    if at is None or at == len(argv) or argv[at] not in _GRAMMAR:
+        return None
+    args["command"] = command = argv[at]
+    arguments = _GRAMMAR[command][1]
+    at += 1
+    for name, settings in arguments:
+        if name.startswith("-"):
+            continue
+        end = at + 1
+        if settings.get("nargs") == "+":
+            while end < len(argv) and not argv[end].startswith("-"):
+                end += 1
+        values = [_fast_value(settings, word) for word in argv[at:end]]
+        if not values or None in values:
+            return None
+        args[name] = values if "nargs" in settings else values[0]
+        at = end
+    if _fast_options(arguments, argv, at, args) != len(argv):
+        return None
+    return SimpleNamespace(**args)
+
+
+def _fast_options(arguments, argv: list[str], at: int, args: dict) -> int | None:
+    """Set in ``args`` the options among ``arguments``, to their defaults
+    and then to the words of ``argv`` from ``at`` on up to the first word
+    that does not start with "-"; return that word's index, or None where
+    argparse might read the options otherwise."""
+    options = {}
+    for name, settings in arguments:
+        if name.startswith("-"):
+            dest = settings.get("dest", name.lstrip("-").replace("-", "_"))
+            options[name] = dest, settings
+            flag = settings.get("action") == "store_true"
+            args[dest] = False if flag else settings.get("default")
+    while at < len(argv) and argv[at].startswith("-"):
+        dest, settings = options.pop(argv[at], (None, None))  # each option once
+        if dest is None:
+            return None
+        if settings.get("action") == "store_true":
+            args[dest] = True
+            at += 1
+            continue
+        value = _fast_value(settings, argv[at + 1]) if at + 1 < len(argv) else None
+        if value is None:
+            return None
+        args[dest] = value
+        at += 2
+    if any(settings.get("required") for _, settings in options.values()):
+        return None
+    return at
+
+
+def _fast_value(settings: dict, word: str):
+    """``word`` converted as argparse converts an argument with these
+    settings, or None where argparse would read it otherwise or reject it."""
+    if word.startswith("-"):
+        return None
+    if "type" in settings:
+        try:
+            word = settings["type"](word)
+        except ValueError:
+            return None
+    return word if word in settings.get("choices", (word,)) else None
 
 
 _CHUNK_LINES = 1024
@@ -374,8 +474,9 @@ _DISPATCH = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _fast_args(argv) or build_parser().parse_args(argv)
     try:
         limit = _resolve_limit(args.limit)
         return _DISPATCH[args.command](args, limit)

@@ -23,7 +23,16 @@ from functools import cached_property, lru_cache
 from itertools import chain, count, product
 from typing import Any, Callable, Collection, Iterable, Iterator, Sequence
 
-from ._base import MAX_DIGITS, Frozen, _clipped, _int_text, _is_int, _quoted, _set_field
+from ._base import (
+    MAX_DIGITS,
+    Frozen,
+    SizeError,
+    _clipped,
+    _int_text,
+    _is_int,
+    _quoted,
+    _set_field,
+)
 
 
 class InvalidPartitionError(ValueError):
@@ -200,7 +209,7 @@ def _not_covered(n: int, covered: Collection[int]) -> str:
     return f"elements {missing} not covered"
 
 
-def _require_size(n: object, error: type[ValueError] = ValueError) -> None:
+def _require_size(n: object, error: type[ValueError] = SizeError) -> None:
     """Raise ``error`` unless ``n`` is an integer, not ``bool``, of at least 1."""
     if not _is_int(n):
         raise error(f"ground-set size {_quoted(n)} is not an integer")
@@ -368,12 +377,12 @@ def endpoint_floor(b: Partition) -> Partition:
 
 
 def _require_index(k: object, name: str) -> None:
-    """Raise ValueError unless ``k`` is an integer, not ``bool``, of at
+    """Raise SizeError unless ``k`` is an integer, not ``bool``, of at
     least 0: the index of the number sequence ``name``."""
     if not _is_int(k):
-        raise ValueError(f"{name} index {_quoted(k)} is not an integer")
+        raise SizeError(f"{name} index {_quoted(k)} is not an integer")
     if k < 0:
-        raise ValueError(f"{name} is defined for k >= 0")
+        raise SizeError(f"{name} is defined for k >= 0")
 
 
 def catalan(k: int) -> int:
@@ -395,7 +404,7 @@ def enumerate_nc(n: int) -> Iterator[Partition]:
 
     The count is the n-th Catalan number.  The walk is `_nc_walk`, which
     also writes the CLI's ``enumerate nc`` lines without building objects.
-    ``n`` that is not an integer of at least 1 raises ValueError at the
+    ``n`` that is not an integer of at least 1 raises SizeError at the
     first object.
     """
     _require_size(n)

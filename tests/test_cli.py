@@ -1,12 +1,18 @@
 import hashlib
+import io
 import json
+import os
 import random
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from functools import cache
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nclab import cli, enumerate_nc, enumerate_ncl, linked, ncl_count
 from nclab.partitions import _block_text, _nc_walk
@@ -504,6 +510,177 @@ class TestBoundedArgparseEcho:
         assert captured.err.endswith("\n" + last_line + "\n")
 
 
+# (argv, exit code, sha256 over (argv, exit code, stdout, stderr)) of the
+# help texts and of a grid of usage rejections, pinned at 80 columns while
+# argparse still read every command line: the parser built from the grammar
+# table, and the canonical command lines read without it, leave them unchanged
+ARGPARSE_BYTES = [
+    (["-h"], 0, "32f02a2e1cc458c5aba2d513453844aba354f2206f091e6189effde64b3c9ad4"),
+    (["enumerate", "-h"], 0,
+     "c503a7f3cd05f1b379b883de348b5cc1c9dfad5d6728b30a298cb208ddc03e57"),
+    (["map", "-h"], 0, "2ebf32cdb00d37794f9b73546dcb3a02d98c88c0137c7cae1ee6db771033d102"),
+    (["count", "-h"], 0, "39d2d6422f921edb3b31a9bd3f1441da1e162074df101813d487e65d7ceabc00"),
+    (["moments", "-h"], 0,
+     "ee446fad48908fd6c02aca086939a12b5e80aacecb038a9a9cce5821871c25e7"),
+    (["transform", "-h"], 0,
+     "415433f2a2c5985f27213bafc7b0ddc2f0230a1588bf0e1b651cc785b3573540"),
+    (["verify", "--help"], 0,
+     "b93597673e2c22ce2d94ec298e952cfacf249f6afa38540272cda42228069cbd"),
+    ([], 2, "3b5434077c9984d6158409da85903b613439695857c16e57a61b441e17e14a0f"),
+    (["frobnicate", "3"], 2,
+     "f51fef555d6cc51ce37e97ff8928f88c3289aaf60075468091cc25286a496f3f"),
+    (["transform", "--moments", "1,2"], 2,
+     "26aabc8a8ac852b855c7fb9f02c605d23ab11da396f8f0b970c1e483428c6b91"),
+    (["transform", "--moments", "1,2", "--to", "x"], 2,
+     "d96ea3491124325cfdc446ea73717311390f139caefe8a988b6635485de03eb6"),
+    (["verify", "all", "x"], 2,
+     "f999676af4f36efaab7d74a35b9b02aae813af16e9727458ee3a596ce5e71415"),
+    (["--js", "enumerate", "nc", "3"], 2,
+     "677e52b8a17c672e10183f583e306ed915f535fac182ff71c26d53d04cffb1cf"),
+    (["moments", "--sym", "x"], 2,
+     "92e9853f6193dc80c3c7f4b0636df3a84c50fcdb1b77788dbf45bcd372aff2aa"),
+    (["verify", "all", "--n=3"], 2,
+     "1eb31a1ce6ca0c8e7c442007d9be2af758ab8ab431ecbc16d68bca49e894986b"),
+    (["map", "to-pair", "{1}", "--json", "{1}"], 2,
+     "edacf007bf059748356f3245fb9b67f68df0fde6b888eed34fafc075b8138f97"),
+    (["map", "--json", "to-pair"], 2,
+     "8bb0e8ab819333a0697915afb66ddc7163dc1e4303fb8055762fb9fe0f391255"),
+    (["transform", "--to", "s", "--to", "q", "--moments", "1"], 2,
+     "69c56eaaf5898646dde2ad1022cacd1984e0421f484ab2398ac6ca632ad79ffb"),
+    (["verify", "--", "all"], 2,
+     "abfd146d260ea37734476508b66898287f88b0eb4f7a219d7e210e28f31d60ea"),
+    (["count", "nc", "3", "--limit", "5"], 2,
+     "709db3debe6252f07894c334378e8864ad15071dc4ea78a48d70ef21aa996eee"),
+]
+
+
+class TestArgparseBytes:
+    @pytest.mark.parametrize("argv, code, digest", ARGPARSE_BYTES,
+                             ids=[" ".join(argv) or "(none)" for argv, _, _ in ARGPARSE_BYTES])
+    def test_digest(self, capsys, monkeypatch, argv, code, digest):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as exc:
+            cli.main(list(argv))
+        captured = capsys.readouterr()
+        assert exc.value.code == code
+        record = [argv, exc.value.code, captured.out, captured.err]
+        assert hashlib.sha256(json.dumps(record).encode()).hexdigest() == digest
+
+
+@cache
+def _argparse_parser():
+    return cli.build_parser()
+
+
+def _argparse_vars(argv):
+    """vars() of argparse's namespace for ``argv``, or None where it exits."""
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        try:
+            return vars(_argparse_parser().parse_args(argv))
+        except SystemExit:
+            return None
+
+
+def _words(settings):
+    """Values for an argument: its choices or integers, and some it rejects."""
+    if "choices" in settings:
+        return st.sampled_from(settings["choices"] + ["x", ""])
+    if settings.get("type") is int:
+        return st.integers(0, 30).map(str) | st.sampled_from(["x", "1.5", " 3", "\u0663", ""])
+    return st.text("{}0123456789,/ ab=", max_size=8)
+
+
+@st.composite
+def _canonical_argvs(draw):
+    """A command line in the canonical form, drawn from the grammar table."""
+    (limit, limit_settings), = cli._GRAMMAR[None][1]
+    argv = [limit, draw(_words(limit_settings))] if draw(st.booleans()) else []
+    command = draw(st.sampled_from([c for c in cli._GRAMMAR if c is not None]))
+    argv.append(command)
+    arguments = cli._GRAMMAR[command][1]
+    for name, settings in arguments:
+        if not name.startswith("-"):
+            count = draw(st.integers(1, 3)) if settings.get("nargs") == "+" else 1
+            argv += [draw(_words(settings)) for _ in range(count)]
+    options = [arg for arg in arguments if arg[0].startswith("-")]
+    for name, settings in draw(st.permutations(options))[:draw(st.integers(0, len(options)))]:
+        argv.append(name)
+        if settings.get("action") != "store_true":
+            argv.append(draw(_words(settings)))
+    return argv
+
+
+_INSERTED = ["-h", "--help", "--", "-1", "-3/2", "--json", "--limit", "5", "nc", "--bogus", "-x"]
+
+
+@st.composite
+def _perturbed_argvs(draw):
+    """A canonical command line with up to three of the changes that send
+    it to argparse: help, abbreviations, --opt=value, repeated or moved
+    words, negative numbers, "--", --limit after the command, and words
+    inserted or deleted."""
+    argv = draw(_canonical_argvs())
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(argv)))
+        word = argv[at] if at < len(argv) else ""
+        kind = draw(st.sampled_from(["insert", "delete", "abbreviate", "equals", "repeat",
+                                     "negative", "move", "limit-last"]))
+        if kind == "insert":
+            argv.insert(at, draw(st.sampled_from(_INSERTED)))
+        elif kind == "delete" and word:
+            del argv[at]
+        elif kind == "abbreviate" and word.startswith("--") and len(word) > 3:
+            argv[at] = word[:draw(st.integers(3, len(word) - 1))]
+        elif kind == "equals" and word.startswith("--") and at + 1 < len(argv):
+            argv[at:at + 2] = [f"{word}={argv[at + 1]}"]
+        elif kind == "repeat":
+            argv[at:at] = argv[at:at + 2]
+        elif kind == "negative" and word and not word.startswith("-"):
+            argv[at] = "-" + word
+        elif kind == "move" and word:
+            argv.insert(draw(st.integers(0, len(argv) - 1)), argv.pop(at))
+        elif kind == "limit-last" and argv[:1] == ["--limit"]:
+            argv = argv[2:] + argv[:2]
+    return argv
+
+
+class TestFastArgs:
+    # argparse's parser of the grammar is the oracle of the fast parser: it
+    # takes a command line only as argparse reads it, and takes every
+    # canonical one that argparse accepts
+    @settings(max_examples=600, deadline=None)
+    @given(_canonical_argvs(), _perturbed_argvs())
+    def test_argparse_is_the_oracle(self, canonical, perturbed):
+        fast = cli._fast_args(canonical)
+        assert (fast and vars(fast)) == _argparse_vars(canonical)
+        fast = cli._fast_args(perturbed)
+        assert fast is None or vars(fast) == _argparse_vars(perturbed)
+
+    @pytest.mark.parametrize("argv", [
+        ["enumerate", "nc", "3", "--js"], ["moments", "--sym", "3"],
+        ["moments", "--n=3", "--t", "1"], ["count", "nc", "3", "--json", "--json"],
+        ["map", "--json", "to-pair", "{1}"], ["map", "to-pair", "{1}", "--json", "{1}"],
+        ["count", "nc", "-3"], ["enumerate", "--", "nc", "3"],
+        ["count", "nc", "3", "--limit", "5"], ["count", "-h"],
+        ["--limit", "-5", "count", "nc", "3"],
+    ], ids=" ".join)
+    def test_fallback(self, argv):
+        assert cli._fast_args(argv) is None
+
+    @pytest.mark.parametrize("grid", [_transform_grid, _count_grid, _moments_grid, _map_grid,
+                                      _verify_grid], ids=lambda grid: grid.__name__)
+    def test_grid_requests_never_fall_back(self, grid):
+        taken = 0
+        for argv in grid():
+            expected = _argparse_vars(argv)
+            fast = cli._fast_args(argv)
+            if expected is not None:
+                assert fast is not None, argv
+                assert vars(fast) == expected
+                taken += 1
+        assert taken
+
+
 class TestBoundedEcho:
     # a rejected argument is quoted by a bounded prefix and its length, so
     # stderr does not grow with the input
@@ -763,6 +940,19 @@ class TestSubprocess:
             text=True,
         )
         assert proc.returncode == 2
+
+    @pytest.mark.parametrize("argv", [["-h"], ["count", "nc", "3", "--limit", "5"]],
+                             ids=" ".join)
+    def test_argparse_bytes(self, argv):
+        # help and a usage error, in a process that reads canonical command
+        # lines without argparse
+        proc = subprocess.run([sys.executable, "-m", "nclab", *argv], capture_output=True,
+                              text=True, env={**os.environ, "COLUMNS": "80"})
+        code, digest = next((code, digest) for pinned, code, digest in ARGPARSE_BYTES
+                            if pinned == argv)
+        assert proc.returncode == code
+        record = [argv, proc.returncode, proc.stdout, proc.stderr]
+        assert hashlib.sha256(json.dumps(record).encode()).hexdigest() == digest
 
     def test_determinism(self):
         runs = [

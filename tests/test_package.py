@@ -21,7 +21,7 @@ EXPORTS = [
     "BlockClassification", "InvalidLinkedPartitionError", "InvalidPairError",
     "InvalidPartitionError", "LinkedPartition", "MomentSequence", "Monomial",
     "NormalizationError", "ParseError", "Partition", "Permutation", "Polynomial",
-    "TruncatedSeries", "act", "block_cycles", "catalan", "classify_blocks",
+    "SizeError", "TruncatedSeries", "act", "block_cycles", "catalan", "classify_blocks",
     "coloured_count", "count_endpoint_coarsenings", "count_endpoint_refinements",
     "cumulant_poly", "cumulant_product_identity",
     "cumulants_from_moments", "cumulants_from_moments_by_enumeration",
@@ -71,14 +71,17 @@ class TestSurface:
             exec("from nclab import no_such_name", {})
 
 
+ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    [str(SRC)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
+IMPORTED_RE = r"^import time:\s+\d+ \|\s+\d+ \|\s*(\S+)$"
+
+
 def imported(*args: str) -> set[str]:
     """The modules a ``python -X importtime ARGS...`` process imports."""
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [str(SRC)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
     proc = subprocess.run([sys.executable, "-X", "importtime", *args],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True, env=ENV)
     assert "Traceback" not in proc.stderr, proc.stderr
-    return set(re.findall(r"^import time:\s+\d+ \|\s+\d+ \|\s*(\S+)$", proc.stderr, re.M))
+    return set(re.findall(IMPORTED_RE, proc.stderr, re.M))
 
 
 @pytest.fixture(scope="module")
@@ -150,6 +153,35 @@ def test_verify_suites_load_what_they_use(loaded_by, argv):
     assert {"nclab.verify", "nclab.partitions", "nclab.linked"} <= modules
     assert not modules & {"nclab.series", "nclab.polynomials"}
     assert ("json" in modules) == ("--json" in argv)
+
+
+# One successful request per command, in the canonical form that the CLI
+# reads without argparse
+CANONICAL_REQUESTS = [
+    ("enumerate", "nc", "3"),
+    ("map", "from-pair", "{1,3}{2}", "{1,2,3}", "--details", "--json"),
+    ("--limit", "13", "count", "nc", "13"),
+    ("moments", "--t", "1,1/2,3", "--n", "8"),
+    ("transform", "--moments", "1,2,5,14", "--to", "t", "--order", "2"),
+    ("verify", "counts", "2", "--json"),
+]
+ARGPARSE_MODULES = {"argparse", "gettext", "locale"}
+
+
+@pytest.mark.parametrize("argv", CANONICAL_REQUESTS, ids=" ".join)
+def test_canonical_requests_skip_argparse(argv):
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "nclab", *argv],
+                          capture_output=True, text=True, env=ENV)
+    assert proc.returncode == 0, proc.stderr
+    modules = set(re.findall(IMPORTED_RE, proc.stderr, re.M))
+    assert "nclab.cli" in modules
+    assert not modules & ARGPARSE_MODULES
+
+
+def test_cli_import_skips_argparse():
+    modules = imported("-c", "import nclab.cli")
+    assert "nclab.cli" in modules
+    assert not modules & ARGPARSE_MODULES
 
 
 def test_bare_import_loads_no_submodule():

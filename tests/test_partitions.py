@@ -10,6 +10,7 @@ from nclab import (
     ParseError,
     Partition,
     Permutation,
+    SizeError,
     act,
     block_cycles,
     catalan,
@@ -24,7 +25,11 @@ from nclab import (
     is_noncrossing,
     make_partition,
     make_permutation,
+    moment_poly,
+    moments_from_t,
+    ncl_count,
     refines,
+    schroder,
 )
 from helpers import (
     all_set_partitions,
@@ -213,6 +218,27 @@ class TestTypedErrors:
         with pytest.raises(InvalidPairError) as exc:
             call(discrete(2), full(3))
         assert str(exc.value) == "ground sets differ (2 vs 3 elements)"
+
+    # the size and index checks raise one class, a ValueError, with their
+    # messages unchanged; a size inside a block family keeps the family's class
+    @pytest.mark.parametrize("call, message", [
+        (lambda: next(enumerate_nc(0)), "ground-set size must be at least 1"),
+        (lambda: ncl_count("3"), "ground-set size '3' is not an integer"),
+        (lambda: catalan(-1), "catalan is defined for k >= 0"),
+        (lambda: schroder(True), "schroder index True is not an integer"),
+        (lambda: moment_poly(0), "n must be at least 1"),
+        (lambda: moments_from_t([1], 1.0), "n_max must be an integer, got 1.0"),
+    ])
+    def test_size_and_index_errors(self, call, message):
+        with pytest.raises(SizeError) as exc:
+            call()
+        assert type(exc.value) is SizeError
+        assert issubclass(SizeError, ValueError)
+        assert str(exc.value) == message
+
+    def test_family_size_keeps_its_class(self):
+        with pytest.raises(InvalidPartitionError, match="ground-set size must be at least 1"):
+            make_partition(0, [])
 
     def test_both_are_value_errors(self):
         assert issubclass(InvalidPartitionError, ValueError)
