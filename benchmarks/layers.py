@@ -6,9 +6,11 @@ Each layer is a setup and a timed expression.  One run of a layer is a
 fresh interpreter with DIR/src first on its path: it does the setup, then
 times the expression with `time.perf_counter`.  The runs of the checkouts
 alternate, and each layer keeps the median of REPS runs per checkout.  A
-layer that a checkout cannot run (a name it does not have) is recorded as
-null for it, and one whose run takes more than BUDGET_S seconds as over
-the budget, after that one run.
+layer that a checkout cannot run (a name its setup uses that the checkout
+does not have) is recorded as null for it; one whose run takes more than
+BUDGET_S seconds as over the budget, and one whose run exits non-zero as
+an error with the last line of its stderr, each after that one run.  DIR
+is the checkout's root, not its `src/`.
 
 Writes BENCH_<label>.json in the current directory, or extends it: the
 `layers` section gets one entry per checkout named by --src NAME (the
@@ -269,17 +271,22 @@ print(json.dumps([elapsed, result]), file=sys.__stdout__)
 # the budget, and that checkout's later runs of the layer are skipped: the
 # Fraction-arithmetic transforms of older checkouts take minutes at depth 200.
 BUDGET_S = 60
-OVER_BUDGET = "over budget"
 
 
-def run_layer(checkout: Path, setup: str, expression: str) -> list | str | None:
+def run_layer(checkout: Path, setup: str, expression: str) -> list | dict | None:
+    """One run of a layer: [elapsed, result]; None where the checkout
+    lacks a name the setup uses; or a dict that ends the layer's runs on
+    this checkout: over the budget, or the error of a child that failed."""
     indented = "".join(f"    {line}\n" for line in setup.splitlines())
     code = RUN.format(src=str(checkout / "src"), setup=indented, expression=expression)
     try:
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                              check=True, timeout=BUDGET_S)
+                              timeout=BUDGET_S)
     except subprocess.TimeoutExpired:
-        return OVER_BUDGET
+        return {"over_budget_s": BUDGET_S}
+    if proc.returncode != 0:
+        last = (proc.stderr.strip().splitlines() or [""])[-1]
+        return {"error": f"exit {proc.returncode}: {last}"}
     return json.loads(proc.stdout.splitlines()[-1])
 
 
@@ -297,12 +304,15 @@ def main() -> int:
     parser.add_argument("--reps", type=int, default=5)
     args = parser.parse_args()
     sides = dict(args.src)
+    for checkout in sides.values():
+        if not (checkout / "src" / "nclab").is_dir():
+            sys.exit(f"error: --src {checkout} has no src/nclab; give the checkout root")
     runs: dict[str, dict[str, list]] = {side: {name: [] for name in LAYERS} for side in sides}
     for rep in range(args.reps):
         order = list(sides) if rep % 2 == 0 else list(sides)[::-1]
         for name, (setup, expression) in LAYERS.items():
             for side in order:
-                if OVER_BUDGET not in runs[side][name]:
+                if not any(isinstance(got, dict) for got in runs[side][name]):
                     runs[side][name].append(run_layer(sides[side], setup, expression))
     out_path = Path(f"BENCH_{args.label}.json")
     data = json.loads(out_path.read_text()) if out_path.is_file() else {"label": args.label}
@@ -320,8 +330,8 @@ def main() -> int:
             if any(g is None for g in got):
                 results[name] = None
                 continue
-            if OVER_BUDGET in got:
-                results[name] = {"over_budget_s": BUDGET_S}
+            if isinstance(got[-1], dict):  # over the budget, or an error
+                results[name] = got[-1]
                 continue
             values = [elapsed for elapsed, _ in got]
             results[name] = {"median_s": statistics.median(values), "values": values,

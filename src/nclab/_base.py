@@ -1,11 +1,13 @@
 """Pieces shared by modules that must not load one another: the bound on
 integers read from text, the integer test and the check of a size, the
 bounded quoting of rejected input for diagnostics, the bases of the
-record classes, `SizeError`, which the checks of a size or an index
-raise, and `NormalizationError`, which `series` raises and the CLI maps
-to its own exit code without loading `series`.  It imports only
-`operator`, which `re` has already loaded at start-up, so any module can
-use it without slowing its own import."""
+record classes, and the library's error classes: `SizeError`, which the
+checks of a size or an index raise, the classes that `partitions` and
+`linked` raise for rejected input, and `NormalizationError`, which
+`series` raises.  The CLI maps each to its exit code without loading the
+module that raises it.  It imports only `operator`, which `re` has
+already loaded at start-up, so any module can use it without slowing its
+own import."""
 
 from __future__ import annotations
 
@@ -23,6 +25,25 @@ class NormalizationError(ValueError):
 class SizeError(ValueError):
     """A size or an index given to the library is not an integer, or is
     below its least value."""
+
+
+class InvalidPartitionError(ValueError):
+    """A block family does not form a valid partition, or a partition
+    given where a non-crossing one is required is crossing."""
+
+
+class ParseError(ValueError):
+    """A textual or JSON encoding could not be read."""
+
+
+class InvalidPairError(ValueError):
+    """A pair (a, b) of partitions on different ground sets, or one where a
+    does not endpoint-refine b given to a map that requires it:
+    `classify_blocks` or `linked.from_pair`."""
+
+
+class InvalidLinkedPartitionError(ValueError):
+    """A block family does not form a valid non-crossing linked partition."""
 
 
 def _is_int(x: object) -> bool:

@@ -27,7 +27,7 @@ from functools import cache
 from itertools import islice
 from typing import Iterable, Iterator
 
-from ._base import _clipped, _int_text
+from ._base import InvalidLinkedPartitionError, _clipped, _int_text
 from .partitions import (
     BlockFamily,
     InvalidPairError,  # raised by from_pair, and importable from here
@@ -50,10 +50,6 @@ from .partitions import (
     enumerate_nc,
     parse_blocks_text,
 )
-
-
-class InvalidLinkedPartitionError(ValueError):
-    """A block family does not form a valid non-crossing linked partition."""
 
 
 class LinkedPartition(BlockFamily):

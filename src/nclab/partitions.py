@@ -26,6 +26,9 @@ from typing import Any, Callable, Collection, Iterable, Iterator, Sequence
 from ._base import (
     MAX_DIGITS,
     Frozen,
+    InvalidPairError,
+    InvalidPartitionError,
+    ParseError,
     SizeError,
     _clipped,
     _int_text,
@@ -33,21 +36,6 @@ from ._base import (
     _quoted,
     _set_field,
 )
-
-
-class InvalidPartitionError(ValueError):
-    """A block family does not form a valid partition, or a partition
-    given where a non-crossing one is required is crossing."""
-
-
-class ParseError(ValueError):
-    """A textual or JSON encoding could not be read."""
-
-
-class InvalidPairError(ValueError):
-    """A pair (a, b) of partitions on different ground sets, or one where a
-    does not endpoint-refine b given to a map that requires it:
-    `classify_blocks` or `linked.from_pair`."""
 
 
 _TEXT_RE = re.compile(r"(?:\{\d+(?:,\d+)*\})+\Z")

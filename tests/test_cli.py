@@ -963,3 +963,113 @@ class TestSubprocess:
             for _ in range(2)
         ]
         assert runs[0] == runs[1]
+
+
+# exit code, stdout and stderr of requests that exit 0, 2, 3 and 4
+EXIT_BYTES = [
+    (["count", "ncl", "4"], 0, "22\n", ""),
+    (["map", "to-pair", PI_TEXT, "--details"], 0,
+     "unlinking: {1,2,4}{3}{5,6}{7}{8,9,11}{10}\n"
+     "permutation: (1,2,3,4,5,6,7)(8,9,10,11)\n"
+     f"alpha: {ALPHA_TEXT}\nbeta: {BETA_TEXT}\n", ""),
+    (["enumerate", "nc", "0"], 2, "", "error: n must be at least 1\n"),
+    (["map", "from-pair", "{1,2}{3}", "{1,3}{2}"], 3, "",
+     "error: {1,2}{3} does not endpoint-refine {1,3}{2}\n"),
+    (["count", "below-ll", "{1,3}{2,4}"], 3, "",
+     "error: input partition {1,3}{2,4} is crossing\n"),
+    (["moments", "--t", "2", "--n", "3"], 4, "", "error: t_0 must be 1\n"),
+    (["transform", "--moments", "2,1", "--to", "t", "--json"], 4, "",
+     "error: first moment must be 1, got 2\n"),
+]
+
+
+# A process that runs `cli.run` the way ``python -m nclab`` does, after
+# SETUP has had its way with the library.
+RUN_AFTER = """
+import sys
+from nclab import cli
+{setup}
+sys.argv = ["nclab", *{argv!r}]
+cli.run()
+"""
+
+
+def nclab_process(*argv, setup="", **kwargs):
+    return subprocess.run([sys.executable, "-c", RUN_AFTER.format(setup=setup, argv=argv)],
+                          capture_output=True, **kwargs)
+
+
+class TestProcessExit:
+    """`cli.run` ends the process with `os._exit`: what it writes and the
+    code it exits with, seen from outside the process."""
+
+    @pytest.mark.parametrize("module", ["nclab", "nclab.cli"])
+    def test_entry_points_skip_teardown(self, module):
+        # an atexit handler is part of the teardown that `run` skips
+        script = ("import atexit, runpy, sys\n"
+                  "atexit.register(print, 'teardown ran', file=sys.stderr)\n"
+                  "sys.argv = ['nclab', 'count', 'ncl', '4']\n"
+                  f"runpy.run_module({module!r}, run_name='__main__', alter_sys=True)\n")
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"22\n", b"")
+
+    def test_enumerate_through_a_pipe_is_complete(self):
+        proc = subprocess.run([sys.executable, "-m", "nclab", "enumerate", "nc", "10"],
+                              capture_output=True)
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        lines = proc.stdout.splitlines()
+        assert len(lines) == 16796 + 1 and lines[-1] == b"count=16796"
+        assert hashlib.sha256(proc.stdout).hexdigest() == \
+            "b96bcb4bb9779fced4fb33c30962ea8cb08d0a5be397b75473378a3a186e70bf"
+
+    @pytest.mark.parametrize("argv, code, out, err", EXIT_BYTES,
+                             ids=[" ".join(argv) for argv, *_ in EXIT_BYTES])
+    def test_pinned_bytes(self, capsys, argv, code, out, err):
+        proc = subprocess.run([sys.executable, "-m", "nclab", *argv], capture_output=True,
+                              text=True)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
+        assert run_cli(capsys, *argv) == (code, out, err)
+
+    def test_verification_failure_exits_1(self):
+        proc = nclab_process("verify", "moments", "2", text=True, setup=(
+            "from nclab import verify\nverify.LOW_ORDER_MOMENT_TEXTS[2] = 't1 + 2'"))
+        assert (proc.returncode, proc.stderr) == (1, "")
+        assert "FAIL moments." in proc.stdout
+
+    @pytest.mark.parametrize("error", ["TypeError", "ValueError"])
+    def test_fault_exits_70_with_its_traceback(self, error):
+        # a plain ValueError is not one of the library's domain errors
+        proc = nclab_process("count", "nc", "3", text=True, setup=(
+            f"def handler(args, limit):\n    raise {error}('injected')\n"
+            "cli._DISPATCH['count'] = handler"))
+        assert (proc.returncode, proc.stdout) == (70, "")
+        assert proc.stderr.startswith("Traceback (most recent call last):\n")
+        assert proc.stderr.endswith(f"{error}: injected\n")
+
+    def test_main_raises_a_fault(self, monkeypatch):
+        def handler(args, limit):
+            raise ValueError("injected")
+
+        monkeypatch.setitem(cli._DISPATCH, "count", handler)
+        with pytest.raises(ValueError, match="injected"):
+            cli.main(["count", "nc", "3"])
+
+    def test_stdout_closed_mid_stream(self):
+        with subprocess.Popen([sys.executable, "-m", "nclab", "enumerate", "nc", "12"],
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+            first = proc.stdout.readline()
+            proc.stdout.close()  # the rest, megabytes, cannot fit the pipe's buffer
+            code = proc.wait(timeout=60)
+            err = proc.stderr.read()
+        assert first == b"{1}{2}{3}{4}{5}{6}{7}{8}{9}{10}{11}{12}\n"
+        assert (code, err) == (141, b"")
+
+    def test_stdout_closed_before_a_short_write(self):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run([sys.executable, "-m", "nclab", "count", "nc", "5"],
+                                  stdout=write_end, stderr=subprocess.PIPE, timeout=60)
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (141, b"")
