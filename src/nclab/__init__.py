@@ -12,7 +12,6 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "partitions": (
-        "BlockClassification",
         "InvalidPairError",
         "InvalidPartitionError",
         "ParseError",
@@ -66,7 +65,6 @@ _EXPORTS = {
         "t_transform",
     ),
     "polynomials": (
-        "Monomial",
         "Polynomial",
         "cumulant_poly",
         "cumulant_product_identity",

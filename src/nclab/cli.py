@@ -228,11 +228,16 @@ def build_parser() -> argparse.ArgumentParser:
     class _ArgumentParser(argparse.ArgumentParser):
         """argparse quotes a rejected argument whole; a message longer than
         _MAX_MESSAGE characters is cut to that prefix plus its length, so
-        that stderr does not grow with the input.  Subparsers use the same
+        that stderr does not grow with the input.  The help is written
+        without argparse's `_print_message`, which ignores a failed write,
+        so that a closed stdout reaches `run`.  Subparsers use the same
         class."""
 
         def error(self, message: str):
             super().error(_clipped(message, _MAX_MESSAGE))
+
+        def print_help(self, file=None) -> None:
+            (file or sys.stdout).write(self.format_help())
 
     description, options = _GRAMMAR[None]
     parser = _ArgumentParser(prog="nclab", description=description)
@@ -511,7 +516,10 @@ def main(argv: list[str] | None = None) -> int:
         code, message = EXIT_NORMALIZATION, exc
     except _DOMAIN_ERRORS as exc:
         code, message = EXIT_DOMAIN, exc
-    print(f"error: {message}", file=sys.stderr)
+    try:
+        print(f"error: {message}", file=sys.stderr)
+    except OSError:  # a closed stderr loses the line, not the exit code
+        pass
     return code
 
 
@@ -522,8 +530,9 @@ def run() -> NoReturn:
     flushes are all that teardown does for nclab, which registers no
     `atexit` handler, starts no thread and writes only stdout and stderr.
     A closed stdout exits 141 with nothing on stderr; an exception that
-    escapes `main` prints its traceback and exits 70.  Code that embeds
-    the CLI calls `main`, which returns."""
+    escapes `main` prints its traceback and exits 70.  A closed stderr
+    leaves the exit code as it is.  Code that embeds the CLI calls
+    `main`, which returns."""
     try:
         code = main()
     except SystemExit as exc:  # argparse, after help or a usage error
@@ -533,13 +542,19 @@ def run() -> NoReturn:
     except Exception:
         import traceback
 
-        traceback.print_exc()
         code = EXIT_FAULT
+        try:
+            traceback.print_exc()
+        except OSError:
+            pass
     try:
         sys.stdout.flush()
-        sys.stderr.flush()
     except BrokenPipeError:
         code = EXIT_BROKEN_PIPE
+    try:
+        sys.stderr.flush()
+    except OSError:
+        pass
     os._exit(code)
 
 

@@ -319,33 +319,23 @@ def _pair_error(a: Partition, b: Partition, fault: tuple[int, ...] = ()) -> Inva
     return InvalidPairError(f"{_clipped(a)} does not endpoint-refine {_clipped(b)}")
 
 
-class BlockClassification(Frozen):
-    """Classification of the blocks of a fine partition against a coarse one.
-
-    Indices are 0-based positions into the fine partition's block sequence.
-    ``special`` blocks share both endpoints with a block of the coarse
-    partition; ``inner``/``outer`` depend on the fine partition alone.
-    Every outer block is special, and there is exactly one special block
-    per coarse block.
-    """
-
-    _fields = ("special", "inner", "outer")
-
-    def __init__(self, special: frozenset[int], inner: frozenset[int],
-                 outer: frozenset[int]) -> None:
-        _set_field(self, "special", special)
-        _set_field(self, "inner", inner)
-        _set_field(self, "outer", outer)
-
-
-def classify_blocks(a: Partition, b: Partition) -> BlockClassification:
-    """Classify the blocks of ``a`` relative to ``b``; requires
+def classify_blocks(a: Partition, b: Partition) -> frozenset[int]:
+    """The 0-based indices of the blocks of ``a`` special for ``b``, one
+    per block of ``b`` and every outer block of ``a`` among them (see
+    `Partition.inner_indices` and `outer_indices`); requires
     ``endpoint_refines(a, b)``, else raises `InvalidPairError`."""
     if _endpoint_fault(a, b) is not None:
         raise _pair_error(a, b)
+    return frozenset(_special_blocks(a, b))
+
+
+def _special_blocks(a: Partition, b: Partition) -> set[int]:
+    """The indices of the blocks of ``a`` that hold the least element of a
+    block of ``b``: the blocks special for ``b`` when ``endpoint_refines(a,
+    b)``.  Unchecked: the pair routes take ``a`` from
+    `endpoint_refinements(b)`, and `classify_blocks` checks first."""
     ao = a._block_of
-    special = frozenset(ao[w[0]] for w in b.blocks)
-    return BlockClassification(special, a.inner_indices, a.outer_indices)
+    return {ao[w[0]] for w in b.blocks}
 
 
 def endpoint_floor(b: Partition) -> Partition:

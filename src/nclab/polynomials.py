@@ -1,7 +1,9 @@
 """Sparse integer polynomials in the coefficient variables t1, t2, ...
 
 The variable t0 is never materialized: it is the constant 1 everywhere.
-Terms are kept in a fixed order (total weight sum(i * e_i) descending,
+A monomial is its exponents: a tuple of (index, exponent) pairs, indices
+>= 1 ascending and exponents positive, with ``()`` for 1.  A polynomial's
+terms are kept in a fixed order (total weight sum(i * e_i) descending,
 then lexicographic with higher indices first), which reproduces the
 conventional way these moment polynomials are written, e.g.
 
@@ -24,7 +26,7 @@ from collections import Counter
 from functools import cached_property
 from math import comb, factorial
 from threading import Lock
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Container, Iterable, Iterator, Mapping, Sequence
 
 from ._base import Frozen, _require_positive, _set_field
 
@@ -34,50 +36,8 @@ if TYPE_CHECKING:
     from .partitions import Partition
 
 
-class Monomial(Frozen):
-    """A product of powers of t-variables, stored sparsely.
-
-    ``exps`` holds (index, exponent) pairs with indices >= 1 ascending and
-    exponents positive.
-    """
-
-    _fields = ("exps",)
-
-    def __init__(self, exps: tuple[tuple[int, int], ...]) -> None:
-        _set_field(self, "exps", exps)
-
-    @classmethod
-    def of(cls, mapping: Mapping[int, int]) -> Monomial:
-        items = []
-        for i, e in sorted(mapping.items()):
-            if e == 0:
-                continue
-            if i < 1 or e < 0:
-                raise ValueError(f"bad variable power t{i}^{e}")
-            items.append((i, e))
-        return cls(tuple(items))
-
-    @property
-    def weight(self) -> int:
-        return sum(i * e for i, e in self.exps)
-
-    def __mul__(self, other: Monomial) -> Monomial:
-        return Monomial(_mono_product(self.exps, other.exps))
-
-    def __str__(self) -> str:
-        if not self.exps:
-            return "1"
-        return "*".join(
-            f"t{i}" if e == 1 else f"t{i}^{e}"
-            for i, e in sorted(self.exps, reverse=True)
-        )
-
-    def __repr__(self) -> str:
-        return f"Monomial({str(self)!r})"
-
-
 def _mono_product(a: tuple, b: tuple) -> tuple:
-    """The `Monomial.exps` of the product of two monomials given by theirs."""
+    """The exponents of the product of two monomials given by theirs."""
     if not (a and b):
         return a or b
     merged = dict(a)
@@ -87,7 +47,7 @@ def _mono_product(a: tuple, b: tuple) -> tuple:
 
 
 class _Terms(dict):
-    """A polynomial while it is summed, `Monomial.exps` -> coefficient; adds
+    """A polynomial while it is summed, exponents -> coefficient; adds
     and multiplies with ints too, as `partitions._nc_weight_sums` needs."""
 
     def __add__(self, other: _Terms | int) -> _Terms:
@@ -114,31 +74,38 @@ def _as_terms(x: _Terms | int) -> _Terms:
     return x if isinstance(x, _Terms) else _Terms({(): x} if x else {})
 
 
-def _mono_from_sizes(indices: Iterable[int]) -> Monomial:
+def _mono_from_sizes(indices: Iterable[int]) -> tuple:
     counts: dict[int, int] = {}
     for i in indices:
         if i >= 1:  # index 0 is the constant 1
             counts[i] = counts.get(i, 0) + 1
-    return Monomial(tuple(sorted(counts.items())))
+    return tuple(sorted(counts.items()))
+
+
+def _mono_text(exps: tuple) -> str:
+    """A monomial other than 1 as it is printed, highest index first:
+    ``t2*t1^3``."""
+    return "*".join(f"t{i}" if e == 1 else f"t{i}^{e}" for i, e in reversed(exps))
 
 
 class Polynomial(Frozen):
-    """Integer-coefficient polynomial in t1, t2, ...; terms canonical."""
+    """Integer-coefficient polynomial in t1, t2, ...: ``terms`` holds
+    (exponents, coefficient) pairs, nonzero and in canonical order."""
 
     _fields = ("terms",)
 
-    def __init__(self, terms: tuple[tuple[Monomial, int], ...]) -> None:
+    def __init__(self, terms: tuple[tuple[tuple, int], ...]) -> None:
         _set_field(self, "terms", terms)
 
     @classmethod
     def _of(cls, terms: Mapping[tuple, int]) -> Polynomial:
-        """The polynomial of the nonzero ``terms``, keyed by `Monomial.exps`."""
+        """The polynomial of the nonzero ``terms``, keyed by exponents."""
         items = sorted((mc for mc in terms.items() if mc[1]), reverse=True, key=lambda mc: (
             sum(i * e for i, e in mc[0]), sorted(mc[0], reverse=True)))
-        return cls(tuple((Monomial(exps), c) for exps, c in items))
+        return cls(tuple(items))
 
     def _terms(self) -> _Terms:
-        return _Terms({mono.exps: c for mono, c in self.terms})
+        return _Terms(self.terms)
 
     @classmethod
     def constant(cls, c: int) -> Polynomial:
@@ -150,7 +117,9 @@ class Polynomial(Frozen):
 
     @classmethod
     def variable(cls, i: int) -> Polynomial:
-        return cls._of({Monomial.of({i: 1}).exps if i else (): 1})
+        if i < 0:
+            raise ValueError(f"bad variable power t{i}^1")
+        return cls._of({((i, 1),) if i else (): 1})
 
     def __add__(self, other: Polynomial) -> Polynomial:
         return Polynomial._of(self._terms() + other._terms())
@@ -162,9 +131,9 @@ class Polynomial(Frozen):
     def _graded_terms(self) -> tuple[int, tuple]:
         """The top degree D and, per term, its exponents, its coefficient
         and D less its degree."""
-        degrees = [sum(e for _, e in mono.exps) for mono, _ in self.terms]
+        degrees = [sum(e for _, e in exps) for exps, _ in self.terms]
         top = max(degrees, default=0)
-        return top, tuple((mono.exps, c, top - g) for (mono, c), g in zip(self.terms, degrees))
+        return top, tuple((exps, c, top - g) for (exps, c), g in zip(self.terms, degrees))
 
     def evaluate(self, t: Sequence) -> Fraction:
         """Substitute t[i] for ti (t[0] is unused; indices must exist).  With
@@ -192,15 +161,15 @@ class Polynomial(Frozen):
         if not self.terms:
             return "0"
         parts = []
-        for idx, (mono, c) in enumerate(self.terms):
+        for idx, (exps, c) in enumerate(self.terms):
             sign = "-" if c < 0 else "+"
             mag = abs(c)
-            if not mono.exps:
+            if not exps:
                 body = str(mag)
             elif mag == 1:
-                body = str(mono)
+                body = _mono_text(exps)
             else:
-                body = f"{mag}*{mono}"
+                body = f"{mag}*{_mono_text(exps)}"
             if idx == 0:
                 parts.append(body if c > 0 else f"-{body}")
             else:
@@ -212,9 +181,9 @@ class Polynomial(Frozen):
             "terms": [
                 {
                     "coeff": str(c),
-                    "monomial": {str(i): e for i, e in sorted(m.exps, reverse=True)},
+                    "monomial": {str(i): e for i, e in reversed(exps)},
                 }
-                for m, c in self.terms
+                for exps, c in self.terms
             ]
         }
 
@@ -225,18 +194,17 @@ class Polynomial(Frozen):
         return f"Polynomial({self.to_text()!r})"
 
 
-def _tally(monomials: Iterable[Monomial]) -> Polynomial:
+def _tally(monomials: Iterable[tuple]) -> Polynomial:
     """The sum of the given monomials, each with coefficient 1."""
-    return Polynomial._of(Counter(mono.exps for mono in monomials))
+    return Polynomial._of(Counter(monomials))
 
 
-def _pair_monomial(a: Partition, b: Partition) -> Monomial:
-    """The monomial of an endpoint-refinement pair: t_{|U|-1} over the
-    blocks U of ``a`` special for ``b`` (holding the minimum of a block of
-    ``b``), t_{|V|} over the others.  The pair is not re-checked: both
-    callers take ``a`` from `endpoint_refinements(b)`."""
-    ao = a._block_of
-    special = {ao[w[0]] for w in b.blocks}
+def _pair_monomial(a: Partition, special: Container[int]) -> tuple:
+    """The monomial of an endpoint-refinement pair (a, b): t_{|U|-1} over
+    the blocks U of ``a`` special for ``b``, whose indices ``special`` are,
+    t_{|V|} over the others.  Both callers take ``a`` from
+    `endpoint_refinements(b)` and ``special`` from
+    `partitions._special_blocks(a, b)`, so the pair is not re-checked."""
     return _mono_from_sizes(
         len(blk) - 1 if i in special else len(blk)
         for i, blk in enumerate(a.blocks)
@@ -317,10 +285,11 @@ def moment_poly_pairs(n: int) -> Polynomial:
     """Moment polynomial as the sum over endpoint-refinement pairs (a, b) of
     t_{|U|-1} over special blocks U times t_{|V|} over the rest."""
     _require_positive(n, "n")
-    from .partitions import endpoint_refinements, enumerate_nc
+    from .partitions import _special_blocks, endpoint_refinements, enumerate_nc
 
     return _tally(
-        _pair_monomial(a, b) for b in enumerate_nc(n) for a in endpoint_refinements(b)
+        _pair_monomial(a, _special_blocks(a, b))
+        for b in enumerate_nc(n) for a in endpoint_refinements(b)
     )
 
 
@@ -359,10 +328,11 @@ def cumulant_product_identity(b: Partition) -> bool:
     """Check, for one non-crossing partition, that the product of its
     per-block cumulant polynomials equals the classified sum over its
     endpoint refinements."""
-    from .partitions import _require_noncrossing, endpoint_refinements
+    from .partitions import _require_noncrossing, _special_blocks, endpoint_refinements
 
     _require_noncrossing(b, "input")
     lhs = Polynomial.one()
     for w in b.blocks:
         lhs = lhs * cumulant_poly(len(w))
-    return lhs == _tally(_pair_monomial(a, b) for a in endpoint_refinements(b))
+    return lhs == _tally(_pair_monomial(a, _special_blocks(a, b))
+                         for a in endpoint_refinements(b))

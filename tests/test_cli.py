@@ -994,6 +994,23 @@ cli.run()
 """
 
 
+# Requests run with stdout or stderr closed, and the code each exits with:
+# a closed stdout is 141, help included, and a closed stderr leaves the
+# command's own code.
+FAULT_SETUP = "def handler(args, limit):\n    raise TypeError('injected')\n" \
+    "cli._DISPATCH['count'] = handler"
+CLOSED_PIPES = [
+    ("stdout", ["-h"], "", 141),
+    ("stdout", ["count", "-h"], "", 141),
+    ("stdout", ["count", "nc", "5"], "", 141),
+    ("stderr", ["count", "nc"], "", 2),
+    ("stderr", ["count", "nc", "13"], "", 2),
+    ("stderr", ["map", "from-pair", "{1,2}", "{1}{2}"], "", 3),
+    ("stderr", ["moments", "--t", "2", "--n", "3"], "", 4),
+    ("stderr", ["count", "nc", "3"], FAULT_SETUP, 70),
+]
+
+
 def nclab_process(*argv, setup="", **kwargs):
     return subprocess.run([sys.executable, "-c", RUN_AFTER.format(setup=setup, argv=argv)],
                           capture_output=True, **kwargs)
@@ -1073,3 +1090,24 @@ class TestProcessExit:
         finally:
             os.close(write_end)
         assert (proc.returncode, proc.stderr) == (141, b"")
+
+    @pytest.mark.parametrize("unbuffered", [None, "1"], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("closed, argv, setup, code", CLOSED_PIPES, ids=[
+        f"{closed} {' '.join(argv)}{' fault' if setup else ''}"
+        for closed, argv, setup, _ in CLOSED_PIPES])
+    def test_closed_pipe(self, monkeypatch, unbuffered, closed, argv, setup, code):
+        # the pipe's read end is closed before the process starts
+        if unbuffered:
+            monkeypatch.setenv("PYTHONUNBUFFERED", unbuffered)
+        else:
+            monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
+        other = "stderr" if closed == "stdout" else "stdout"
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-c", RUN_AFTER.format(setup=setup, argv=argv)],
+                **{closed: write_end, other: subprocess.PIPE}, timeout=60)
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, getattr(proc, other)) == (code, b"")

@@ -18,8 +18,8 @@ import nclab
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 EXPORTS = [
-    "BlockClassification", "InvalidLinkedPartitionError", "InvalidPairError",
-    "InvalidPartitionError", "LinkedPartition", "MomentSequence", "Monomial",
+    "InvalidLinkedPartitionError", "InvalidPairError",
+    "InvalidPartitionError", "LinkedPartition", "MomentSequence",
     "NormalizationError", "ParseError", "Partition", "Permutation", "Polynomial",
     "SizeError", "TruncatedSeries", "act", "block_cycles", "catalan", "classify_blocks",
     "coloured_count", "count_endpoint_coarsenings", "count_endpoint_refinements",

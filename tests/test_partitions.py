@@ -289,23 +289,21 @@ class TestEndpointRefines:
 
 class TestClassifyBlocks:
     def test_worked_example(self):
-        cls = classify_blocks(ALPHA_11, BETA_11)
         blocks = ALPHA_11.blocks
-        assert {blocks[i] for i in cls.special} == {(1, 3, 7), (8, 10, 11)}
-        assert {blocks[i] for i in cls.outer} == {(1, 3, 7), (8, 10, 11)}
-        assert {blocks[i] for i in cls.inner} == {(2,), (4, 5), (6,), (9,)}
+        special = classify_blocks(ALPHA_11, BETA_11)
+        assert {blocks[i] for i in special} == {(1, 3, 7), (8, 10, 11)}
+        assert {blocks[i] for i in ALPHA_11.outer_indices} == {(1, 3, 7), (8, 10, 11)}
+        assert {blocks[i] for i in ALPHA_11.inner_indices} == {(2,), (4, 5), (6,), (9,)}
 
     def test_self_pair_all_special(self):
         for a in nc(4):
-            cls = classify_blocks(a, a)
-            assert cls.special == frozenset(range(len(a.blocks)))
+            assert classify_blocks(a, a) == frozenset(range(len(a.blocks)))
 
     def test_nested_doubleton(self):
         a = make_partition(4, [[1, 4], [2, 3]])
-        cls = classify_blocks(a, full(4))
-        assert {a.blocks[i] for i in cls.special} == {(1, 4)}
-        assert {a.blocks[i] for i in cls.outer} == {(1, 4)}
-        assert {a.blocks[i] for i in cls.inner} == {(2, 3)}
+        assert {a.blocks[i] for i in classify_blocks(a, full(4))} == {(1, 4)}
+        assert {a.blocks[i] for i in a.outer_indices} == {(1, 4)}
+        assert {a.blocks[i] for i in a.inner_indices} == {(2, 3)}
 
     def test_precondition_enforced(self):
         with pytest.raises(ValueError, match="does not endpoint-refine"):
@@ -326,11 +324,11 @@ class TestClassifyBlocks:
         for n in range(1, 7):
             for b in nc(n):
                 for a in endpoint_refinements(b):
-                    cls = classify_blocks(a, b)
-                    assert len(cls.special) == len(b.blocks)
-                    assert cls.outer <= cls.special
-                    assert cls.inner | cls.outer == frozenset(range(len(a.blocks)))
-                    assert not (cls.inner & cls.outer)
+                    special = classify_blocks(a, b)
+                    assert len(special) == len(b.blocks)
+                    assert a.outer_indices <= special
+                    assert a.inner_indices | a.outer_indices == frozenset(range(len(a.blocks)))
+                    assert not (a.inner_indices & a.outer_indices)
 
 
 class TestEndpointFloor:
@@ -507,7 +505,7 @@ class TestEndpointCoarsenings:
         for n in range(1, 7):
             for a in nc(n):
                 for b, special in endpoint_coarsenings(a):
-                    assert classify_blocks(a, b).special == special
+                    assert classify_blocks(a, b) == special
 
     def test_worked_example_count(self):
         assert count_endpoint_coarsenings(ALPHA_11) == 16

@@ -1,9 +1,14 @@
 """Checks on the library source itself."""
 
 import ast
+import re
 from pathlib import Path
 
+import nclab
+from nclab._base import Frozen
+
 SRC = Path(__file__).resolve().parent.parent / "src" / "nclab"
+README = SRC.parent.parent / "README.md"
 
 
 def test_no_assert_statements():
@@ -64,6 +69,9 @@ UNCALLED = {
     "partitions.py:Partition.from_text": "reads back what to_text writes",
     "partitions.py:Partition.from_json_dict": "reads back what to_json_dict writes",
     "partitions.py:Permutation.from_json_dict": "reads back what to_json_dict writes",
+    "partitions.py:classify_blocks":
+        "the checked reading of a pair's special blocks; the pair routes, which "
+        "take their pairs from endpoint_refinements, read the unchecked _special_blocks",
     "partitions.py:endpoint_floor": "the bottom of a << interval",
     "partitions.py:is_noncrossing":
         "the public test for NC(n); library code reads the cached _noncrossing",
@@ -150,3 +158,13 @@ def test_no_module_table_lookups():
                     and any(alias.name == "modules" for alias in node.names)):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def test_readme_lists_the_value_classes():
+    # README's list of record classes is the exported `_base.Frozen` subclasses
+    match = re.search(r"The value classes \(([^)]*)\) are records", README.read_text())
+    assert match, "README has no value-class sentence"
+    exported = {name for name in nclab.__all__
+                if isinstance(getattr(nclab, name), type)
+                and issubclass(getattr(nclab, name), Frozen)}
+    assert set(re.findall(r"`(\w+)`", match.group(1))) == exported

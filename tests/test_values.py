@@ -10,10 +10,8 @@ from fractions import Fraction
 import pytest
 
 from nclab import (
-    BlockClassification,
     LinkedPartition,
     MomentSequence,
-    Monomial,
     NormalizationError,
     Partition,
     Permutation,
@@ -21,7 +19,6 @@ from nclab import (
     TruncatedSeries,
     act,
     block_cycles,
-    classify_blocks,
     endpoint_coarsenings,
     endpoint_floor,
     endpoint_refinements,
@@ -50,9 +47,6 @@ FROZEN = [
     (LinkedPartition, ("n", "blocks"),
      lambda: make_linked(3, [[1, 2], [2, 3]]),
      lambda: make_linked(3, [[1, 3], [2]])),
-    (BlockClassification, ("special", "inner", "outer"),
-     lambda: BlockClassification(frozenset({0}), frozenset({1}), frozenset({0})),
-     lambda: BlockClassification(frozenset({0, 1}), frozenset({1}), frozenset({0}))),
     (Permutation, ("image",),
      lambda: Permutation((2, 1, 3)),
      lambda: Permutation((1, 3, 2))),
@@ -62,9 +56,6 @@ FROZEN = [
     (MomentSequence, ("values",),
      lambda: MomentSequence.of([1, 2, 5]),
      lambda: MomentSequence.of([1, 2, 6])),
-    (Monomial, ("exps",),
-     lambda: Monomial.of({1: 2, 3: 1}),
-     lambda: Monomial.of({1: 2})),
     (Polynomial, ("terms",),
      lambda: Polynomial.variable(2) + Polynomial.one(),
      lambda: Polynomial.variable(2)),
@@ -167,11 +158,6 @@ def test_cached_properties_on_frozen_values():
 
 
 def test_default_reprs():
-    a = make_partition(4, [[1, 4], [2], [3]])
-    b = make_partition(4, [[1, 2, 3, 4]])
-    assert repr(classify_blocks(a, b)) == (
-        "BlockClassification(special=frozenset({0}), inner=frozenset({1, 2}), "
-        "outer=frozenset({0}))")
     assert repr(CheckResult("counts", "ncl-three-way", "n<=2", 2, True)) == (
         "CheckResult(suite='counts', identity='ncl-three-way', scope='n<=2', "
         "checked=2, passed=True, detail='', failures=[])")
@@ -181,7 +167,6 @@ def test_custom_reprs():
     assert repr(Permutation((2, 1, 3))) == "Permutation('(1,2)')"
     assert repr(TruncatedSeries.of(1, "1/2")) == "TruncatedSeries.of('1', '1/2')"
     assert repr(MomentSequence.of([1, 2])) == "MomentSequence.of(['1', '2'])"
-    assert repr(Monomial.of({1: 2, 3: 1})) == "Monomial('t3*t1^2')"
     assert repr(Polynomial.variable(1)) == "Polynomial('t1')"
 
 
