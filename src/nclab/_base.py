@@ -127,10 +127,14 @@ class Frozen(Record):
     """Base of the immutable value classes: assigning or deleting an
     attribute raises AttributeError, and equal values hash equal.
     Subclasses set their fields in ``__init__`` with `_set_field`;
-    `functools.cached_property` still works, as it writes ``__dict__``."""
+    `functools.cached_property` still works, as it writes ``__dict__``.
+    Each defines ``__str__``; its repr is ``Name('<str>')`` unless overridden."""
 
     def __hash__(self) -> int:
         return hash(self._field_values(self))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({str(self)!r})"
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")

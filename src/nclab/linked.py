@@ -40,7 +40,6 @@ from .partitions import (
     _nc_weight_sums,
     _not_covered,
     _pair_error,
-    _parse_blocks_json,
     _read_raw_blocks,
     _require_index,
     _require_size,
@@ -48,7 +47,6 @@ from .partitions import (
     block_cycles,
     catalan,
     enumerate_nc,
-    parse_blocks_text,
 )
 
 
@@ -57,21 +55,15 @@ class LinkedPartition(BlockFamily):
 
     Instances are assumed canonical: blocks sorted by least element (block
     minima are pairwise distinct), elements increasing inside each block.
-    Build them via `make_linked`, `from_text`, `from_json_dict`,
-    `from_pair` or the enumerators.
+    Build them via `make_linked`, `from_pair`, the enumerators or the
+    `BlockFamily` readers, which call `make_linked` and skip ``"linked"``.
     """
 
-    @classmethod
-    def from_text(cls, text: str) -> LinkedPartition:
-        return make_linked(*parse_blocks_text(text))
+    _json_tag = {"linked": True}
 
-    def to_json_dict(self) -> dict:
-        return {"n": self.n, "blocks": [list(b) for b in self.blocks], "linked": True}
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> LinkedPartition:
-        n, blocks = _parse_blocks_json(data)
-        return make_linked(n, blocks)
+    @staticmethod
+    def _make(n: int, raw_blocks: Iterable[Iterable[int]]) -> LinkedPartition:
+        return make_linked(n, raw_blocks)
 
 
 def make_linked(n: int, raw_blocks: Iterable[Iterable[int]]) -> LinkedPartition:

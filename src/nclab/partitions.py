@@ -80,12 +80,15 @@ class BlockFamily(Frozen):
     """A canonical family of blocks on {1..n}: blocks sorted by least
     element, elements increasing inside each block.
 
-    `Partition` and `LinkedPartition` share this code.  Equality compares
-    the class as well, so a partition never equals a linked partition with
-    the same blocks.
+    `Partition` and `LinkedPartition` share this code, the readers and
+    writer of the text and JSON forms included: a subclass states only its
+    validating constructor `_make` and the keys `_json_tag` its JSON form
+    adds.  Equality compares the class as well, so a partition never
+    equals a linked partition with the same blocks.
     """
 
     _fields = ("n", "blocks")
+    _json_tag: dict = {}
 
     def __init__(self, n: int, blocks: tuple[tuple[int, ...], ...]) -> None:
         _set_field(self, "n", n)
@@ -97,17 +100,32 @@ class BlockFamily(Frozen):
     def __str__(self) -> str:
         return self.to_text()
 
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}({self.to_text()!r})"
+    @classmethod
+    def from_text(cls, text: str) -> BlockFamily:
+        return cls._make(*parse_blocks_text(text))
+
+    def to_json_dict(self) -> dict:
+        return {"n": self.n, "blocks": [list(b) for b in self.blocks], **self._json_tag}
+
+    @classmethod
+    def from_json_dict(cls, data: dict) -> BlockFamily:
+        n, blocks = _json_record(data, "partition", "blocks")
+        if not all(isinstance(b, list) and all(_is_int(x) for x in b) for b in blocks):
+            raise ParseError("malformed partition JSON")
+        return cls._make(n, blocks)
 
 
 class Partition(BlockFamily):
     """A set partition of {1..n}.
 
-    Instances are assumed canonical (see `make_partition`); build them via
-    `make_partition`, `from_text`, `from_json_dict` or the enumerators
-    rather than calling the constructor with untrusted data.
+    Instances are assumed canonical; build them via `make_partition`, the
+    readers `from_text` and `from_json_dict` of `BlockFamily`, which call
+    it, or the enumerators rather than the constructor with untrusted data.
     """
+
+    @staticmethod
+    def _make(n: int, raw_blocks: Iterable[Iterable[int]]) -> Partition:
+        return make_partition(n, raw_blocks)
 
     @cached_property
     def _block_of(self) -> dict[int, int]:
@@ -139,18 +157,6 @@ class Partition(BlockFamily):
     def outer_indices(self) -> frozenset[int]:
         return frozenset(range(len(self.blocks))) - self.inner_indices
 
-    @classmethod
-    def from_text(cls, text: str) -> Partition:
-        return make_partition(*parse_blocks_text(text))
-
-    def to_json_dict(self) -> dict:
-        return {"n": self.n, "blocks": [list(b) for b in self.blocks]}
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> Partition:
-        n, blocks = _parse_blocks_json(data)
-        return make_partition(n, blocks)
-
 
 def parse_blocks_text(text: str) -> tuple[int, list[list[int]]]:
     """Read block text such as ``{1,2,4}{3}`` into its largest label and
@@ -166,17 +172,15 @@ def parse_blocks_text(text: str) -> tuple[int, list[list[int]]]:
     return n, blocks
 
 
-def _parse_blocks_json(data: dict) -> tuple[int, list[list[int]]]:
+def _json_record(data: dict, kind: str, key: str) -> tuple[int, list]:
+    """The integer ``n`` and the list ``key``, unchecked, of a JSON ``kind``."""
     try:
-        n = data["n"]
-        blocks = data["blocks"]
+        n, items = data["n"], data[key]
     except (TypeError, KeyError) as exc:
-        raise ParseError("partition JSON needs 'n' and 'blocks'") from exc
-    if not _is_int(n) or not isinstance(blocks, list):
-        raise ParseError("malformed partition JSON")
-    if not all(isinstance(b, list) and all(_is_int(x) for x in b) for b in blocks):
-        raise ParseError("malformed partition JSON")
-    return n, blocks
+        raise ParseError(f"{kind} JSON needs 'n' and '{key}'") from exc
+    if not _is_int(n) or not isinstance(items, list):
+        raise ParseError(f"malformed {kind} JSON")
+    return n, items
 
 
 _MAX_LISTED = 10
@@ -608,19 +612,10 @@ class Permutation(Frozen):
 
     @classmethod
     def from_json_dict(cls, data: dict) -> Permutation:
-        try:
-            n, image = data["n"], data["image"]
-        except (TypeError, KeyError) as exc:
-            raise ParseError("permutation JSON needs 'n' and 'image'") from exc
-        if not _is_int(n) or not isinstance(image, list):
-            raise ParseError("malformed permutation JSON")
-        return make_permutation(n, image)
+        return make_permutation(*_json_record(data, "permutation", "image"))
 
     def __str__(self) -> str:
         return self.to_cycle_text()
-
-    def __repr__(self) -> str:
-        return f"Permutation({self.to_cycle_text()!r})"
 
 
 def make_permutation(n: int, image: Iterable[int]) -> Permutation:

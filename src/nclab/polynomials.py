@@ -190,9 +190,6 @@ class Polynomial(Frozen):
     def __str__(self) -> str:
         return self.to_text()
 
-    def __repr__(self) -> str:
-        return f"Polynomial({self.to_text()!r})"
-
 
 def _tally(monomials: Iterable[tuple]) -> Polynomial:
     """The sum of the given monomials, each with coefficient 1."""

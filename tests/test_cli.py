@@ -97,6 +97,12 @@ class TestEnumerate:
         assert code == 2
         assert "size limit 5" in err
 
+    def test_env_not_an_integer(self, capsys, monkeypatch):
+        monkeypatch.setenv("NCLAB_LIMIT", "abc")
+        code, out, err = run_cli(capsys, "count", "nc", "3")
+        assert (code, out) == (2, "")
+        assert err == "error: NCLAB_LIMIT='abc' is not an integer\n"
+
 
 class TestMap:
     def test_to_pair_worked_example(self, capsys):

@@ -14,6 +14,7 @@ from nclab import (
     InvalidPairError,
     InvalidPartitionError,
     LinkedPartition,
+    ParseError,
     catalan,
     coloured_count,
     endpoint_refinements,
@@ -214,6 +215,16 @@ class TestTextJson:
         d = PI_11.to_json_dict()
         assert d["linked"] is True and d["n"] == 11
         assert LinkedPartition.from_json_dict(json.loads(json.dumps(d))) == PI_11
+
+    def test_json_linked_tag_not_read(self):
+        d = PI_11.to_json_dict()
+        del d["linked"]
+        assert LinkedPartition.from_json_dict(d) == PI_11
+
+    def test_json_missing_key_message(self):
+        with pytest.raises(ParseError) as info:
+            LinkedPartition.from_json_dict(None)
+        assert str(info.value) == "partition JSON needs 'n' and 'blocks'"
 
 
 class TestSharedBlockFamily:

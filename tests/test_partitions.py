@@ -119,6 +119,11 @@ class TestTextJson:
         with pytest.raises(ParseError):
             Partition.from_json_dict({"blocks": [[1]]})
 
+    def test_json_missing_key_message(self):
+        with pytest.raises(ParseError) as info:
+            Partition.from_json_dict({"n": 2})
+        assert str(info.value) == "partition JSON needs 'n' and 'blocks'"
+
 
 class TestNoncrossing:
     def test_extremes(self):
@@ -563,6 +568,12 @@ class TestPermutation:
     def test_json_round_trip(self):
         perm = block_cycles(BETA_11)
         assert Permutation.from_json_dict(perm.to_json_dict()) == perm
+
+    def test_json_missing_key_message(self):
+        for data in ({"n": 2}, None):
+            with pytest.raises(ParseError) as info:
+                Permutation.from_json_dict(data)
+            assert str(info.value) == "permutation JSON needs 'n' and 'image'"
 
     def test_identity_cycle_text(self):
         assert make_permutation(4, range(1, 5)).to_cycle_text() == "()"

@@ -190,6 +190,10 @@ class TestArithmetic:
         with pytest.raises(TypeError, match="not exact"):
             TruncatedSeries.of(1.5)
 
+    def test_truncate_cannot_extend(self):
+        with pytest.raises(ValueError, match="^cannot extend order 1 to 2$"):
+            TruncatedSeries.of(1, 2).truncate(2)
+
     def test_exactness(self):
         f = TruncatedSeries.of("1/3", "1/7")
         assert all(isinstance(c, Fraction) for c in (f * f).coeffs)
@@ -252,6 +256,11 @@ class TestComposeInverse:
                 + [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(39)]
             )
             assert f.compose(f.comp_inverse()) == z
+
+    def test_compose_needs_zero_constant_inner(self):
+        with pytest.raises(ValueError) as info:
+            TruncatedSeries.of(1, 1).compose(TruncatedSeries.of(1, 1))
+        assert str(info.value) == "composition needs an inner series with zero constant term"
 
     def test_preconditions_distinct(self):
         with pytest.raises(ValueError, match="zero constant term"):
@@ -592,3 +601,10 @@ class TestIO:
 
     def test_moment_sequence_str(self):
         assert str(MomentSequence.of([1, 2, 5])) == "1, 2, 5"
+
+    def test_moment_index_outside_depth(self):
+        m = MomentSequence.of([1, 2])
+        for k in (0, 3):
+            with pytest.raises(IndexError) as info:
+                m.moment(k)
+            assert str(info.value) == f"moment index {k} outside 1..2"

@@ -5,6 +5,7 @@ import re
 from pathlib import Path
 
 import nclab
+from nclab import cli, verify
 from nclab._base import Frozen
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "nclab"
@@ -66,8 +67,8 @@ def test_value_semantics_only_in_the_record_bases():
 # Public members that no other code of the library calls, each kept for a
 # reason of its own.
 UNCALLED = {
-    "partitions.py:Partition.from_text": "reads back what to_text writes",
-    "partitions.py:Partition.from_json_dict": "reads back what to_json_dict writes",
+    "partitions.py:BlockFamily.from_text": "reads back what to_text writes",
+    "partitions.py:BlockFamily.from_json_dict": "reads back what to_json_dict writes",
     "partitions.py:Permutation.from_json_dict": "reads back what to_json_dict writes",
     "partitions.py:classify_blocks":
         "the checked reading of a pair's special blocks; the pair routes, which "
@@ -75,8 +76,6 @@ UNCALLED = {
     "partitions.py:endpoint_floor": "the bottom of a << interval",
     "partitions.py:is_noncrossing":
         "the public test for NC(n); library code reads the cached _noncrossing",
-    "linked.py:LinkedPartition.from_text": "reads back what to_text writes",
-    "linked.py:LinkedPartition.from_json_dict": "reads back what to_json_dict writes",
     "series.py:TruncatedSeries.compose": "checks comp_inverse",
     "series.py:TruncatedSeries.reciprocal":
         "the series operation; the routes run its integer core on graded steps",
@@ -168,3 +167,14 @@ def test_readme_lists_the_value_classes():
                 if isinstance(getattr(nclab, name), type)
                 and issubclass(getattr(nclab, name), Frozen)}
     assert set(re.findall(r"`(\w+)`", match.group(1))) == exported
+
+
+def test_readme_cli_synopsis_matches_the_grammar():
+    # README's synopsis names every command, and its verify line every suite
+    match = re.search(r"## CLI\s+```text\n(.*?)```", README.read_text(), re.S)
+    assert match, "README has no CLI synopsis"
+    synopsis = match.group(1)
+    named = set(re.findall(r"^nclab (?:\[[^]]*\] )?([a-z]+)", synopsis, re.M))
+    assert named >= {command for command in cli._GRAMMAR if command}
+    suites = re.findall(r"^nclab verify \{([^}]*)\}", synopsis, re.M)
+    assert [set(line.split("|")) for line in suites] == [set(verify.SUITES) | {"all"}]

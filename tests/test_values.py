@@ -170,6 +170,11 @@ def test_custom_reprs():
     assert repr(Polynomial.variable(1)) == "Polynomial('t1')"
 
 
+def test_zero_polynomial_text_and_repr():
+    assert str(Polynomial(())) == "0"
+    assert repr(Polynomial(())) == "Polynomial('0')"
+
+
 class TestCheckResult:
     def test_fields_are_the_declared_ones(self):
         assert CheckResult._fields == ("suite", "identity", "scope", "checked", "passed",
