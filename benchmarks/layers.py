@@ -124,6 +124,15 @@ LAYERS = {
     "import nclab.cli": (
         "import importlib",
         "importlib.import_module('nclab.cli').__name__"),
+    # the library modules that enumerate, map and count requests import,
+    # cold (nclab.linked loads nclab.partitions): without bytecode, mostly
+    # compiling their source
+    "import nclab.partitions": (
+        "import importlib",
+        "importlib.import_module('nclab.partitions').__name__"),
+    "import nclab.linked": (
+        "import importlib",
+        "importlib.import_module('nclab.linked').__name__"),
     "cli parse x6 argparse": (
         CLI_PARSE,
         "digest(sorted(vars(cli.build_parser().parse_args(a)).items()) for a in argvs)"),
@@ -144,6 +153,10 @@ LAYERS = {
         "from nclab import cli\n"
         "sys.stdout = open(os.devnull, 'w')",
         "cli.main(['enumerate', 'nc', '11', '--json'])"),
+    "cli enumerate nc 10": (
+        "from nclab import cli\n"
+        "sys.stdout = open(os.devnull, 'w')",
+        "cli.main(['enumerate', 'nc', '10'])"),
     "enumerate_ncl(9)": (
         "from nclab.linked import enumerate_ncl",
         "count(enumerate_ncl(9))"),

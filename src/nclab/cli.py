@@ -3,12 +3,12 @@
 Subcommands: enumerate, map, count, moments, transform, verify.  Human
 output is meant for eyes; ``--json`` emits one JSON object per line and is
 byte-deterministic.  Each handler computes its result once and hands both
-forms to one writer, `_emit`, which picks one; only ``enumerate`` streams
-its objects past it.  Exit codes: 0 success, 1 verification failure, 2
-usage error, 3 domain precondition failure, 4 normalization failure, 70
-a fault of the program (an exception other than the library's errors,
-which `_base` defines so that catching them loads nothing), 141 a closed
-stdout.
+forms to one writer, `_emit`, which picks one; ``enumerate`` writes past
+it the line chunks of `partitions._nc_lines` or `_text_chunks`.  Exit
+codes: 0 success, 1 verification failure, 2 usage error, 3 domain
+precondition failure, 4 normalization failure, 70 a fault of the program
+(an exception other than the library's errors, which `_base` defines so
+that catching them loads nothing), 141 a closed stdout.
 
 `main` runs one command line and returns its exit code.  `run` ends every
 CLI process: it calls `main`, flushes stdout and stderr and skips the
@@ -39,7 +39,6 @@ import os
 import re
 import sys
 from functools import cache
-from itertools import islice
 from types import SimpleNamespace
 
 from ._base import (
@@ -327,40 +326,22 @@ def _fast_value(settings: dict, word: str):
     return word if word in settings.get("choices", (word,)) else None
 
 
-_CHUNK_LINES = 1024
-
-
-def _block_json(block: tuple[int, ...]) -> str:
-    """A block as the compact JSON encoder writes a list of integers."""
-    return "[" + ",".join(map(str, block)) + "]"
-
-
 def _cmd_enumerate(args, limit: int) -> int:
     _check_size(args.n, limit)
-    from .partitions import _block_text, _nc_walk
+    from .partitions import _nc_lines, _text_chunks
 
-    # each object as the texts of its blocks; the JSON ones are cached for
-    # this command only
-    fmt = cache(_block_json) if args.json else _block_text
     if args.kind == "nc":
-        rows = _nc_walk(args.n, fmt)  # re-formats only the blocks it changes
+        chunks = _nc_lines(args.n, args.json)
     else:
-        from .linked import enumerate_ncl
+        from .linked import LinkedPartition, enumerate_ncl
 
-        rows = (map(fmt, obj.blocks) for obj in enumerate_ncl(args.n))
-    if args.json:
-        # the compact encoding of ``obj.to_json_dict()``, block by block
-        head = f'{{"n":{args.n},"blocks":['
-        tail = '],"linked":true}' if args.kind == "ncl" else "]}"
-        lines = (head + ",".join(row) + tail for row in rows)
-    else:
-        lines = map("".join, rows)
-    # written in bounded chunks: one write per line is slow, and one for the
-    # whole output would hold all of it in memory
+        chunks = _text_chunks(map(LinkedPartition.to_text, enumerate_ncl(args.n)),
+                              f'{{"n":{args.n},"blocks":[' if args.json else None,
+                              '],"linked":true}')
     count = 0
-    while chunk := list(islice(lines, _CHUNK_LINES)):
-        count += len(chunk)
-        sys.stdout.write("\n".join(chunk) + "\n")
+    for lines, chunk in chunks:
+        count += lines
+        sys.stdout.write(chunk)
     _emit(args, {"count": count}, f"count={count}")
     return EXIT_OK
 

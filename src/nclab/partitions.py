@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 import re
 from functools import cached_property, lru_cache
-from itertools import chain, count, product
+from itertools import chain, count, islice, product
 from typing import Any, Callable, Collection, Iterable, Iterator, Sequence
 
 from ._base import (
@@ -50,8 +50,8 @@ def _fmt_block(block: Iterable[int]) -> str:
 
 # The text form of one block; one cache entry per distinct block: at most
 # 2**n - 1 for objects on {1..n}.  `BlockFamily.to_text` looks up every
-# block of each object it writes; ``enumerate nc`` looks up only the blocks
-# that `_nc_walk` changes, amortised O(1) per partition.
+# block of each object it writes; ``enumerate nc`` only those of each state
+# of `_nc_lines`, whose lines share them.
 @lru_cache(maxsize=1 << 16)
 def _block_text(block: tuple[int, ...]) -> str:
     return "{" + ",".join(map(str, block)) + "}"
@@ -384,68 +384,123 @@ def enumerate_nc(n: int) -> Iterator[Partition]:
 
         {1}{2}{3}, {1,3}{2}, {1}{2,3}, {1,2}{3}, {1,2,3}
 
-    The count is the n-th Catalan number.  The walk is `_nc_walk`, which
-    also writes the CLI's ``enumerate nc`` lines without building objects.
-    ``n`` that is not an integer of at least 1 raises SizeError at the
-    first object.
+    The count is the n-th Catalan number.  Element n completes each state
+    of `_nc_states(n - 1)`, as `_nc_lines` completes shorter ones.  ``n``
+    not an integer of at least 1 raises SizeError at the first object.
     """
     _require_size(n)
-    for blocks in _nc_walk(n):
-        yield Partition(n, tuple(blocks))
+    last = (n,)
+    for blocks, opened in _nc_states(n - 1):
+        yield Partition(n, (*blocks, last))
+        for i in opened:  # n joins an open block
+            saved = blocks[i]
+            blocks[i] = saved + last
+            yield Partition(n, tuple(blocks))
+            blocks[i] = saved
 
 
-def _nc_walk(n: int, fmt: Callable[[tuple], object] = tuple) -> Iterator[list]:
-    """Walk NC(n), n >= 1, in `enumerate_nc` order by one backtracking loop.
-    Yields one live list per partition: ``fmt(block)`` for each block, the
-    blocks themselves under the default ``tuple``, where ``fmt`` is called
-    only on the blocks the walk opens, extends or shrinks, amortised O(1)
-    calls per partition.  The list changes in place at the next step, so
-    copy or join it first."""
+def _nc_states(size: int) -> Iterator[tuple[list[tuple[int, ...]], list[int]]]:
+    """Walk the choice codes of 1..size, size >= 0, in `enumerate_nc` order
+    by one backtracking loop, yielding per state its blocks and the indices
+    of its open blocks, outermost first.  The blocks are one live list:
+    restore what you change in it before the walk resumes."""
     blocks: list[tuple[int, ...]] = []
-    shown = []  # what is yielded
     # indices of the open blocks, outermost first; a new list on each change,
-    # so that ``arrived[k]`` keeps those open when element k < n came
+    # so that ``arrived[k]`` keeps those open when element k came
     opened: list[int] = []
-    arrived: list[list[int]] = [opened] * n
-    code = [0] * n  # the choice code of each element k < n
-    last = fmt((n,))
+    arrived: list[list[int]] = [opened] * (size + 1)
+    code = [0] * (size + 1)  # the choice code of each element k
     k = 1
     while True:
-        while k < n:  # elements k..n-1 open new blocks
+        while k <= size:  # elements k..size open new blocks
             arrived[k], code[k] = opened, 0
             opened = [*opened, len(blocks)]
             blocks.append((k,))
-            shown.append(fmt((k,)))
             k += 1
-        shown.append(last)  # n alone
-        yield shown
-        shown.pop()
-        for i in opened:  # n joins an open block
-            saved = shown[i]
-            shown[i] = fmt(blocks[i] + (n,))
-            yield shown
-            shown[i] = saved
-        k = n - 1  # undo choices back to the last element k < n with one left
+        yield blocks, opened
+        k = size  # undo choices back to the last element k with one left
         while k:
             d, opened = code[k], arrived[k]
             if d:
                 j = opened[d - 1]
                 blocks[j] = blocks[j][:-1]
-                shown[j] = fmt(blocks[j])
             else:
                 blocks.pop()
-                shown.pop()
             if d < len(opened):
                 code[k] = d + 1
                 j = opened[d]
                 blocks[j] += (k,)
-                shown[j] = fmt(blocks[j])
                 opened = opened[:d + 1]
                 k += 1
                 break
             k -= 1
         else:
             return
+
+
+# The most lines of one chunk that ``enumerate`` writes: one write per line
+# is slow, and one for the whole output would hold all of it in memory.
+_CHUNK_LINES = 2048
+
+
+def _json_lines(text: str, head: str, tail: str) -> str:
+    """Lines of block text as JSON, each in ``head`` + "[" and "]" + ``tail``:
+    for '{"n":n,"blocks":[' and "]}", the compact form of `to_json_dict`."""
+    return text.replace("}{", "],[").replace("{", head + "[").replace("}", "]" + tail)
+
+
+def _text_chunks(texts: Iterator[str], head: str | None, tail: str) -> Iterator[tuple[int, str]]:
+    """Lines in chunks of at most _CHUNK_LINES, each with its line count,
+    in JSON by `_json_lines` unless ``head`` is None."""
+    while batch := list(islice(texts, _CHUNK_LINES)):
+        text = "\n".join(batch) + "\n"
+        yield len(batch), text if head is None else _json_lines(text, head, tail)
+
+
+def _nc_lines(n: int, json: bool = False) -> Iterator[tuple[int, str]]:
+    """The lines of `enumerate_nc(n)`, n >= 1, as text or compact JSON, in
+    chunks as `_text_chunks` yields them, with no Python code per line: the
+    last m elements complete each state of `_nc_states(n - m)` with j open
+    blocks by the template for j of `_completions`, whose marks `str.replace`
+    fills with the j + 1 pieces of the state's text, cut before the closing
+    brace of each open block, less its first and last brace.  m is the
+    largest up to 4, and below n, whose templates fit in a chunk; past
+    n = 63, where it is below 2, each line is written from its object."""
+    m = min(4, n - 1)
+    # the lines of the largest template, for n - m open blocks: a ballot number
+    while math.comb(n + m, m) * (n - m + 1) > _CHUNK_LINES * (n + 1):
+        m -= 1
+    head = f'{{"n":{n},"blocks":[' if json else None
+    if m < 2 < n:
+        yield from _text_chunks(map(Partition.to_text, enumerate_nc(n)), head, "]}")
+        return
+    marks = [chr(c) for c in range(n + 97) if c != 10 and not 32 <= c < 127]
+    templates = [_json_lines(t, head, "]}") if json else t for t in _completions(n - m, n, marks)]
+    counts = [t.count("\n") for t in templates]
+    for blocks, opened in _nc_states(n - m):
+        texts = list(map(_block_text, blocks))
+        for i in opened:
+            texts[i] = texts[i][:-1] + "\n}"
+        text = "".join(texts)[1:-1]
+        chunk = templates[len(opened)]
+        for mark, piece in zip(marks, (_json_lines(text, "", "") if json else text).split("\n")):
+            chunk = chunk.replace(mark, piece)
+        yield counts[len(opened)], chunk
+
+
+def _completions(size: int, n: int, marks: Sequence[str]) -> list[str]:
+    """For j = 0..size, the lines that complete a state of 1..size with j
+    open blocks by size+1..n, in choice-code order: "{", ``marks[i]`` and
+    what open block i gets for each i < j, ``marks[j]``, "}", new blocks.
+    Built from element n down: x opens block j, which ``marks[j + 1]``
+    closes, or joins block d - 1 and closes blocks d..j - 1."""
+    rows = ["{" + "".join(marks[:j + 1]) + "}\n" for j in range(n + 1)]  # no element left
+    for x in range(n, size, -1):
+        rows = [rows[j + 1].replace(marks[j], f"{marks[j]}}}{{{x}").replace(marks[j + 1], "")
+                + "".join(rows[d].replace(marks[d - 1], f"{marks[d - 1]},{x}")
+                          .replace(marks[d], "".join(marks[d:j + 1])) for d in range(1, j + 1))
+                for j in range(x)]
+    return rows
 
 
 def _nc_weight_sums(weight: Callable[[int, bool], Any]) -> Iterator:
@@ -612,7 +667,11 @@ class Permutation(Frozen):
 
     @classmethod
     def from_json_dict(cls, data: dict) -> Permutation:
-        return make_permutation(*_json_record(data, "permutation", "image"))
+        n, image = _json_record(data, "permutation", "image")
+        try:
+            return make_permutation(n, image)
+        except ValueError as exc:
+            raise ParseError(str(exc)) from exc
 
     def __str__(self) -> str:
         return self.to_cycle_text()

@@ -8,6 +8,7 @@ import sys
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from functools import cache
+from itertools import islice
 from math import comb
 
 import pytest
@@ -15,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nclab import cli, enumerate_nc, enumerate_ncl, linked, ncl_count
-from nclab.partitions import _block_text, _nc_walk
+from nclab.partitions import _CHUNK_LINES, _nc_lines, catalan
 
 
 def run_cli(capsys, *argv):
@@ -71,16 +72,53 @@ class TestEnumerate:
                     for obj in enumerate_(n)]
             assert out.splitlines()[:-1] == want
 
-    @pytest.mark.parametrize("n", range(1, 10))
+    @pytest.mark.parametrize("n", range(1, 11))
     def test_nc_walk_forms(self, n):
-        # the walk's text and JSON rows, joined as the CLI joins them, are
-        # the forms of the `enumerate_nc` objects, line by line and in order
+        # the writer's text and JSON lines are the forms of the `enumerate_nc`
+        # objects, line by line and in order; n = 1..4 are at or below the
+        # largest number of elements that its templates complete
         objs = list(enumerate_nc(n))
-        texts = ["".join(row) for row in _nc_walk(n, _block_text)]
+        texts = "".join(chunk for _, chunk in _nc_lines(n)).splitlines()
         assert texts == [p.to_text() for p in objs]
-        head = f'{{"n":{n},"blocks":['
-        jsons = [head + ",".join(row) + "]}" for row in _nc_walk(n, cli._block_json)]
+        jsons = "".join(chunk for _, chunk in _nc_lines(n, json=True)).splitlines()
         assert jsons == [json.dumps(p.to_json_dict(), separators=(",", ":")) for p in objs]
+
+    @pytest.mark.parametrize("n", range(1, 5))
+    def test_nc_at_most_four(self, capsys, n):
+        # sizes no larger than the 4 elements that the templates complete
+        for as_json in ([], ["--json"]):
+            code, out, _ = run_cli(capsys, "enumerate", "nc", str(n), *as_json)
+            lines = out.splitlines()
+            assert code == 0 and len(lines) == catalan(n) + 1
+            assert lines[-1] == (f'{{"count":{catalan(n)}}}' if as_json
+                                 else f"count={catalan(n)}")
+
+    def test_nc_13(self, capsys):
+        code, out, err = run_cli(capsys, "--limit", "13", "enumerate", "nc", "13")
+        assert (code, err) == (0, "")
+        lines = out.splitlines()
+        assert len(lines) == catalan(13) + 1 and lines[-1] == f"count={catalan(13)}"
+        assert lines[0] == "".join(f"{{{k}}}" for k in range(1, 14))
+        assert lines[-2] == "{" + ",".join(map(str, range(1, 14))) + "}"
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_nc_chunks_bounded(self, n):
+        # each chunk holds at most _CHUNK_LINES lines, the number it states
+        for lines, chunk in _nc_lines(n):
+            assert 1 <= lines <= _CHUNK_LINES and chunk.count("\n") == lines
+
+    @pytest.mark.parametrize("n", [13, 14, 22, 23, 63, 64, 100])
+    def test_nc_first_chunk(self, n):
+        # the first state has all its blocks open, so its chunk is the
+        # largest; at these sizes the writer completes 4, 3 or 2 elements by
+        # templates, and past 63 it writes each line from its object
+        for as_json in (False, True):
+            lines, chunk = next(_nc_lines(n, as_json))
+            assert 1 <= lines <= _CHUNK_LINES and chunk.count("\n") == lines
+            objs = list(islice(enumerate_nc(n), lines))
+            want = [json.dumps(p.to_json_dict(), separators=(",", ":")) if as_json
+                    else p.to_text() for p in objs]
+            assert chunk.splitlines() == want
 
     def test_limit_guard(self, capsys):
         code, _, err = run_cli(capsys, "enumerate", "nc", "13")

@@ -575,6 +575,15 @@ class TestPermutation:
                 Permutation.from_json_dict(data)
             assert str(info.value) == "permutation JSON needs 'n' and 'image'"
 
+    @pytest.mark.parametrize("image, message", [
+        (["x", 1], "image element 'x' is not an integer"),
+        ([1, 1], "image [1, 1] is not a bijection of 1..2"),
+    ])
+    def test_json_bad_image_is_parse_error(self, image, message):
+        with pytest.raises(ParseError) as info:
+            Permutation.from_json_dict({"n": 2, "image": image})
+        assert str(info.value) == message
+
     def test_identity_cycle_text(self):
         assert make_permutation(4, range(1, 5)).to_cycle_text() == "()"
         assert block_cycles(make_partition(3, [[1, 3], [2]])).to_cycle_text() == "(1,3)"
