@@ -124,15 +124,15 @@ LAYERS = {
     "import nclab.cli": (
         "import importlib",
         "importlib.import_module('nclab.cli').__name__"),
-    # the library modules that enumerate, map and count requests import,
-    # cold (nclab.linked loads nclab.partitions): without bytecode, mostly
-    # compiling their source
-    "import nclab.partitions": (
+    # the library modules that requests import, cold: without bytecode,
+    # mostly compiling their source.  enumerate, map and count load
+    # nclab.linked, which loads nclab.partitions; moments --t and transform
+    # load nclab.series, moments --symbolic nclab.polynomials, and verify
+    # nclab.verify, which loads nclab.linked and the rest as its suites need
+    **{f"import nclab.{module}": (
         "import importlib",
-        "importlib.import_module('nclab.partitions').__name__"),
-    "import nclab.linked": (
-        "import importlib",
-        "importlib.import_module('nclab.linked').__name__"),
+        f"importlib.import_module('nclab.{module}').__name__")
+       for module in ("partitions", "linked", "series", "polynomials", "verify")},
     "cli parse x6 argparse": (
         CLI_PARSE,
         "digest(sorted(vars(cli.build_parser().parse_args(a)).items()) for a in argvs)"),

@@ -1,13 +1,13 @@
 """Pieces shared by modules that must not load one another: the bound on
-integers read from text, the integer test and the check of a size, the
-bounded quoting of rejected input for diagnostics, the bases of the
-record classes, and the library's error classes: `SizeError`, which the
-checks of a size or an index raise, the classes that `partitions` and
-`linked` raise for rejected input, and `NormalizationError`, which
-`series` raises.  The CLI maps each to its exit code without loading the
-module that raises it.  It imports only `operator`, which `re` has
-already loaded at start-up, so any module can use it without slowing its
-own import."""
+integers read from text, the integer test and the one check of a size,
+an index, a depth or an order, the bounded quoting of rejected input for
+diagnostics, the bases of the record classes, and the library's error
+classes: `SizeError`, which that check raises by default, the classes
+that `partitions` and `linked` raise for rejected input, and
+`NormalizationError`, which `series` raises.  The CLI maps each to its
+exit code without loading the module that raises it.  It imports only
+`operator`, which `re` has already loaded at start-up, so any module can
+use it without slowing its own import."""
 
 from __future__ import annotations
 
@@ -23,8 +23,8 @@ class NormalizationError(ValueError):
 
 
 class SizeError(ValueError):
-    """A size or an index given to the library is not an integer, or is
-    below its least value."""
+    """A size, an index, a depth or an order given to the library is not
+    an integer, or is below its least value."""
 
 
 class InvalidPartitionError(ValueError):
@@ -75,13 +75,14 @@ def _quoted(value: object) -> str:
     return f"{value[:_MAX_QUOTED]!r}... ({len(value)} characters)"
 
 
-def _require_positive(value: object, name: str) -> None:
-    """Raise SizeError unless ``value``, the size ``name``, is an integer,
-    not ``bool``, of at least 1."""
+def _require_int(value: object, name: str, least: int = 1,
+                 error: type[Exception] = SizeError) -> None:
+    """Raise ``error`` unless ``value``, the size, index, depth or order
+    ``name``, is an integer, not ``bool``, of at least ``least``."""
     if not _is_int(value):
-        raise SizeError(f"{name} must be an integer, got {_quoted(value)}")
-    if value < 1:
-        raise SizeError(f"{name} must be at least 1")
+        raise error(f"{name} must be an integer, got {_quoted(value)}")
+    if value < least:
+        raise error(f"{name} must be at least {least}")
 
 
 def _int_text(x: int) -> str:

@@ -51,6 +51,7 @@ from ._base import (
     SizeError,
     _clipped,
     _quoted,
+    _require_int,
 )
 
 EXIT_OK = 0
@@ -136,8 +137,7 @@ def _resolve_limit(flag_value: int | None) -> int:
 
 
 def _check_size(n: int, limit: int, what: str = "n") -> None:
-    if n < 1:
-        raise UsageError(f"{what} must be at least 1")
+    _require_int(n, what, 1, UsageError)
     if n > limit:
         raise UsageError(f"{what}={n} exceeds the size limit {limit} "
                          f"(raise it with --limit or NCLAB_LIMIT)")
@@ -145,9 +145,9 @@ def _check_size(n: int, limit: int, what: str = "n") -> None:
 
 def _read_blocks(text: str, limit: int, make):
     """Parse block text, bound its largest label by the size limit, then
-    build the object with `make`: construction allocates the whole ground
-    set, so the bound must come first.  Text that does not parse is a
-    usage error."""
+    build the object with `make`: a size over the limit is a usage error
+    (exit 2) and must win over the domain error (exit 3) that `make` raises
+    on the same text.  Text that does not parse is a usage error."""
     from .partitions import ParseError, parse_blocks_text
 
     try:

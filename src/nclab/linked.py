@@ -27,7 +27,7 @@ from functools import cache
 from itertools import islice
 from typing import Iterable, Iterator
 
-from ._base import InvalidLinkedPartitionError, _clipped, _int_text
+from ._base import InvalidLinkedPartitionError, _clipped, _int_text, _require_int
 from .partitions import (
     BlockFamily,
     InvalidPairError,  # raised by from_pair, and importable from here
@@ -41,8 +41,6 @@ from .partitions import (
     _not_covered,
     _pair_error,
     _read_raw_blocks,
-    _require_index,
-    _require_size,
     act,
     block_cycles,
     catalan,
@@ -264,7 +262,7 @@ def enumerate_ncl_direct(n: int) -> Iterator[LinkedPartition]:
     Exists to cross-validate the pair-based generator; do not change one
     without the other.
     """
-    _require_size(n)
+    _require_int(n, "ground-set size")
     blocks: list[list[int]] = []
     must_grow: list[bool] = []
     open_idx: list[int] = []
@@ -306,7 +304,7 @@ def ncl_count(n: int) -> int:
     """Number of non-crossing linked partitions of {1..n}: the sum over
     non-crossing partitions of the per-block Catalan products C(|W| - 1),
     one term per endpoint-refinement pair, computed in polynomial time."""
-    _require_size(n)
+    _require_int(n, "ground-set size")
     return next(islice(_nc_weight_sums(lambda k, inner: catalan(k - 1)), n, None))
 
 
@@ -314,7 +312,7 @@ def coloured_count(n: int) -> int:
     """Number of red/blue colourings of non-crossing partitions of {1..n}
     with all outer blocks red: the sum of 2**(inner blocks), computed in
     polynomial time.  Equals `ncl_count(n)`."""
-    _require_size(n)
+    _require_int(n, "ground-set size")
     return next(islice(_nc_weight_sums(lambda k, inner: 2 if inner else 1), n, None))
 
 
@@ -324,7 +322,7 @@ def schroder(k: int) -> int:
     Satisfies (k+1) r_k = (6k-3) r_{k-1} - (k-2) r_{k-2}; r_{n-1} counts
     the non-crossing linked partitions of {1..n}.
     """
-    _require_index(k, "schroder")
+    _require_int(k, "schroder index", 0)
     r0, r1 = 1, 2
     if k == 0:
         return r0

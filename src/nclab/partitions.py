@@ -29,11 +29,12 @@ from ._base import (
     InvalidPairError,
     InvalidPartitionError,
     ParseError,
-    SizeError,
+    SizeError,  # what `_require_int` raises; nclab exports it from here
     _clipped,
     _int_text,
     _is_int,
     _quoted,
+    _require_int,
     _set_field,
 )
 
@@ -201,14 +202,6 @@ def _not_covered(n: int, covered: Collection[int]) -> str:
     return f"elements {missing} not covered"
 
 
-def _require_size(n: object, error: type[ValueError] = SizeError) -> None:
-    """Raise ``error`` unless ``n`` is an integer, not ``bool``, of at least 1."""
-    if not _is_int(n):
-        raise error(f"ground-set size {_quoted(n)} is not an integer")
-    if n < 1:
-        raise error("ground-set size must be at least 1")
-
-
 def _iterate(items: object, role: str, error: type[ValueError]) -> Iterator:
     try:
         return iter(items)
@@ -226,7 +219,7 @@ def _read_raw_blocks(
     Elements are type-checked before a block is sorted, so values that
     cannot be ordered against integers are rejected too.  Overlap, crossing
     and coverage are left to the caller."""
-    _require_size(n, error)
+    _require_int(n, "ground-set size", 1, error)
     for raw in _iterate(raw_blocks, "block family", error):
         blk = list(_iterate(raw, "block", error))
         for x in blk:
@@ -358,18 +351,9 @@ def endpoint_floor(b: Partition) -> Partition:
     return Partition(b.n, tuple(out))
 
 
-def _require_index(k: object, name: str) -> None:
-    """Raise SizeError unless ``k`` is an integer, not ``bool``, of at
-    least 0: the index of the number sequence ``name``."""
-    if not _is_int(k):
-        raise SizeError(f"{name} index {_quoted(k)} is not an integer")
-    if k < 0:
-        raise SizeError(f"{name} is defined for k >= 0")
-
-
 def catalan(k: int) -> int:
     """The k-th Catalan number (2k)! / (k! (k+1)!)."""
-    _require_index(k, "catalan")
+    _require_int(k, "catalan index", 0)
     return math.comb(2 * k, k) // (k + 1)
 
 
@@ -388,7 +372,7 @@ def enumerate_nc(n: int) -> Iterator[Partition]:
     of `_nc_states(n - 1)`, as `_nc_lines` completes shorter ones.  ``n``
     not an integer of at least 1 raises SizeError at the first object.
     """
-    _require_size(n)
+    _require_int(n, "ground-set size")
     last = (n,)
     for blocks, opened in _nc_states(n - 1):
         yield Partition(n, (*blocks, last))
@@ -680,8 +664,7 @@ class Permutation(Frozen):
 def make_permutation(n: int, image: Iterable[int]) -> Permutation:
     """The permutation of {1..n} with the given image sequence.  ``bool``
     is not an integer here, for the size or an element."""
-    if not _is_int(n):
-        raise ValueError(f"permutation size {_quoted(n)} is not an integer")
+    _require_int(n, "permutation size", 0, ValueError)
     img = tuple(image)
     for x in img:
         if not _is_int(x):

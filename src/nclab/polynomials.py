@@ -28,7 +28,7 @@ from math import comb, factorial
 from threading import Lock
 from typing import TYPE_CHECKING, Callable, Container, Iterable, Iterator, Mapping, Sequence
 
-from ._base import Frozen, _require_positive, _set_field
+from ._base import Frozen, _require_int, _set_field
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -117,8 +117,7 @@ class Polynomial(Frozen):
 
     @classmethod
     def variable(cls, i: int) -> Polynomial:
-        if i < 0:
-            raise ValueError(f"bad variable power t{i}^1")
+        _require_int(i, "variable index", 0)
         return cls._of({((i, 1),) if i else (): 1})
 
     def __add__(self, other: Polynomial) -> Polynomial:
@@ -253,7 +252,7 @@ def moment_poly(n: int) -> Polynomial:
     gives m_n = (1/n) [w^(n-1)] (1 + w)^n T(w)^n.  By the binomial and
     multinomial theorems, the monomial prod t_i^(e_i) of weight k <= n - 1
     and degree d has coefficient C(n, n-1-k) n! / ((n-d)! prod e_i!) / n."""
-    _require_positive(n, "n")
+    _require_int(n, "n")
     fact = [factorial(i) for i in range(n + 1)]
     terms = {}
     for k in range(n):
@@ -270,7 +269,7 @@ def moment_poly(n: int) -> Polynomial:
 def moment_poly_linked(n: int) -> Polynomial:
     """Moment polynomial as the sum over non-crossing linked partitions of
     the products t_{|A|-1} over blocks A."""
-    _require_positive(n, "n")
+    _require_int(n, "n")
     from .linked import enumerate_ncl
 
     return _tally(
@@ -281,7 +280,7 @@ def moment_poly_linked(n: int) -> Polynomial:
 def moment_poly_pairs(n: int) -> Polynomial:
     """Moment polynomial as the sum over endpoint-refinement pairs (a, b) of
     t_{|U|-1} over special blocks U times t_{|V|} over the rest."""
-    _require_positive(n, "n")
+    _require_int(n, "n")
     from .partitions import _special_blocks, endpoint_refinements, enumerate_nc
 
     return _tally(
@@ -299,7 +298,7 @@ def moment_poly_inner_outer(n: int) -> Polynomial:
     """Moment polynomial as a single sum over non-crossing partitions:
     outer blocks contribute t_{|U|-1}, inner blocks (t_{|V|-1} + t_{|V|}),
     expanded."""
-    _require_positive(n, "n")
+    _require_int(n, "n")
     return _INNER_OUTER(n)
 
 
@@ -307,7 +306,7 @@ def cumulant_poly(n: int) -> Polynomial:
     """The n-th free cumulant as a polynomial in t1, t2, ...: for n >= 2
     the sum over non-crossing partitions of {1..n-1} of the products
     t_{|V|}; the first cumulant is the constant 1."""
-    _require_positive(n, "n")
+    _require_int(n, "n")
     return _CUMULANTS(n - 1)
 
 
@@ -317,7 +316,7 @@ _BY_CUMULANTS = _NCSums(lambda size, inner: cumulant_poly(size))
 def moment_poly_cumulants(n: int) -> Polynomial:
     """Moment polynomial via cumulants: sum over non-crossing partitions of
     the products of per-block cumulant polynomials, expanded."""
-    _require_positive(n, "n")
+    _require_int(n, "n")
     return _BY_CUMULANTS(n)
 
 

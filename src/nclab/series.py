@@ -27,7 +27,7 @@ from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Sequence
 
-from ._base import Frozen, NormalizationError, _require_positive, _set_field
+from ._base import Frozen, NormalizationError, _require_int, _set_field
 
 
 def _frac(x) -> Fraction:
@@ -151,6 +151,7 @@ class TruncatedSeries(Frozen):
         return len(self.coeffs) - 1
 
     def truncate(self, order: int) -> TruncatedSeries:
+        _require_int(order, "order", 0)
         if order > self.order:
             raise ValueError(f"cannot extend order {self.order} to {order}")
         return TruncatedSeries(self.coeffs[: order + 1])
@@ -270,7 +271,7 @@ def _t_coeffs(t: Sequence, n_max: int) -> list[Fraction]:
     ts = [_frac(x) for x in t]
     if not ts or ts[0] != 1:
         raise NormalizationError("t_0 must be 1")
-    _require_positive(n_max, "n_max")
+    _require_int(n_max, "n_max")
     if len(ts) < n_max:
         raise ValueError(f"need coefficients t_0..t_{n_max - 1}, got {len(ts)}")
     return ts
@@ -278,7 +279,7 @@ def _t_coeffs(t: Sequence, n_max: int) -> list[Fraction]:
 
 def _cumulant_coeffs(kappa: Sequence, n_max: int) -> list[Fraction]:
     ks = [_frac(x) for x in kappa]
-    _require_positive(n_max, "n_max")
+    _require_int(n_max, "n_max")
     if len(ks) < n_max:
         raise ValueError(f"need cumulants 1..{n_max}, got {len(ks)}")
     return ks

@@ -21,6 +21,8 @@ from nclab import (
     ParseError,
     Partition,
     Permutation,
+    SizeError,
+    TruncatedSeries,
     catalan,
     classify_blocks,
     coloured_count,
@@ -147,8 +149,8 @@ def test_permutation_json_bool_size():
     (2, [["a", 1]], "element 'a' is not an integer"),
     (2, [[2, None], [1]], "element None is not an integer"),
     (1, [[True]], "element True is not an integer"),
-    (True, [[1]], "ground-set size True is not an integer"),
-    ("2", [[1, 2]], "ground-set size '2' is not an integer"),
+    (True, [[1]], "ground-set size must be an integer, got True"),
+    ("2", [[1, 2]], "ground-set size must be an integer, got '2'"),
 ])
 def test_rejected_before_sorting(n, raw, message):
     for make, error in MAKERS:
@@ -159,8 +161,8 @@ def test_rejected_before_sorting(n, raw, message):
 
 SIZES = pytest.mark.parametrize("n, message", [
     (0, "ground-set size must be at least 1"),
-    (True, "ground-set size True is not an integer"),
-    (2.0, "ground-set size 2.0 is not an integer"),
+    (True, "ground-set size must be an integer, got True"),
+    (2.0, "ground-set size must be an integer, got 2.0"),
 ], ids=["zero", "bool", "float"])
 
 
@@ -222,10 +224,22 @@ def test_series_depth(route, n_max, message):
     assert str(exc.value) == message
 
 
+@pytest.mark.parametrize("order, message", [
+    (-2, "order must be at least 0"),
+    (1.5, "order must be an integer, got 1.5"),
+    (True, "order must be an integer, got True"),
+], ids=["negative", "float", "bool"])
+def test_truncate_order(order, message):
+    # a negative order would slice from the end, and True would read as 1
+    with pytest.raises(SizeError) as exc:
+        TruncatedSeries.of(1, 2, 3, 4).truncate(order)
+    assert str(exc.value) == message
+
+
 @pytest.mark.parametrize("k, message", [
-    (-1, "{} is defined for k >= 0"),
-    (True, "{} index True is not an integer"),
-    (2.0, "{} index 2.0 is not an integer"),
+    (-1, "{} index must be at least 0"),
+    (True, "{} index must be an integer, got True"),
+    (2.0, "{} index must be an integer, got 2.0"),
 ], ids=["negative", "bool", "float"])
 @pytest.mark.parametrize("number", [catalan, schroder], ids=["catalan", "schroder"])
 def test_sequence_index(number, k, message):
@@ -371,7 +385,7 @@ HUGE = 10**5000  # past CPython's 4300-digit limit for str(int)
     (lambda: make_permutation(2, [True, 2]), "image element True is not an integer"),
     (lambda: make_permutation(2, [1.0, 2]), "image element 1.0 is not an integer"),
     (lambda: make_permutation(2, [1, "b"]), "image element 'b' is not an integer"),
-    (lambda: make_permutation("2", [1, 2]), "permutation size '2' is not an integer"),
+    (lambda: make_permutation("2", [1, 2]), "permutation size must be an integer, got '2'"),
 ], ids=["huge-size", "huge-element", "json-huge-size", "bool", "float", "str", "str-size"])
 def test_permutation_rejects_with_a_short_message(build, message):
     with pytest.raises(ValueError) as exc:

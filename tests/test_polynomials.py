@@ -11,6 +11,7 @@ import nclab.partitions
 import nclab.polynomials
 from nclab import (
     Polynomial,
+    SizeError,
     classify_blocks,
     cumulant_poly,
     cumulant_product_identity,
@@ -57,9 +58,14 @@ class TestRingOperations:
         assert Polynomial.variable(0) == ONE
 
     def test_negative_variable_rejected(self):
-        with pytest.raises(ValueError) as exc:
-            Polynomial.variable(-1)
-        assert str(exc.value) == "bad variable power t-1^1"
+        for i, message in [
+            (-1, "variable index must be at least 0"),
+            (1.5, "variable index must be an integer, got 1.5"),
+            (True, "variable index must be an integer, got True"),  # not t1
+        ]:
+            with pytest.raises(SizeError) as exc:
+                Polynomial.variable(i)
+            assert str(exc.value) == message
 
     def test_monomial_ordering_is_weight_then_lex(self):
         p = (

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import nclab
 from nclab import cli, verify
-from nclab._base import Frozen
+from nclab._base import Frozen, SizeError, _require_int
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "nclab"
 README = SRC.parent.parent / "README.md"
@@ -155,6 +155,28 @@ def test_no_module_table_lookups():
                 found.append(f"{path.name}:{node.lineno}")
             elif (isinstance(node, ast.ImportFrom) and node.module == "sys"
                     and any(alias.name == "modules" for alias in node.names)):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
+def test_one_integer_check():
+    # every size, index, depth and order goes through `_base._require_int`,
+    # whose default class is SizeError; no module raises SizeError itself,
+    # and the checks it replaced do not come back
+    assert _require_int.__defaults__ == (1, SizeError)
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        text = path.read_text()
+        found += [f"{path.name}:{name}" for name in
+                  re.findall(r"\b_require_(?:positive|size|index)\b", text)]
+        for node in ast.walk(ast.parse(text, filename=str(path))):
+            if isinstance(node, ast.Call):
+                made = node.func
+            elif isinstance(node, ast.Raise):
+                made = node.exc
+            else:
+                continue
+            if isinstance(made, ast.Name) and made.id == "SizeError":
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
 
