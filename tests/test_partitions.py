@@ -228,7 +228,9 @@ class TestTypedErrors:
     # wording; a size inside a block family keeps the family's class
     @pytest.mark.parametrize("call, message", [
         (lambda: next(enumerate_nc(0)), "ground-set size must be at least 1"),
-        (lambda: ncl_count("3"), "ground-set size must be an integer, got '3'"),
+        # its own id: the message-built one begins like the case above
+        pytest.param(lambda: ncl_count("3"), "ground-set size must be an integer, got '3'",
+                     id="<lambda>-ground-set size '3' is not an integer"),
         (lambda: catalan(-1), "catalan index must be at least 0"),
         (lambda: schroder(True), "schroder index must be an integer, got True"),
         (lambda: moment_poly(0), "n must be at least 1"),
