@@ -88,6 +88,8 @@ values = [1] + [Fraction(rng.randint(-30, 30), rng.randint(1, 12)) for _ in rang
 m = series.MomentSequence.of(values)
 """
 
+ORACLE_MODULES = "import nclab.partitions, nclab.polynomials\n"
+
 # the conversions at depth d, each with the digest of its output as result
 TRANSFORM_LAYERS = {
     f"{route} depth {depth}": (SEEDED_MOMENTS.format(depth=depth), expression.format(depth=depth))
@@ -196,7 +198,7 @@ LAYERS = {
         " + (series.moments_from_cumulants_by_enumeration(k, 8) == m)"
         " for m, t, k in zip(ms, ts, ks))"),
     # the whole transform-roundtrips check of `verify moments` on its draw,
-    # oracle polynomials built cold as in one request
+    # run cold as in one request
     "check_transform_roundtrips x100 depth 8": (
         "import random\n"
         "from fractions import Fraction\n"
@@ -221,9 +223,21 @@ LAYERS = {
     "cumulant_poly(12)": (
         "from nclab.polynomials import cumulant_poly",
         "len(cumulant_poly(12).terms)"),
+    # cold: the modules the oracle imports when it runs are timed with it
     "moments_from_t_by_enumeration depth 12": (
         SEEDED_MOMENTS.format(depth=12),
         "digest(series.moments_from_t_by_enumeration(values, 12).values)"),
+    # the oracles' sums alone, here and past the depth of `verify moments`:
+    # the setup loads every module that the oracles of any checkout import.
+    # Checkouts whose oracles evaluate symbolic polynomials run over the
+    # budget at the deepest two.
+    **{f"moments_from_t_by_enumeration depth {depth}, modules loaded": (
+        SEEDED_MOMENTS.format(depth=depth) + ORACLE_MODULES,
+        f"digest(series.moments_from_t_by_enumeration(values, {depth}).values)")
+       for depth in (12, 20, 100)},
+    "cumulants_from_moments_by_enumeration depth 40, modules loaded": (
+        SEEDED_MOMENTS.format(depth=40) + ORACLE_MODULES,
+        "digest(series.cumulants_from_moments_by_enumeration(m))"),
     # moments read back from a t-transform, whose denominators compound with
     # the depth, at depth 100
     "moments_from_t of t_transform depth 100": (

@@ -24,7 +24,11 @@ started by a small launcher process, which reports the wall time and the
 peak RSS of that one child.  On Linux a child is charged with the RSS of
 the process that spawned it, so the launcher, not this script, spawns it.
 Every request's exit code and stdout digest are compared between the two
-sides (`outputs_identical`, `mismatches`).  Timings are unscaled.
+sides (`outputs_identical`, `mismatches`).  Timings are unscaled.  Each
+request's row gives each side's median wall time with its quartiles and
+their spread (the quartiles' distance as a share of the median), as
+`nclbench/steady.py` computes them: a difference between the two medians
+smaller than either side's quartile range is not told apart from noise.
 
 --steady WORKLOAD:SEEDS runs `nclbench/run.py` once per seed on both
 checkouts, alternating which runs first, and summarizes every end-to-end
@@ -115,7 +119,10 @@ def compare_requests(sides: dict[str, Path], workload: str, seed: int, reps: int
     for i, req in enumerate(deck):
         row = {"template": req.template, "args": " ".join(req.args)}
         for side in sides:
-            row[f"{side}_s"] = statistics.median(t["wall_s"] for t in tries[side][i])
+            walls = quartiles([t["wall_s"] for t in tries[side][i]])
+            row[f"{side}_s"] = statistics.median(walls["values"])
+            row[f"{side}_q1_s"], row[f"{side}_q3_s"] = walls["q1"], walls["q3"]
+            row[f"{side}_spread"] = walls["spread"]
             row[f"{side}_rss_mb"] = max(t["rss_mb"] for t in tries[side][i])
         rows.append(row)
     totals = {side: sum(row[f"{side}_s"] for row in rows) for side in sides}

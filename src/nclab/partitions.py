@@ -616,6 +616,9 @@ class Permutation(Frozen):
         return len(self.image)
 
     def __call__(self, i: int) -> int:
+        _require_int(i, "point", 1, IndexError)
+        if i > len(self.image):
+            raise IndexError(f"point {i} outside 1..{len(self.image)}")
         return self.image[i - 1]
 
     def inverse(self) -> Permutation:
@@ -626,18 +629,19 @@ class Permutation(Frozen):
 
     def cycles(self) -> tuple[tuple[int, ...], ...]:
         """Disjoint cycles, each starting at its least element, ordered by it."""
-        seen = [False] * len(self.image)
+        image = self.image
+        seen = [False] * len(image)
         out = []
-        for i in range(1, len(self.image) + 1):
+        for i in range(1, len(image) + 1):
             if seen[i - 1]:
                 continue
             cyc = [i]
             seen[i - 1] = True
-            j = self(i)
+            j = image[i - 1]
             while j != i:
                 cyc.append(j)
                 seen[j - 1] = True
-                j = self(j)
+                j = image[j - 1]
             out.append(tuple(cyc))
         return tuple(out)
 
@@ -690,6 +694,7 @@ def act(t: Permutation, a: Partition) -> Partition:
     """Apply a permutation to a partition blockwise (a left group action)."""
     if t.n != a.n:
         raise ValueError(f"sizes differ ({t.n} vs {a.n})")
-    blocks = [tuple(sorted(t(x) for x in blk)) for blk in a.blocks]
+    image = t.image
+    blocks = [tuple(sorted(image[x - 1] for x in blk)) for blk in a.blocks]
     blocks.sort(key=lambda blk: blk[0])
     return Partition(a.n, tuple(blocks))

@@ -15,24 +15,22 @@ of each k < n.  Four enumerative routes compute the same polynomial and
 serve as its oracles.  The sums over linked partitions and over
 endpoint-refinement pairs are separate enumerations; the inner-outer and
 cumulant routes are sums over NC(n) by block weights, in O(n^3) products
-by `partitions._nc_weight_sums`, and the transform oracles of `series`
-evaluate them.  The partition code is imported inside the routes that
-use it, so the closed form loads no other module of the package.
+by `partitions._nc_weight_sums`; the transform oracles of `series` take
+the same sums at their numbers, without this module.  The partition code
+is imported inside the routes that use it, so the closed form loads no
+other module of the package.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from functools import cached_property
 from math import comb, factorial
 from threading import Lock
-from typing import TYPE_CHECKING, Callable, Container, Iterable, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Container, Iterable, Iterator, Mapping
 
 from ._base import Frozen, _require_int, _set_field
 
 if TYPE_CHECKING:
-    from fractions import Fraction
-
     from .partitions import Partition
 
 
@@ -125,36 +123,6 @@ class Polynomial(Frozen):
 
     def __mul__(self, other: Polynomial) -> Polynomial:
         return Polynomial._of(self._terms() * other._terms())
-
-    @cached_property
-    def _graded_terms(self) -> tuple[int, tuple]:
-        """The top degree D and, per term, its exponents, its coefficient
-        and D less its degree."""
-        degrees = [sum(e for _, e in exps) for exps, _ in self.terms]
-        top = max(degrees, default=0)
-        return top, tuple((exps, c, top - g) for (exps, c), g in zip(self.terms, degrees))
-
-    def evaluate(self, t: Sequence) -> Fraction:
-        """Substitute t[i] for ti (t[0] is unused; indices must exist).  With
-        ti = Ni / d, a term c * prod ti^ei of degree g adds c * prod Ni^ei *
-        d^(D-g) to an integer sum over d^D, D the top degree: one `Fraction`."""
-        from fractions import Fraction
-
-        from .series import _common_denominator, _frac
-
-        d, nums = _common_denominator([_frac(x) for x in t])
-        top, terms = self._graded_terms
-        powers = [1]
-        for _ in range(top):
-            powers.append(powers[-1] * d)
-        total = 0
-        for exps, c, rest in terms:
-            for i, e in exps:
-                if i >= len(nums):
-                    raise ValueError(f"missing value for t{i}")
-                c *= nums[i] ** e
-            total += c * powers[rest]
-        return Fraction(total, powers[top])
 
     def to_text(self) -> str:
         if not self.terms:

@@ -14,15 +14,16 @@ series below: no `Fraction` is built inside their loops, only for the
 coefficients they return.  The conversions solve their functional
 equations by Lagrange inversion, in O(n^3) integer operations at depth n.
 Each keeps its defining sum over non-crossing partitions as a
-``*_by_enumeration`` oracle.  The oracles evaluate polynomials that
-`partitions._nc_weight_sums` sums over NC(n) by the block of element 1,
-in O(n^3) polynomial products rather than Catalan time, with no Lagrange
+``*_by_enumeration`` oracle.  The oracles take these sums at their own
+numbers, in integers, by `partitions._nc_weight_sums` on the block of
+element 1: O(n^3) operations rather than Catalan time, with no Lagrange
 inversion and no use of the core.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import islice
 from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Sequence
@@ -231,7 +232,8 @@ class MomentSequence(Frozen):
         return len(self.values)
 
     def moment(self, k: int) -> Fraction:
-        if not 1 <= k <= self.depth:
+        _require_int(k, "moment index", 1, IndexError)
+        if k > self.depth:
             raise IndexError(f"moment index {k} outside 1..{self.depth}")
         return self.values[k - 1]
 
@@ -330,60 +332,58 @@ def cumulants_from_t(t: Sequence, n_max: int) -> tuple[Fraction, ...]:
 
 
 # The defining sums over non-crossing partitions: the oracles that the tests
-# and `verify` check the routes above against.  Each evaluates the
-# polynomial of `polynomials` with the same definition, a sum over NC(n)
-# taken by the recursion on the block of element 1 rather than by Lagrange
-# inversion, so it shares no step with the integer core.  The polynomials
-# are imported here so that a transform request does not load that module.
+# and `verify` check the routes above against.  Each sums over NC(n) at its
+# own numbers, in integers, by `partitions._nc_weight_sums`: no Lagrange
+# inversion and no step of the integer core.  The recursion is imported when
+# an oracle runs, so that a transform request does not load the partition code.
+
+
+def _nc_sums(values: Sequence[Fraction], n: int, outer: tuple, inner: tuple) -> list:
+    """For m = 0..n, the sum over NC(m) of the products over blocks V of
+    the sum of values[|V| + o] over the offsets o in ``inner`` if V is
+    inner, else in ``outer``.  Over the values' common denominator d a
+    weight is an integer over d, scaled here by d^(|V|-1): a partition of
+    m weighs d^m times its weight, so the sums stay integers."""
+    from .partitions import _nc_weight_sums
+
+    d, nums = _common_denominator(values)
+    sums = _nc_weight_sums(lambda k, is_inner: d ** (k - 1) * sum(
+        nums[k + o] for o in (inner if is_inner else outer)))
+    return [Fraction(s, d**m) for m, s in enumerate(islice(sums, n + 1))]
 
 
 def moments_from_t_by_enumeration(t: Sequence, n_max: int) -> MomentSequence:
-    """`moments_from_t` by its definition, `moment_poly_inner_outer(n)` at t:
-    m_n sums over NC(n) the product of t_{|U|-1} over outer blocks U and
-    (t_{|V|-1} + t_{|V|}) over inner blocks V.  The polynomials
-    take O(n_max^3) polynomial products, once per process, not Catalan
-    time; independent of the integer core."""
-    from .polynomials import moment_poly_inner_outer
-
-    ts = _t_coeffs(t, n_max)
-    return MomentSequence(tuple(
-        moment_poly_inner_outer(n).evaluate(ts) for n in range(1, n_max + 1)))
+    """`moments_from_t` by its definition, which `moment_poly_inner_outer`
+    expands: m_n sums over NC(n) the product of t_{|U|-1} over outer blocks
+    U and (t_{|V|-1} + t_{|V|}) over inner blocks V, |V| <= n - 2, so the
+    t_{n_max} that the recursion reads is never used: it is set to 0."""
+    ts = [*_t_coeffs(t, n_max)[:n_max], 0]
+    return MomentSequence(tuple(_nc_sums(ts, n_max, (-1,), (-1, 0))[1:]))
 
 
 def moments_from_cumulants_by_enumeration(kappa: Sequence, n_max: int) -> MomentSequence:
-    """`moments_from_cumulants` by its definition, `cumulant_poly(n + 1)` at
-    t_i = kappa_i: m_n sums over NC(n) the product of kappa_{|V|} over
-    blocks V.  The polynomials take
-    O(n_max^3) polynomial products, once per process, not Catalan time;
-    independent of the integer core."""
-    from .polynomials import cumulant_poly
-
-    ks = (0, *_cumulant_coeffs(kappa, n_max))
-    return MomentSequence(tuple(
-        cumulant_poly(n + 1).evaluate(ks) for n in range(1, n_max + 1)))
+    """`moments_from_cumulants` by its definition, which `cumulant_poly`
+    expands: m_n sums over NC(n) the product of kappa_{|V|} over blocks V."""
+    ks = [0, *_cumulant_coeffs(kappa, n_max)[:n_max]]
+    return MomentSequence(tuple(_nc_sums(ks, n_max, (0,), (0,))[1:]))
 
 
 def cumulants_from_moments_by_enumeration(m: MomentSequence) -> tuple[Fraction, ...]:
     """`cumulants_from_moments` by its definition, solved recursively:
-    kappa_n is m_n less `cumulant_poly(n + 1)` at t_i = kappa_i, kappa_n = 0,
-    as the one-block partition of {1..n} gives its only term in kappa_n.
-    The polynomials take O(depth^3) polynomial products, once per process,
-    not Catalan time; independent of the integer core."""
-    from .polynomials import cumulant_poly
+    kappa_n is m_n less the sum over NC(n) of the products of kappa_{|V|}
+    with kappa_n = 0, the one-block partition's only term.  Each n sums
+    afresh, O(depth^4) in all, on kappa_s d^s, d the moments' common denominator."""
+    from .partitions import _nc_weight_sums
 
-    ks = [Fraction(0)]  # t0 is not read
+    d, ks = _common_denominator(m.values)[0], [0]
     for n in range(1, m.depth + 1):
-        ks.append(Fraction(0))
-        ks[n] = m.moment(n) - cumulant_poly(n + 1).evaluate(ks)
-    return tuple(ks[1:])
+        ks.append(0)
+        total = next(islice(_nc_weight_sums(lambda k, inner: ks[k]), n, None))
+        ks[n] = int(m.moment(n) * d**n) - total
+    return tuple(Fraction(k, d**s) for s, k in enumerate(ks) if s)
 
 
 def cumulants_from_t_by_enumeration(t: Sequence, n_max: int) -> tuple[Fraction, ...]:
-    """`cumulants_from_t` by its definition, `cumulant_poly(n)` at t: the
-    products of t_{|V|} summed over NC(n-1) for n >= 2, and 1 for n = 1.
-    The polynomials take O(n_max^3) polynomial products, once per process,
-    not Catalan time; independent of the integer core."""
-    from .polynomials import cumulant_poly
-
-    ts = _t_coeffs(t, n_max)
-    return tuple(cumulant_poly(n).evaluate(ts) for n in range(1, n_max + 1))
+    """`cumulants_from_t` by its definition, which `cumulant_poly` expands:
+    1 for n = 1, and the products of t_{|V|} summed over NC(n-1) for n >= 2."""
+    return tuple(_nc_sums(_t_coeffs(t, n_max)[:n_max], n_max - 1, (0,), (0,)))

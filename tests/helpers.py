@@ -8,6 +8,7 @@ routes have something independent to answer to.
 
 from bisect import bisect_right
 from collections import Counter
+from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from random import Random
@@ -178,6 +179,18 @@ def per_partition_sum(n: int, weight, zero=0, one=1) -> object:
         term = one
         for i, block in enumerate(alpha.blocks):
             term *= weight(len(block), i in alpha.inner_indices)
+        total += term
+    return total
+
+
+def evaluate(p: nclab.polynomials.Polynomial, t) -> Fraction:
+    """The polynomial ``p`` at ti = t[i], term by term in `Fraction`s;
+    t[0] is not read."""
+    total = Fraction(0)
+    for exps, c in p.terms:
+        term = Fraction(c)
+        for i, e in exps:
+            term *= Fraction(t[i]) ** e
         total += term
     return total
 

@@ -586,6 +586,21 @@ class TestPermutation:
             Permutation.from_json_dict({"n": 2, "image": image})
         assert str(info.value) == message
 
+    @pytest.mark.parametrize("point, message", [
+        (0, "point must be at least 1"),
+        (-1, "point must be at least 1"),
+        (4, "point 4 outside 1..3"),
+        (True, "point must be an integer, got True"),
+        (1.5, "point must be an integer, got 1.5"),
+    ])
+    def test_call_outside_the_ground_set(self, point, message):
+        # an image is read by its point, never by a wrapped-around position
+        perm = make_permutation(3, [2, 3, 1])
+        assert [perm(i) for i in (1, 2, 3)] == [2, 3, 1]
+        with pytest.raises(IndexError) as info:
+            perm(point)
+        assert str(info.value) == message
+
     def test_identity_cycle_text(self):
         assert make_permutation(4, range(1, 5)).to_cycle_text() == "()"
         assert block_cycles(make_partition(3, [[1, 3], [2]])).to_cycle_text() == "(1,3)"

@@ -466,6 +466,15 @@ class TestEnumerationOracles:
             fast(coeffs, n_max)
         assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
 
+    def test_deep_routes_match_their_oracles(self):
+        # the two routes of each conversion agree past the depths of the
+        # polynomial checks, on seeded rationals with denominators up to 12
+        t = [Fraction(1), *seeded_fractions(97, 99, 12)]
+        for fast, oracle in FAST_AND_ORACLE:
+            assert fast(t, 100) == oracle(t, 100)
+        m = MomentSequence.of(t[:40])
+        assert cumulants_from_moments(m) == cumulants_from_moments_by_enumeration(m)
+
     def test_first_cumulant_normalization(self):
         with pytest.raises(NormalizationError, match="first moment must be 1, got 2"):
             moments_from_cumulants([2, 1, 0], 3)
@@ -604,7 +613,12 @@ class TestIO:
 
     def test_moment_index_outside_depth(self):
         m = MomentSequence.of([1, 2])
-        for k in (0, 3):
+        for k, message in [
+            (0, "moment index must be at least 1"),
+            (3, "moment index 3 outside 1..2"),
+            (True, "moment index must be an integer, got True"),
+            (1.5, "moment index must be an integer, got 1.5"),
+        ]:
             with pytest.raises(IndexError) as info:
                 m.moment(k)
-            assert str(info.value) == f"moment index {k} outside 1..2"
+            assert str(info.value) == message

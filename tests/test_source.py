@@ -181,6 +181,32 @@ def test_one_integer_check():
     assert found == []
 
 
+def _package_imports(path: Path) -> set[str]:
+    """The modules of the package that ``path`` imports, at its top or
+    inside a function, relatively or by the package name."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level:
+                module = f"nclab.{module}".rstrip(".")
+            modules = [module] + [f"{module}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        names.update(m.split(".")[1] for m in modules if m.startswith("nclab."))
+    return names
+
+
+def test_series_and_polynomials_do_not_import_each_other():
+    # the transform oracles sum over NC(n) at their own numbers, and the
+    # closed form needs no series code: neither module loads the other
+    assert "polynomials" not in _package_imports(SRC / "series.py")
+    assert "series" not in _package_imports(SRC / "polynomials.py")
+    assert {"_base", "partitions"} <= _package_imports(SRC / "series.py")
+
+
 def test_readme_lists_the_value_classes():
     # README's list of record classes is the exported `_base.Frozen` subclasses
     match = re.search(r"The value classes \(([^)]*)\) are records", README.read_text())
