@@ -1,23 +1,27 @@
 """Time the layers of one or more nclab source checkouts, in process.
 
-    python3 benchmarks/layers.py --src parent=DIR --src change=DIR --label LABEL [--reps 5]
+    python3 benchmarks/layers.py --src parent=DIR --src change=DIR --label LABEL [--reps 15]
 
 Each layer is a setup and a timed expression.  One run of a layer is a
 fresh interpreter with DIR/src first on its path: it does the setup, then
 times the expression with `time.perf_counter`.  The runs of the checkouts
-alternate, and each layer keeps the median of REPS runs per checkout.  A
-layer that a checkout cannot run (a name its setup uses that the checkout
-does not have) is recorded as null for it; one whose run takes more than
-BUDGET_S seconds as over the budget, and one whose run exits non-zero as
-an error with the last line of its stderr, each after that one run.  DIR
-is the checkout's root, not its `src/`.
+alternate, and each layer keeps the median and the quartiles of REPS runs
+per checkout, with their spread, as `nclbench/steady.py` computes them: a
+difference between two medians smaller than either side's quartile range
+is not told apart from noise.  A layer that a checkout cannot run (a name
+its setup uses that the checkout does not have) is recorded as null for
+it; one whose run takes more than BUDGET_S seconds as over the budget,
+and one whose run exits non-zero as an error with the last line of its
+stderr, each after that one run.  DIR is the checkout's root, not its
+`src/`.
 
 Writes BENCH_<label>.json in the current directory, or extends it: the
 `layers` section gets one entry per checkout named by --src NAME (the
 directory name when NAME= is left out), with the sha256 and line count of
 its `src/nclab/*.py`, beside the Python version and the core count.  Other
 sections of the file, such as those `pair_compare.py` writes, are kept.
-Only the standard library is used, and nothing is written to the checkouts
+Each side's layers are printed as [q1, median, q3] in seconds.  Only the
+standard library is used, and nothing is written to the checkouts
 but what importing them leaves behind (`__pycache__/`).
 """
 
@@ -27,14 +31,15 @@ import argparse
 import json
 import os
 import platform
-import statistics
 import subprocess
 import sys
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent))
+HERE = Path(__file__).resolve().parent
+sys.path[:0] = [str(HERE), str(HERE.parent / "nclbench")]
 
 from pair_compare import source_digest, source_lines  # noqa: E402
+from steady import quartiles  # noqa: E402
 
 # One seeded pair of raw block lists on {1..3000}: a non-crossing beta, in
 # which each element opens a block or joins an open one (each choice equally
@@ -89,6 +94,31 @@ m = series.MomentSequence.of(values)
 """
 
 ORACLE_MODULES = "import nclab.partitions, nclab.polynomials\n"
+
+# T = (1 + z)^k, and the Fuss-Catalan moments C((k + 1) n, n) / (k n + 1)
+# that it gives, at depth 200; k = 1 gives the Catalan numbers, whose free
+# cumulants are all 1
+CLOSED_FORM = """\
+from fractions import Fraction
+from math import comb
+from nclab import series
+t = [comb({k}, j) for j in range(200)]
+fuss = tuple(Fraction(comb(({k} + 1) * n, n), {k} * n + 1) for n in range(1, 201))
+m = series.MomentSequence.of(fuss)
+"""
+
+# each closed form checked through one fast route; the result is whether it holds
+CLOSED_FORM_LAYERS = {
+    **{f"moments_from_t of (1+z)^{k} depth 200": (
+        CLOSED_FORM.format(k=k), "series.moments_from_t(t, 200).values == fuss")
+       for k in (1, 2, 3)},
+    "t_transform of Fuss-Catalan k=2 depth 200": (
+        CLOSED_FORM.format(k=2), "series.t_transform(m).coeffs == tuple(t)"),
+    "moments_from_cumulants of ones depth 200": (
+        CLOSED_FORM.format(k=1), "series.moments_from_cumulants([1] * 200, 200).values == fuss"),
+    "cumulants_from_moments of Catalan depth 200": (
+        CLOSED_FORM.format(k=1), "series.cumulants_from_moments(m) == (1,) * 200"),
+}
 
 # the conversions at depth d, each with the digest of its output as result
 TRANSFORM_LAYERS = {
@@ -210,6 +240,7 @@ LAYERS = {
         "    for _ in range(100)]",
         "check_transform_roundtrips(ms).checked"),
     **TRANSFORM_LAYERS,
+    **CLOSED_FORM_LAYERS,
     # the sums over NC(n) by block weights, built cold
     "moment_poly_inner_outer(10)": (
         "from nclab.polynomials import moment_poly_inner_outer",
@@ -235,9 +266,10 @@ LAYERS = {
         SEEDED_MOMENTS.format(depth=depth) + ORACLE_MODULES,
         f"digest(series.moments_from_t_by_enumeration(values, {depth}).values)")
        for depth in (12, 20, 100)},
-    "cumulants_from_moments_by_enumeration depth 40, modules loaded": (
-        SEEDED_MOMENTS.format(depth=40) + ORACLE_MODULES,
-        "digest(series.cumulants_from_moments_by_enumeration(m))"),
+    **{f"cumulants_from_moments_by_enumeration depth {depth}, modules loaded": (
+        SEEDED_MOMENTS.format(depth=depth) + ORACLE_MODULES,
+        "digest(series.cumulants_from_moments_by_enumeration(m))")
+       for depth in (40, 100)},
     # moments read back from a t-transform, whose denominators compound with
     # the depth, at depth 100
     "moments_from_t of t_transform depth 100": (
@@ -328,8 +360,10 @@ def main() -> int:
     parser.add_argument("--src", action="append", required=True, type=parse_src,
                         metavar="[NAME=]DIR", help="a source checkout; repeat to compare")
     parser.add_argument("--label", required=True)
-    parser.add_argument("--reps", type=int, default=5)
+    parser.add_argument("--reps", type=int, default=15)
     args = parser.parse_args()
+    if args.reps < 2:
+        parser.error("--reps needs at least 2: each layer's summary takes quartiles")
     sides = dict(args.src)
     for checkout in sides.values():
         if not (checkout / "src" / "nclab").is_dir():
@@ -346,7 +380,7 @@ def main() -> int:
     section = data.setdefault("layers", {})
     section.update({
         "how": "one fresh interpreter per run, time.perf_counter around the expression "
-               "after its setup; checkouts alternating; median of the runs",
+               "after its setup; checkouts alternating; median and quartiles of the runs",
         "python": platform.python_version(), "nproc": os.cpu_count(), "reps": args.reps,
         "budget_s": BUDGET_S,
         "expressions": {name: expression for name, (_, expression) in LAYERS.items()},
@@ -360,12 +394,13 @@ def main() -> int:
             if isinstance(got[-1], dict):  # over the budget, or an error
                 results[name] = got[-1]
                 continue
-            values = [elapsed for elapsed, _ in got]
-            results[name] = {"median_s": statistics.median(values), "values": values,
-                             "result": got[0][1]}
+            q = quartiles([elapsed for elapsed, _ in got])
+            results[name] = {"median_s": q["median"], "q1_s": q["q1"], "q3_s": q["q3"],
+                             "spread": q["spread"], "values": q["values"], "result": got[0][1]}
         section[side] = {"source_sha256": source_digest(checkout),
                          "source_lines": source_lines(checkout), "results": results}
-        print(json.dumps({side: {name: round(r["median_s"], 4) if r and "median_s" in r else r
+        print(json.dumps({side: {name: [round(r[key], 4) for key in ("q1_s", "median_s", "q3_s")]
+                                 if r and "median_s" in r else r
                                  for name, r in results.items()}}), flush=True)
     out_path.write_text(json.dumps(data, indent=1) + "\n")
     return 0

@@ -499,23 +499,29 @@ def _nc_weight_sums(weight: Callable[[int, bool], Any]) -> Iterator:
     ``gaps[k][j]`` over the fillings of k gaps with j elements in all, and
     ``first[m]`` over an outer block of element 1 with its gaps, m elements
     in all.  Step m makes gaps[k][j] for k + j = m, then inner[m], first[m]
-    and outer[m], each from values made before it.
+    and outer[m] from values made before it, but for the one-block terms
+    weight(m, .) (gaps[m][0] and outer[0] are 1): it yields outer[m] +
+    weight(m, False) and adds the terms in only as it resumes, so a caller
+    may read weight(m, .) as 0 there and set it before the next `next()`.
     """
     inner, outer, first, gaps = [1], [1], [0], [[1]]
     w_in, w_out = [0], [0]
     yield 1
     for m in count(1):
-        w_in.append(weight(m, True))
-        w_out.append(weight(m, False))
         gaps[0].append(0)
         gaps.append([])
         for k in range(1, m + 1):  # k + j = m
             prev, j = gaps[k - 1], m - k
             gaps[k].append(sum(inner[i] * prev[j - i] for i in range(j + 1)))
-        inner.append(sum(w_in[k] * gaps[k][m - k] for k in range(1, m + 1)))
-        first.append(sum(w_out[k] * gaps[k - 1][m - k] for k in range(1, m + 1)))
+        inner.append(sum(w_in[k] * gaps[k][m - k] for k in range(1, m)))
+        first.append(sum(w_out[k] * gaps[k - 1][m - k] for k in range(1, m)))
         outer.append(sum(first[r] * outer[m - r] for r in range(1, m + 1)))
-        yield outer[m]
+        yield outer[m] + weight(m, False)
+        w_in.append(weight(m, True))
+        w_out.append(weight(m, False))
+        inner[m] += w_in[m]
+        first[m] += w_out[m]
+        outer[m] += w_out[m]
 
 
 @lru_cache(maxsize=32)

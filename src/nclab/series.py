@@ -15,9 +15,9 @@ coefficients they return.  The conversions solve their functional
 equations by Lagrange inversion, in O(n^3) integer operations at depth n.
 Each keeps its defining sum over non-crossing partitions as a
 ``*_by_enumeration`` oracle.  The oracles take these sums at their own
-numbers, in integers, by `partitions._nc_weight_sums` on the block of
-element 1: O(n^3) operations rather than Catalan time, with no Lagrange
-inversion and no use of the core.
+numbers, in integers, in one pass of `partitions._nc_weight_sums` on the
+block of element 1: O(n^3) operations rather than Catalan time, with no
+Lagrange inversion and no use of the core.
 """
 
 from __future__ import annotations
@@ -332,8 +332,8 @@ def cumulants_from_t(t: Sequence, n_max: int) -> tuple[Fraction, ...]:
 
 
 # The defining sums over non-crossing partitions: the oracles that the tests
-# and `verify` check the routes above against.  Each sums over NC(n) at its
-# own numbers, in integers, by `partitions._nc_weight_sums`: no Lagrange
+# and `verify` check the routes above against.  Each sums over NC(n) at its own
+# numbers, in integers, in one pass of `partitions._nc_weight_sums`: no Lagrange
 # inversion and no step of the integer core.  The recursion is imported when
 # an oracle runs, so that a transform request does not load the partition code.
 
@@ -369,17 +369,18 @@ def moments_from_cumulants_by_enumeration(kappa: Sequence, n_max: int) -> Moment
 
 
 def cumulants_from_moments_by_enumeration(m: MomentSequence) -> tuple[Fraction, ...]:
-    """`cumulants_from_moments` by its definition, solved recursively:
+    """`cumulants_from_moments` by its definition, solved in one pass:
     kappa_n is m_n less the sum over NC(n) of the products of kappa_{|V|}
-    with kappa_n = 0, the one-block partition's only term.  Each n sums
-    afresh, O(depth^4) in all, on kappa_s d^s, d the moments' common denominator."""
+    that `_nc_weight_sums` yields while kappa_n, the one-block partition's
+    only term, reads 0: O(depth^3) in all, on kappa_s d^s, d the moments'
+    common denominator."""
     from .partitions import _nc_weight_sums
 
-    d, ks = _common_denominator(m.values)[0], [0]
+    d, ks = _common_denominator(m.values)[0], [0] * (m.depth + 1)
+    sums = _nc_weight_sums(lambda k, inner: ks[k])
+    next(sums)
     for n in range(1, m.depth + 1):
-        ks.append(0)
-        total = next(islice(_nc_weight_sums(lambda k, inner: ks[k]), n, None))
-        ks[n] = int(m.moment(n) * d**n) - total
+        ks[n] = int(m.moment(n) * d**n) - next(sums)
     return tuple(Fraction(k, d**s) for s, k in enumerate(ks) if s)
 
 

@@ -141,6 +141,8 @@ def verify_counts(n_max: int) -> list[CheckResult]:
         below = list(partitions.endpoint_refinements(b))
         if len(below) != len(filtered) or set(below) != filtered:
             res.fail(f"{b}: blockwise enumeration mismatch")
+        if below[0] != partitions.endpoint_floor(b):
+            res.fail(f"{b}: endpoint_floor is not the first refinement")
     out.append(res)
 
     res = CheckResult("counts", "boolean-coarsenings", f"n<={cap}", 0, True)
@@ -190,7 +192,8 @@ def check_transform_roundtrips(sequences: list) -> CheckResult:
         if (series.cumulants_from_t_by_enumeration(t.coeffs, depth) != kappa
                 or series.cumulants_from_moments_by_enumeration(m) != kappa):
             res.fail(f"cumulant oracles disagree with the fast routes for {m}")
-        if series.moments_from_cumulants(kappa, depth) != m:
+        if (series.moments_from_cumulants(kappa, depth) != m
+                or series.moments_from_cumulants_by_enumeration(kappa, depth) != m):
             res.fail(f"moments_from_cumulants(cumulants_from_moments) != id for {m}")
     return res
 

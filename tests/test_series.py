@@ -2,6 +2,7 @@ import hashlib
 import random
 from fractions import Fraction
 from itertools import islice
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -436,6 +437,23 @@ FAST_AND_ORACLE = [
 ]
 
 
+class TestClosedFormsAtDepth100:
+    # identities that hold at any depth, past the digests' regression pins
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_binomial_t_gives_fuss_catalan(self, k):
+        # T = (1 + z)^k: m_n = C((k + 1) n, n) / (k n + 1)
+        t = [comb(k, j) for j in range(100)]
+        fuss = [Fraction(comb((k + 1) * n, n), k * n + 1) for n in range(1, 101)]
+        assert list(moments_from_t(t, 100).values) == fuss
+        if k == 2:
+            assert t_transform(MomentSequence.of(fuss)).coeffs == tuple(t)
+
+    def test_unit_cumulants_give_catalan(self):
+        m = moments_from_cumulants([1] * 100, 100)
+        assert list(m.values) == [catalan(n) for n in range(1, 101)]
+        assert cumulants_from_moments(m) == (1,) * 100
+
+
 class TestEnumerationOracles:
     @pytest.mark.parametrize("fast, oracle", FAST_AND_ORACLE)
     def test_sequence_routes_match_depth_1_to_8(self, fast, oracle):
@@ -472,8 +490,22 @@ class TestEnumerationOracles:
         t = [Fraction(1), *seeded_fractions(97, 99, 12)]
         for fast, oracle in FAST_AND_ORACLE:
             assert fast(t, 100) == oracle(t, 100)
-        m = MomentSequence.of(t[:40])
+        m = MomentSequence.of(t[:100])
         assert cumulants_from_moments(m) == cumulants_from_moments_by_enumeration(m)
+
+    def test_cumulants_from_moments_oracle_runs_the_recursion_once(self, monkeypatch):
+        # kappa_n is solved from the sum that the one pass yields at n
+        starts = []
+        recursion = nclab.partitions._nc_weight_sums
+
+        def counted(weight):
+            starts.append(weight)
+            return recursion(weight)
+
+        monkeypatch.setattr(nclab.partitions, "_nc_weight_sums", counted)
+        m = MomentSequence.of(sparse_coeffs(random.Random(89), 12)[:12])
+        assert cumulants_from_moments_by_enumeration(m) == cumulants_from_moments(m)
+        assert len(starts) == 1
 
     def test_first_cumulant_normalization(self):
         with pytest.raises(NormalizationError, match="first moment must be 1, got 2"):

@@ -73,7 +73,6 @@ UNCALLED = {
     "partitions.py:classify_blocks":
         "the checked reading of a pair's special blocks; the pair routes, which "
         "take their pairs from endpoint_refinements, read the unchecked _special_blocks",
-    "partitions.py:endpoint_floor": "the bottom of a << interval",
     "partitions.py:is_noncrossing":
         "the public test for NC(n); library code reads the cached _noncrossing",
     "series.py:TruncatedSeries.compose": "checks comp_inverse",
@@ -82,8 +81,6 @@ UNCALLED = {
     "series.py:TruncatedSeries.comp_inverse":
         "the series operation; the routes run its integer core on graded steps",
     "series.py:moment_series": "the moment series that s_transform is defined on",
-    "series.py:moments_from_cumulants_by_enumeration":
-        "the named enumeration oracle of moments_from_cumulants",
 }
 
 
